@@ -153,14 +153,13 @@ void Server::OnAccept(int fd) {
 void Server::OnData(int fd, const std::uint8_t* data, std::size_t n) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
-  it->second.decoder.Feed(data, n);
+  {
+    HTDP_TRACE_SPAN("daemon.frame_decode");
+    it->second.decoder.Feed(data, n);
+  }
   while (true) {
     std::optional<net::Frame> frame;
-    Status status;
-    {
-      HTDP_TRACE_SPAN("daemon.frame_decode");
-      status = it->second.decoder.Next(&frame);
-    }
+    const Status status = it->second.decoder.Next(&frame);
     if (!status.ok()) {
       // Header corruption: a length-prefixed stream cannot re-synchronize,
       // so explain and hang up (best effort -- the peer may be gone).
@@ -297,9 +296,9 @@ void Server::HandleSubmit(int fd, const net::Frame& frame) {
   ++inflight_;
   if (job.stream) loop_->MarkBusy(fd, true);
 
-  net::WireWriter writer;
-  EncodeSubmitOk(writer, net::SubmitOk{id});
-  SendFrame(fd, net::FrameType::kSubmitOk, writer);
+  net::FrameWriter out(net::FrameType::kSubmitOk);
+  EncodeSubmitOk(out.payload(), net::SubmitOk{id});
+  SendFrame(fd, std::move(out));
 
   net::EventLoop* loop = loop_.get();
   std::mutex* mu = &completed_mu_;
@@ -340,11 +339,12 @@ void Server::HandlePoll(int fd, const net::Frame& frame) {
       loop_->MarkBusy(fd, true);
       return;
     }
-    net::WireWriter writer;
-    EncodeJobState(writer, net::JobStateMsg{request.job_id,
-                                            net::WireJobState::kInFlight, 0,
-                                            std::string()});
-    SendFrame(fd, net::FrameType::kJobState, writer);
+    net::FrameWriter out(net::FrameType::kJobState);
+    EncodeJobState(out.payload(),
+                   net::JobStateMsg{request.job_id,
+                                    net::WireJobState::kInFlight, 0,
+                                    std::string()});
+    SendFrame(fd, std::move(out));
     return;
   }
   SendJobState(fd, request.job_id, job);
@@ -378,11 +378,11 @@ void Server::HandleCancel(int fd, const net::Frame& frame) {
   // Queued jobs are already complete at this point but their completion
   // frame processing is still queued behind the wake; report in-flight and
   // let the caller poll for the terminal state.
-  net::WireWriter writer;
-  EncodeJobState(writer,
+  net::FrameWriter out(net::FrameType::kJobState);
+  EncodeJobState(out.payload(),
                  net::JobStateMsg{request.job_id, net::WireJobState::kInFlight,
                                   0, "cancel requested"});
-  SendFrame(fd, net::FrameType::kJobState, writer);
+  SendFrame(fd, std::move(out));
 }
 
 void Server::HandleStats(int fd) {
@@ -404,9 +404,9 @@ void Server::HandleStats(int fd) {
   reply.retained_jobs = retained_order_.size();
   reply.draining = draining_;
 
-  net::WireWriter writer;
-  EncodeStats(writer, reply);
-  SendFrame(fd, net::FrameType::kStatsOk, writer);
+  net::FrameWriter out(net::FrameType::kStatsOk);
+  EncodeStats(out.payload(), reply);
+  SendFrame(fd, std::move(out));
 }
 
 void Server::HandleListSolvers(int fd) {
@@ -417,9 +417,9 @@ void Server::HandleListSolvers(int fd) {
     if (!solver.ok()) continue;
     reply.solvers.push_back({name, solver.value()->description()});
   }
-  net::WireWriter writer;
-  EncodeSolverList(writer, reply);
-  SendFrame(fd, net::FrameType::kSolverList, writer);
+  net::FrameWriter out(net::FrameType::kSolverList);
+  EncodeSolverList(out.payload(), reply);
+  SendFrame(fd, std::move(out));
 }
 
 void Server::HandleMetrics(int fd, const net::Frame& frame) {
@@ -445,9 +445,9 @@ void Server::HandleMetrics(int fd, const net::Frame& frame) {
       reply.body = obs::DumpChromeTrace();
       break;
   }
-  net::WireWriter writer;
-  EncodeMetricsReply(writer, reply);
-  SendFrame(fd, net::FrameType::kMetricsOk, writer);
+  net::FrameWriter out(net::FrameType::kMetricsOk);
+  EncodeMetricsReply(out.payload(), reply);
+  SendFrame(fd, std::move(out));
 }
 
 void Server::HandleBudget(int fd) {
@@ -487,9 +487,9 @@ void Server::HandleBudget(int fd) {
     reply.torn_bytes_discarded = recovered.torn_bytes_discarded;
     reply.recovery_seconds = recovered.recovery_seconds;
   }
-  net::WireWriter writer;
-  EncodeBudgetReply(writer, reply);
-  SendFrame(fd, net::FrameType::kBudgetOk, writer);
+  net::FrameWriter out(net::FrameType::kBudgetOk);
+  EncodeBudgetReply(out.payload(), reply);
+  SendFrame(fd, std::move(out));
 }
 
 // ---------------------------------------------------------------------------
@@ -530,12 +530,11 @@ void Server::FinishJob(std::uint64_t id) {
   }
 }
 
-void Server::SendFrame(int fd, net::FrameType type,
-                       const net::WireWriter& writer) {
+void Server::SendFrame(int fd, net::FrameWriter frame) {
   HTDP_TRACE_SPAN("daemon.write");
-  std::vector<std::uint8_t> frame =
-      net::EncodeFrame(type, writer.bytes(), options_.max_payload_bytes);
-  loop_->Send(fd, frame.data(), frame.size());
+  const std::vector<std::uint8_t> bytes =
+      std::move(frame).Finish(options_.max_payload_bytes);
+  loop_->Send(fd, bytes.data(), bytes.size());
 }
 
 void Server::SendError(int fd, const Status& status, std::uint64_t job_id) {
@@ -548,9 +547,9 @@ void Server::SendError(int fd, const Status& status, std::uint64_t job_id) {
     // of hammering the daemon in lockstep.
     error.retry_after_ms = engine_->SuggestedRetryAfterMs();
   }
-  net::WireWriter writer;
-  EncodeError(writer, error);
-  SendFrame(fd, net::FrameType::kError, writer);
+  net::FrameWriter out(net::FrameType::kError);
+  EncodeError(out.payload(), error);
+  SendFrame(fd, std::move(out));
 }
 
 void Server::SendJobState(int fd, std::uint64_t id, const Job& job) {
@@ -564,9 +563,9 @@ void Server::SendJobState(int fd, std::uint64_t id, const Job& job) {
     msg.wire_code = net::WireStatusFor(outcome.status().code());
     msg.message = std::string(outcome.status().message());
   }
-  net::WireWriter writer;
-  EncodeJobState(writer, msg);
-  SendFrame(fd, net::FrameType::kJobState, writer);
+  net::FrameWriter out(net::FrameType::kJobState);
+  EncodeJobState(out.payload(), msg);
+  SendFrame(fd, std::move(out));
 }
 
 void Server::SendResultFrames(int fd, std::uint64_t id, const Job& job) {
@@ -582,15 +581,15 @@ void Server::SendResultFrames(int fd, std::uint64_t id, const Job& job) {
     chunk.bytes.assign(bytes.begin() + static_cast<std::ptrdiff_t>(offset),
                        bytes.begin() +
                            static_cast<std::ptrdiff_t>(offset + take));
-    net::WireWriter writer;
-    EncodeResultChunk(writer, chunk);
-    SendFrame(fd, net::FrameType::kResultChunk, writer);
+    net::FrameWriter out(net::FrameType::kResultChunk);
+    EncodeResultChunk(out.payload(), chunk);
+    SendFrame(fd, std::move(out));
     offset += take;
   } while (offset < bytes.size());
 
-  net::WireWriter end;
-  EncodeResultEnd(end, net::ResultEnd{id, bytes.size()});
-  SendFrame(fd, net::FrameType::kResultEnd, end);
+  net::FrameWriter out(net::FrameType::kResultEnd);
+  EncodeResultEnd(out.payload(), net::ResultEnd{id, bytes.size()});
+  SendFrame(fd, std::move(out));
 }
 
 void Server::BeginDrain() {

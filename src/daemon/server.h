@@ -162,7 +162,7 @@ class Server {
   /// Completion processing: sends the JOB_STATE (+ result frames) to the
   /// streamed origin and every parked poller, then applies retention.
   void FinishJob(std::uint64_t id);
-  void SendFrame(int fd, net::FrameType type, const net::WireWriter& writer);
+  void SendFrame(int fd, net::FrameWriter frame);
   void SendError(int fd, const Status& status, std::uint64_t job_id);
   void SendJobState(int fd, std::uint64_t id, const Job& job);
   void SendResultFrames(int fd, std::uint64_t id, const Job& job);

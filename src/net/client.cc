@@ -88,13 +88,12 @@ Status Client::ErrorFromFrame(const Frame& frame) {
   return StatusFromWire(error.wire_code, std::move(error.message));
 }
 
-Status Client::SendFrame(FrameType type,
-                         const std::vector<std::uint8_t>& payload) {
+Status Client::SendFrame(FrameWriter frame) {
   if (broken_) {
     return Status::Unavailable("connection is broken; Reconnect() first");
   }
-  std::vector<std::uint8_t> frame = EncodeFrame(type, payload, max_payload_);
-  Status sent = stream_->Send(frame.data(), frame.size());
+  const std::vector<std::uint8_t> bytes = std::move(frame).Finish(max_payload_);
+  Status sent = stream_->Send(bytes.data(), bytes.size());
   if (!sent.ok()) return MarkBroken(std::move(sent));
   return Status::Ok();
 }
@@ -184,9 +183,11 @@ StatusOr<Frame> Client::ReadReply(std::uint64_t expect_job) {
 }
 
 StatusOr<std::uint64_t> Client::Submit(const SubmitRequest& request) {
-  WireWriter writer;
-  EncodeSubmit(writer, request);
-  HTDP_RETURN_IF_ERROR(SendFrame(FrameType::kSubmit, writer.bytes()));
+  // EncodeSubmit sizes the frame from the request before its first write,
+  // so the dataset is encoded once, into the buffer that goes to the socket.
+  FrameWriter frame(FrameType::kSubmit);
+  EncodeSubmit(frame.payload(), request);
+  HTDP_RETURN_IF_ERROR(SendFrame(std::move(frame)));
 
   StatusOr<Frame> reply = ReadReply(0);
   HTDP_RETURN_IF_ERROR(reply.status());
@@ -205,9 +206,9 @@ StatusOr<std::uint64_t> Client::Submit(const SubmitRequest& request) {
 }
 
 StatusOr<JobStateMsg> Client::Poll(std::uint64_t job_id, bool deliver) {
-  WireWriter writer;
-  EncodePoll(writer, PollRequest{job_id, deliver});
-  HTDP_RETURN_IF_ERROR(SendFrame(FrameType::kPoll, writer.bytes()));
+  FrameWriter frame(FrameType::kPoll);
+  EncodePoll(frame.payload(), PollRequest{job_id, deliver});
+  HTDP_RETURN_IF_ERROR(SendFrame(std::move(frame)));
 
   StatusOr<Frame> reply = ReadReply(job_id);
   HTDP_RETURN_IF_ERROR(reply.status());
@@ -275,9 +276,9 @@ StatusOr<FitResult> Client::AwaitStreamed(std::uint64_t job_id) {
 }
 
 StatusOr<JobStateMsg> Client::Cancel(std::uint64_t job_id) {
-  WireWriter writer;
-  EncodeCancel(writer, CancelRequest{job_id});
-  HTDP_RETURN_IF_ERROR(SendFrame(FrameType::kCancel, writer.bytes()));
+  FrameWriter frame(FrameType::kCancel);
+  EncodeCancel(frame.payload(), CancelRequest{job_id});
+  HTDP_RETURN_IF_ERROR(SendFrame(std::move(frame)));
 
   StatusOr<Frame> reply = ReadReply(job_id);
   HTDP_RETURN_IF_ERROR(reply.status());
@@ -294,7 +295,7 @@ StatusOr<JobStateMsg> Client::Cancel(std::uint64_t job_id) {
 }
 
 StatusOr<StatsReply> Client::Stats() {
-  HTDP_RETURN_IF_ERROR(SendFrame(FrameType::kStats, {}));
+  HTDP_RETURN_IF_ERROR(SendFrame(FrameWriter(FrameType::kStats)));
   StatusOr<Frame> reply = ReadReply(0);
   HTDP_RETURN_IF_ERROR(reply.status());
   WireReader reader(reply.value().payload);
@@ -310,7 +311,7 @@ StatusOr<StatsReply> Client::Stats() {
 }
 
 StatusOr<BudgetReply> Client::Budget() {
-  HTDP_RETURN_IF_ERROR(SendFrame(FrameType::kBudget, {}));
+  HTDP_RETURN_IF_ERROR(SendFrame(FrameWriter(FrameType::kBudget)));
   StatusOr<Frame> reply = ReadReply(0);
   HTDP_RETURN_IF_ERROR(reply.status());
   WireReader reader(reply.value().payload);
@@ -326,11 +327,11 @@ StatusOr<BudgetReply> Client::Budget() {
 }
 
 StatusOr<MetricsReply> Client::Metrics(MetricsFormat format) {
-  WireWriter writer;
+  FrameWriter frame(FrameType::kMetrics);
   MetricsRequest request;
   request.format = format;
-  EncodeMetrics(writer, request);
-  HTDP_RETURN_IF_ERROR(SendFrame(FrameType::kMetrics, writer.bytes()));
+  EncodeMetrics(frame.payload(), request);
+  HTDP_RETURN_IF_ERROR(SendFrame(std::move(frame)));
   StatusOr<Frame> reply = ReadReply(0);
   HTDP_RETURN_IF_ERROR(reply.status());
   WireReader reader(reply.value().payload);
@@ -395,7 +396,7 @@ StatusOr<FitResult> Client::SubmitAndWaitWithRetry(
 }
 
 StatusOr<SolverListReply> Client::ListSolvers() {
-  HTDP_RETURN_IF_ERROR(SendFrame(FrameType::kListSolvers, {}));
+  HTDP_RETURN_IF_ERROR(SendFrame(FrameWriter(FrameType::kListSolvers)));
   StatusOr<Frame> reply = ReadReply(0);
   HTDP_RETURN_IF_ERROR(reply.status());
   WireReader reader(reply.value().payload);

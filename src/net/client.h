@@ -155,7 +155,8 @@ class Client {
         max_payload_(max_payload),
         decoder_(max_payload) {}
 
-  Status SendFrame(FrameType type, const std::vector<std::uint8_t>& payload);
+  /// Finishes `frame` and writes it to the stream.
+  Status SendFrame(FrameWriter frame);
   /// Blocks for the next frame (pushes included).
   StatusOr<Frame> ReadFrame();
   /// Blocks for the reply to the outstanding request, absorbing pushed

@@ -1,5 +1,6 @@
 #include "net/codec.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <string>
@@ -9,6 +10,11 @@
 namespace htdp {
 namespace net {
 namespace {
+
+// The bulk double-array copies below rely on a double's in-memory bytes
+// being its little-endian wire encoding (see the format comment in codec.h).
+static_assert(std::endian::native == std::endian::little,
+              "the wire codec copies double arrays as little-endian bytes");
 
 std::string TruncatedMessage(const char* what) {
   return std::string("truncated payload reading ") + what;
@@ -106,9 +112,13 @@ void WireWriter::Str(const std::string& v) {
   Raw(v.data(), v.size());
 }
 
+void WireWriter::F64Array(const double* v, std::size_t count) {
+  Raw(v, count * sizeof(double));
+}
+
 void WireWriter::F64Vec(const std::vector<double>& v) {
   U64(static_cast<std::uint64_t>(v.size()));
-  for (double x : v) F64(x);
+  F64Array(v.data(), v.size());
 }
 
 void WireWriter::U64Vec(const std::vector<std::uint64_t>& v) {
@@ -211,8 +221,15 @@ Status WireReader::F64Vec(std::vector<double>* out, const char* what) {
     return Status::InvalidProblem(TruncatedMessage(what));
   }
   out->resize(static_cast<std::size_t>(count));
-  for (double& x : *out) HTDP_RETURN_IF_ERROR(F64(&x, what));
-  return Status::Ok();
+  return F64Array(out->data(), out->size(), what);
+}
+
+Status WireReader::F64Array(double* out, std::size_t count, const char* what) {
+  // Checked by division so a huge count cannot overflow the byte total.
+  if (count > remaining() / sizeof(double)) {
+    return Status::InvalidProblem(TruncatedMessage(what));
+  }
+  return Bytes(out, count * sizeof(double), what);
 }
 
 Status WireReader::U64Vec(std::vector<std::uint64_t>* out, const char* what) {
@@ -228,7 +245,7 @@ Status WireReader::U64Vec(std::vector<std::uint64_t>* out, const char* what) {
 
 Status WireReader::Bytes(void* out, std::size_t n, const char* what) {
   HTDP_RETURN_IF_ERROR(Need(n, what));
-  std::memcpy(out, data_ + offset_, n);
+  if (n > 0) std::memcpy(out, data_ + offset_, n);  // `out` may be null at 0
   offset_ += n;
   return Status::Ok();
 }
@@ -236,101 +253,116 @@ Status WireReader::Bytes(void* out, std::size_t n, const char* what) {
 // ---------------------------------------------------------------------------
 // Frames
 
-void AppendFrame(std::vector<std::uint8_t>& out, FrameType type,
-                 const std::uint8_t* payload, std::size_t payload_size,
-                 std::size_t max_payload) {
+FrameWriter::FrameWriter(FrameType type) {
+  writer_.U32(kWireMagic);  // the bytes 'h' 't' 'd' 'p'
+  writer_.U8(kWireVersion);
+  writer_.U8(static_cast<std::uint8_t>(type));
+  writer_.U16(0);  // reserved flags
+  writer_.U32(0);  // payload length, patched by Finish
+}
+
+std::vector<std::uint8_t> FrameWriter::Finish(std::size_t max_payload) && {
+  std::vector<std::uint8_t> frame = writer_.Take();
+  const std::size_t payload_size = frame.size() - kFrameHeaderBytes;
   HTDP_CHECK(payload_size <= max_payload)
       << "frame payload of " << payload_size
       << " bytes exceeds the limit of " << max_payload
       << " (chunk large messages)";
-  const std::uint32_t length = static_cast<std::uint32_t>(payload_size);
-  out.reserve(out.size() + kFrameHeaderBytes + payload_size);
-  // Magic, spelled as bytes so the file encodes exactly "htdp".
-  out.push_back('h');
-  out.push_back('t');
-  out.push_back('d');
-  out.push_back('p');
-  out.push_back(kWireVersion);
-  out.push_back(static_cast<std::uint8_t>(type));
-  out.push_back(0);  // reserved flags
-  out.push_back(0);
-  out.push_back(static_cast<std::uint8_t>(length));
-  out.push_back(static_cast<std::uint8_t>(length >> 8));
-  out.push_back(static_cast<std::uint8_t>(length >> 16));
-  out.push_back(static_cast<std::uint8_t>(length >> 24));
-  out.insert(out.end(), payload, payload + payload_size);
+  for (std::size_t i = 0; i < 4; ++i) {
+    frame[8 + i] = static_cast<std::uint8_t>(payload_size >> (8 * i));
+  }
+  return frame;
 }
 
 std::vector<std::uint8_t> EncodeFrame(FrameType type,
                                       const std::vector<std::uint8_t>& payload,
                                       std::size_t max_payload) {
-  std::vector<std::uint8_t> out;
-  AppendFrame(out, type, payload.data(), payload.size(), max_payload);
-  return out;
+  FrameWriter frame(type);
+  frame.payload().Raw(payload.data(), payload.size());
+  return std::move(frame).Finish(max_payload);
 }
 
 void FrameDecoder::Feed(const std::uint8_t* data, std::size_t n) {
-  // Compact lazily: once the consumed prefix dominates the buffer, slide the
-  // live bytes down so the buffer does not grow without bound on a
-  // long-lived connection.
-  if (consumed_ > 0 && consumed_ >= buffer_.size() / 2) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
-    consumed_ = 0;
+  while (n > 0 && poisoned_.ok()) {
+    if (!partial_.has_value()) {
+      const std::size_t take = std::min(n, kFrameHeaderBytes - header_size_);
+      std::memcpy(header_ + header_size_, data, take);
+      header_size_ += take;
+      data += take;
+      n -= take;
+      if (header_size_ < kFrameHeaderBytes) return;
+      header_size_ = 0;
+      poisoned_ = StartFrame();
+      if (!poisoned_.ok()) return;
+    }
+    // Reserved to the declared length by StartFrame, so appending never
+    // reallocates.
+    std::vector<std::uint8_t>& payload = partial_->payload;
+    const std::size_t take = std::min(n, payload_size_ - payload.size());
+    payload.insert(payload.end(), data, data + take);
+    data += take;
+    n -= take;
+    if (payload.size() == payload_size_) {
+      ready_.push_back(std::move(*partial_));
+      partial_.reset();
+    }
   }
-  buffer_.insert(buffer_.end(), data, data + n);
 }
 
-Status FrameDecoder::Next(std::optional<Frame>* frame) {
-  frame->reset();
-  if (!poisoned_.ok()) return poisoned_;
-
-  const std::size_t available = buffer_.size() - consumed_;
-  if (available < kFrameHeaderBytes) return Status::Ok();
-  const std::uint8_t* h = buffer_.data() + consumed_;
-
+Status FrameDecoder::StartFrame() {
+  const std::uint8_t* h = header_;
   std::uint32_t magic = 0;
   for (int i = 0; i < 4; ++i) {
     magic |= static_cast<std::uint32_t>(h[i]) << (8 * i);
   }
   if (magic != kWireMagic) {
-    poisoned_ = Status::InvalidProblem("bad frame magic (not an htdp peer?)");
-    return poisoned_;
+    return Status::InvalidProblem("bad frame magic (not an htdp peer?)");
   }
   if (h[4] != kWireVersion) {
-    poisoned_ = Status::InvalidProblem(
+    return Status::InvalidProblem(
         "unsupported wire version " + std::to_string(h[4]) +
         " (this build speaks version " + std::to_string(kWireVersion) + ")");
-    return poisoned_;
   }
   if (!KnownFrameType(h[5])) {
-    poisoned_ = Status::InvalidProblem("unknown frame type " +
-                                       std::to_string(h[5]));
-    return poisoned_;
+    return Status::InvalidProblem("unknown frame type " +
+                                  std::to_string(h[5]));
   }
   if (h[6] != 0 || h[7] != 0) {
-    poisoned_ =
-        Status::InvalidProblem("reserved frame flag bits are not zero");
-    return poisoned_;
+    return Status::InvalidProblem("reserved frame flag bits are not zero");
   }
   std::uint32_t length = 0;
   for (int i = 0; i < 4; ++i) {
     length |= static_cast<std::uint32_t>(h[8 + i]) << (8 * i);
   }
   if (length > max_payload_) {
-    poisoned_ = Status::InvalidProblem(
+    return Status::InvalidProblem(
         "oversized frame: " + std::to_string(length) +
         " payload bytes exceeds the limit of " + std::to_string(max_payload_));
-    return poisoned_;
   }
-  if (available < kFrameHeaderBytes + length) return Status::Ok();  // partial
-
-  Frame out;
-  out.type = static_cast<FrameType>(h[5]);
-  out.payload.assign(h + kFrameHeaderBytes, h + kFrameHeaderBytes + length);
-  consumed_ += kFrameHeaderBytes + length;
-  frame->emplace(std::move(out));
+  partial_.emplace();
+  partial_->type = static_cast<FrameType>(h[5]);
+  partial_->payload.reserve(length);
+  payload_size_ = length;
   return Status::Ok();
+}
+
+Status FrameDecoder::Next(std::optional<Frame>* frame) {
+  frame->reset();
+  if (ready_.empty()) return poisoned_;
+  frame->emplace(std::move(ready_.front()));
+  ready_.pop_front();
+  return Status::Ok();
+}
+
+std::size_t FrameDecoder::buffered_bytes() const {
+  std::size_t bytes = header_size_;
+  if (partial_.has_value()) {
+    bytes += kFrameHeaderBytes + partial_->payload.size();
+  }
+  for (const Frame& frame : ready_) {
+    bytes += kFrameHeaderBytes + frame.payload.size();
+  }
+  return bytes;
 }
 
 }  // namespace net

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -30,6 +31,13 @@ namespace net {
 /// travel as their IEEE-754 bit pattern in a u64, which makes every numeric
 /// payload bit-exact end to end: a dataset uploaded through the codec fits
 /// to the same bits as the in-process original.
+///
+/// Double ARRAYS (F64Array, F64Vec, a dataset's x and y blocks) are the one
+/// exception to the shifts: they move with a single memcpy after the bounds
+/// check. On a little-endian host -- the only kind this codec builds for, by
+/// static_assert -- a double's in-memory bytes ARE its little-endian u64
+/// encoding, so the bulk copy puts the same bytes on the wire as the
+/// per-element shifts would (tests/codec_test.cc pins them by checksum).
 ///
 /// This is the daemon's trust boundary, so the decoding contract is strict:
 /// a malformed, truncated, corrupted-length or oversized frame surfaces as a
@@ -90,6 +98,9 @@ struct Frame {
 /// above. The writer never fails: encoding is total.
 class WireWriter {
  public:
+  /// Makes room for `n` more bytes, so encoding them never regrows (and
+  /// re-copies) the buffer.
+  void Reserve(std::size_t n) { bytes_.reserve(bytes_.size() + n); }
   void U8(std::uint8_t v) { bytes_.push_back(v); }
   void U16(std::uint16_t v);
   void U32(std::uint32_t v);
@@ -102,7 +113,10 @@ class WireWriter {
   void Bool(bool v) { U8(v ? 1 : 0); }
   /// u32 byte length + raw bytes (no terminator).
   void Str(const std::string& v);
-  /// u64 element count + per-element F64.
+  /// `count` doubles back to back with no length field: the bulk copy
+  /// described in the format comment above.
+  void F64Array(const double* v, std::size_t count);
+  /// u64 element count + F64Array.
   void F64Vec(const std::vector<double>& v);
   /// u64 element count + per-element U64.
   void U64Vec(const std::vector<std::uint64_t>& v);
@@ -140,6 +154,9 @@ class WireReader {
   Status F64(double* out, const char* what);
   Status Bool(bool* out, const char* what);
   Status Str(std::string* out, const char* what);
+  /// Reads `count` doubles written by WireWriter::F64Array into `out`,
+  /// after checking that many bytes are present.
+  Status F64Array(double* out, std::size_t count, const char* what);
   Status F64Vec(std::vector<double>* out, const char* what);
   Status U64Vec(std::vector<std::uint64_t>* out, const char* what);
   /// Copies exactly n raw bytes.
@@ -156,34 +173,60 @@ class WireReader {
   std::size_t offset_ = 0;
 };
 
-/// Encodes a complete frame (header + payload). Aborts via HTDP_CHECK if the
-/// payload exceeds `max_payload` -- oversized frames are a programming error
-/// on the sending side (results are chunked; nothing else grows unbounded).
+/// Builds one frame in one buffer: the constructor writes the header with a
+/// zero length, the payload encoders append behind it through payload(),
+/// and Finish() patches the length in place, so the payload is never copied
+/// into a second buffer. A payload encoder that knows its size up front
+/// (EncodeSubmit does) reserves it before its first write, so a
+/// many-megabyte SUBMIT is written into one allocation.
+class FrameWriter {
+ public:
+  explicit FrameWriter(FrameType type);
+
+  /// Where the payload goes; it already holds the header.
+  WireWriter& payload() { return writer_; }
+
+  /// The finished frame. Aborts via HTDP_CHECK if the payload exceeds
+  /// `max_payload` -- oversized frames are a programming error on the
+  /// sending side (results are chunked; nothing else grows unbounded).
+  std::vector<std::uint8_t> Finish(
+      std::size_t max_payload = kDefaultMaxPayloadBytes) &&;
+
+ private:
+  WireWriter writer_;
+};
+
+/// Encodes a complete frame (header + a copy of `payload`) through
+/// FrameWriter, with the same abort on an oversized payload.
 std::vector<std::uint8_t> EncodeFrame(
     FrameType type, const std::vector<std::uint8_t>& payload,
     std::size_t max_payload = kDefaultMaxPayloadBytes);
-
-/// Appends the encoded frame to `out` (the per-connection write buffer).
-void AppendFrame(std::vector<std::uint8_t>& out, FrameType type,
-                 const std::uint8_t* payload, std::size_t payload_size,
-                 std::size_t max_payload = kDefaultMaxPayloadBytes);
 
 /// Incremental frame extractor over a byte stream: feed it whatever the
 /// socket produced, then pull complete frames out. Unlike the payload
 /// readers it is stateful, because TCP has no message boundaries.
 ///
+/// Each frame's payload is written once: Feed validates a header as soon as
+/// its last byte arrives, and only a header that passes sizes the frame's
+/// payload storage from its length. Payload bytes are then copied straight
+/// from the socket chunk into that storage, and Next hands the finished
+/// payload out by move.
+///
 /// Error contract: Next() returning a non-ok Status means the STREAM is
 /// poisoned (bad magic, unsupported version, reserved flag bits, unknown
 /// type, oversized length) -- there is no way to re-synchronize a
 /// length-prefixed stream after a corrupt header, so the connection must be
-/// closed (after sending a best-effort ERROR frame). A truncated stream is
-/// NOT an error: Next() just reports no-frame-yet until more bytes arrive.
+/// closed (after sending a best-effort ERROR frame). Frames completed before
+/// the corrupt header are still handed out first. A truncated stream is NOT
+/// an error: Next() just reports no-frame-yet until more bytes arrive.
 class FrameDecoder {
  public:
   explicit FrameDecoder(std::size_t max_payload = kDefaultMaxPayloadBytes)
       : max_payload_(max_payload) {}
 
-  /// Appends raw socket bytes. No validation happens here.
+  /// Consumes raw socket bytes: validates each header once complete and
+  /// copies payload bytes into their frame. After a corrupt header the rest
+  /// of the stream is dropped.
   void Feed(const std::uint8_t* data, std::size_t n);
 
   /// Extracts the next complete frame:
@@ -193,12 +236,20 @@ class FrameDecoder {
   /// After an error the decoder stays poisoned and keeps returning it.
   Status Next(std::optional<Frame>* frame);
 
-  std::size_t buffered_bytes() const { return buffer_.size() - consumed_; }
+  /// Bytes fed but not yet handed out by Next (complete frames waiting plus
+  /// the frame still arriving).
+  std::size_t buffered_bytes() const;
 
  private:
+  /// Validates the complete header_ and opens partial_ for its payload.
+  Status StartFrame();
+
   std::size_t max_payload_;
-  std::vector<std::uint8_t> buffer_;
-  std::size_t consumed_ = 0;  // bytes of buffer_ already handed out
+  std::uint8_t header_[kFrameHeaderBytes] = {};
+  std::size_t header_size_ = 0;   // bytes of header_ received so far
+  std::optional<Frame> partial_;  // header accepted, payload still arriving
+  std::size_t payload_size_ = 0;  // partial_'s declared payload length
+  std::deque<Frame> ready_;       // complete frames Next has not handed out
   Status poisoned_ = Status::Ok();
 };
 

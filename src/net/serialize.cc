@@ -14,16 +14,6 @@ namespace htdp {
 namespace net {
 namespace {
 
-/// Reads a run of `count` raw doubles into `out` after checking the bytes
-/// are actually present (no allocation driven by an unvalidated count).
-Status ReadDoubles(WireReader& r, std::size_t count, double* out,
-                   const char* what) {
-  for (std::size_t i = 0; i < count; ++i) {
-    HTDP_RETURN_IF_ERROR(r.F64(out + i, what));
-  }
-  return Status::Ok();
-}
-
 Status DecodeEnumByte(WireReader& r, std::uint8_t max_value, std::uint8_t* out,
                       const char* what) {
   HTDP_RETURN_IF_ERROR(r.U8(out, what));
@@ -52,8 +42,8 @@ void EncodeWireProblem(WireWriter& w, const WireProblem& problem) {
   // would just create a second length field that could disagree).
   w.U64(static_cast<std::uint64_t>(problem.data.size()));
   w.U64(static_cast<std::uint64_t>(problem.data.dim()));
-  for (double v : problem.data.x.data()) w.F64(v);
-  for (double v : problem.data.y) w.F64(v);
+  w.F64Array(problem.data.x.data().data(), problem.data.x.data().size());
+  w.F64Array(problem.data.y.data(), problem.data.y.size());
 }
 
 Status DecodeWireProblem(WireReader& r, WireProblem* out) {
@@ -83,12 +73,10 @@ Status DecodeWireProblem(WireReader& r, WireProblem* out) {
   }
   out->data.x = Matrix(static_cast<std::size_t>(n),
                        static_cast<std::size_t>(d));
-  HTDP_RETURN_IF_ERROR(ReadDoubles(r, static_cast<std::size_t>(n * d),
-                                   out->data.x.data().data(), "dataset.x"));
+  HTDP_RETURN_IF_ERROR(r.F64Array(out->data.x.data().data(),
+                                  out->data.x.data().size(), "dataset.x"));
   out->data.y.resize(static_cast<std::size_t>(n));
-  HTDP_RETURN_IF_ERROR(ReadDoubles(r, static_cast<std::size_t>(n),
-                                   out->data.y.data(), "dataset.y"));
-  return Status::Ok();
+  return r.F64Array(out->data.y.data(), out->data.y.size(), "dataset.y");
 }
 
 StatusOr<std::unique_ptr<ProblemHolder>> ProblemHolder::Materialize(
@@ -277,7 +265,27 @@ Status DecodeFitResult(WireReader& r, FitResult* out) {
 // ---------------------------------------------------------------------------
 // Requests / replies
 
+std::size_t EncodedSubmitBytes(const SubmitRequest& request) {
+  // Every SolverSpec encodes to the same number of bytes.
+  static const std::size_t spec_bytes = [] {
+    WireWriter w;
+    EncodeSpec(w, SolverSpec{});
+    return w.bytes().size();
+  }();
+  const WireProblem& p = request.problem;
+  const std::size_t strings = 4 * 4 + request.tenant.size() +
+                              request.solver.size() + request.tag.size() +
+                              p.loss.size();
+  const std::size_t scalars = 8 + 8 + 1 +           // seed, deadline, stream
+                              8 + 1 + 8 + 8 + 8 +   // problem scalars
+                              8 + 8 + 8;            // w0 count, n, d
+  const std::size_t doubles =
+      p.w0.size() + p.data.x.data().size() + p.data.y.size();
+  return strings + scalars + spec_bytes + 8 * doubles;
+}
+
 void EncodeSubmit(WireWriter& w, const SubmitRequest& request) {
+  w.Reserve(EncodedSubmitBytes(request));
   w.Str(request.tenant);
   w.Str(request.solver);
   w.Str(request.tag);

@@ -1,6 +1,7 @@
 #ifndef HTDP_NET_SERIALIZE_H_
 #define HTDP_NET_SERIALIZE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -118,6 +119,9 @@ struct SubmitRequest {
   SolverSpec spec;
   WireProblem problem;
 };
+/// Exact payload size of `request`'s SUBMIT. EncodeSubmit reserves it
+/// before its first write, so the dataset is encoded into one allocation.
+std::size_t EncodedSubmitBytes(const SubmitRequest& request);
 void EncodeSubmit(WireWriter& w, const SubmitRequest& request);
 Status DecodeSubmit(WireReader& r, SubmitRequest* out);
 

@@ -8,11 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
+#include "dp/budget_store.h"
 #include "net/serialize.h"
 #include "net/wire_status.h"
 #include "rng/rng.h"
@@ -107,6 +111,143 @@ TEST(WireCodec, LittleEndianLayoutIsPinned) {
   EXPECT_EQ(w.bytes()[1], 0x02);
   EXPECT_EQ(w.bytes()[2], 0x03);
   EXPECT_EQ(w.bytes()[3], 0x04);
+}
+
+// ---------------------------------------------------------------------------
+// Wire byte pins: the exact bytes of a SUBMIT and a FitResult, specials
+// included. The checksums were taken from the per-element shift codec, so
+// they prove any faster encoding still puts the same bytes on the wire.
+
+double FromBits(std::uint64_t bits) { return std::bit_cast<double>(bits); }
+
+// Every IEEE-754 class whose bits a careless codec could alter: NaNs with
+// payloads (quiet and signalling, both signs), -0.0, denormals, infinities.
+std::vector<double> SpecialDoubles() {
+  return {
+      FromBits(0x7ff8000000000123ull),  // quiet NaN, payload 0x123
+      FromBits(0xfff80000deadbeefull),  // negative quiet NaN with payload
+      FromBits(0x7ff0000000000001ull),  // signalling NaN
+      -0.0,
+      0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -FromBits(0x000fffffffffffffull),  // largest negative denormal
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::max(),
+      1.0 / 3.0,
+      -2.5e-300,
+  };
+}
+
+SubmitRequest PinnedSubmit() {
+  SubmitRequest request;
+  request.tenant = "acme";
+  request.solver = "alg1_dp_fw";
+  request.tag = "pin";
+  request.seed = 0x0123456789abcdefull;
+  request.deadline_seconds = 2.5;
+  request.stream = true;
+  request.spec.budget = PrivacyBudget::Approx(0.75, 1e-6);
+  request.spec.accounting = Accounting::kZcdp;
+  request.spec.iterations = 17;
+  request.spec.sparsity = 3;
+  request.spec.tau = -0.0;
+  request.problem.loss = kWireLossHuber;
+  request.problem.loss_param = 1.345;
+  request.problem.constraint = WireConstraint::kL1Ball;
+  request.problem.constraint_radius = 2.0;
+  request.problem.prefix = 5;
+  request.problem.target_sparsity = 2;
+  const std::vector<double> specials = SpecialDoubles();
+  request.problem.w0 = specials;
+  request.problem.data.x = Matrix(4, 3);
+  for (std::size_t i = 0; i < 12; ++i) {
+    request.problem.data.x.data()[i] = specials[(i * 5) % specials.size()];
+  }
+  request.problem.data.y = {specials[0], specials[3], specials[5], specials[8]};
+  return request;
+}
+
+FitResult PinnedFitResult() {
+  FitResult result;
+  result.w = SpecialDoubles();
+  result.iterations = 9;
+  result.scale_used = -0.0;
+  result.shrinkage_used = std::numeric_limits<double>::denorm_min();
+  result.sparsity_used = 2;
+  result.selected = {7, 0, 3};
+  result.risk_trace = {FromBits(0x7ff8000000000042ull), 0.5,
+                       std::numeric_limits<double>::infinity()};
+  result.seconds = 0.125;
+  result.ledger.SetAccounting(Accounting::kAdvanced, 1e-7);
+  result.ledger.Record({"gaussian", 0.2, 1e-7, 1.0, -1, 0.02});
+  return result;
+}
+
+TEST(WireBytePin, SubmitBytesAreUnchanged) {
+  WireWriter writer;
+  EncodeSubmit(writer, PinnedSubmit());
+  const std::vector<std::uint8_t>& bytes = writer.bytes();
+  EXPECT_EQ(bytes.size(), 439u);
+  EXPECT_EQ(dp::Crc32(bytes.data(), bytes.size()), 0x37236eabu);
+  const std::vector<std::uint8_t> frame =
+      EncodeFrame(FrameType::kSubmit, bytes);
+  EXPECT_EQ(dp::Crc32(frame.data(), frame.size()), 0x6df14e29u);
+}
+
+TEST(WireBytePin, FitResultBytesAreUnchanged) {
+  WireWriter writer;
+  EncodeFitResult(writer, PinnedFitResult());
+  const std::vector<std::uint8_t>& bytes = writer.bytes();
+  EXPECT_EQ(bytes.size(), 265u);
+  EXPECT_EQ(dp::Crc32(bytes.data(), bytes.size()), 0x01743ab6u);
+}
+
+TEST(WireBytePin, SpecialsRoundTripBitExactly) {
+  WireWriter writer;
+  EncodeSubmit(writer, PinnedSubmit());
+  WireReader reader(writer.bytes());
+  SubmitRequest out;
+  ASSERT_TRUE(DecodeSubmit(reader, &out).ok());
+  const SubmitRequest in = PinnedSubmit();
+  const auto same_bits = [](const std::vector<double>& a,
+                            const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), 8 * a.size()) == 0;
+  };
+  EXPECT_TRUE(same_bits(out.problem.w0, in.problem.w0));
+  EXPECT_TRUE(same_bits(out.problem.data.x.data(), in.problem.data.x.data()));
+  EXPECT_TRUE(same_bits(out.problem.data.y, in.problem.data.y));
+}
+
+TEST(WireBytePin, InPlaceSubmitFrameMatchesTheCopiedOne) {
+  // The client frames a SUBMIT in one buffer; its bytes must equal the
+  // payload-then-EncodeFrame route pinned above, and EncodedSubmitBytes
+  // must be exact (it sizes that buffer).
+  const SubmitRequest request = PinnedSubmit();
+  EXPECT_EQ(EncodedSubmitBytes(request), 439u);
+  FrameWriter frame(FrameType::kSubmit);
+  EncodeSubmit(frame.payload(), request);
+  const std::vector<std::uint8_t> bytes = std::move(frame).Finish();
+  ASSERT_EQ(bytes.size(), kFrameHeaderBytes + 439u);
+  EXPECT_EQ(dp::Crc32(bytes.data(), bytes.size()), 0x6df14e29u);
+}
+
+TEST(WireCodec, BulkDoubleArrayTruncationIsATypedError) {
+  WireWriter w;
+  const double values[3] = {1.0, -0.0, 2.0};
+  w.F64Array(values, 3);
+  WireReader r(w.bytes());
+  double out[4] = {};
+  const Status status = r.F64Array(out, 4, "dataset.x");
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidProblem);
+  EXPECT_NE(status.message().find("dataset.x"), std::string::npos);
+  EXPECT_EQ(r.remaining(), 24u);  // nothing consumed
+  // A count whose byte total would overflow is rejected the same way.
+  EXPECT_FALSE(r.F64Array(out, ~std::size_t{0} / 4, "dataset.y").ok());
+  ASSERT_TRUE(r.F64Array(out, 3, "dataset.x").ok());
+  EXPECT_EQ(std::memcmp(out, values, sizeof(values)), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -218,6 +359,92 @@ TEST(FrameCodec, ByteAtATimeFeedingFindsEveryFrame) {
   EXPECT_EQ(frames[1].type, FrameType::kPoll);
   EXPECT_EQ(frames[1].payload, (std::vector<std::uint8_t>{9, 9, 9}));
   EXPECT_EQ(decoder.buffered_bytes(), 0u);
+}
+
+// Feeds `wire` to a fresh decoder in the given chunk sizes (the last one
+// repeats), draining after every chunk.
+std::vector<Frame> FeedInChunks(const std::vector<std::uint8_t>& wire,
+                                const std::vector<std::size_t>& chunks) {
+  FrameDecoder decoder;
+  std::vector<Frame> frames;
+  std::size_t offset = 0;
+  for (std::size_t i = 0; offset < wire.size(); ++i) {
+    const std::size_t take =
+        std::min(chunks[std::min(i, chunks.size() - 1)], wire.size() - offset);
+    decoder.Feed(wire.data() + offset, take);
+    offset += take;
+    while (true) {
+      std::optional<Frame> frame;
+      EXPECT_TRUE(decoder.Next(&frame).ok());
+      if (!frame.has_value()) break;
+      frames.push_back(std::move(*frame));
+    }
+  }
+  EXPECT_EQ(decoder.buffered_bytes(), 0u);
+  return frames;
+}
+
+TEST(FrameCodec, MultiMegabyteFrameReassemblesFromSocketChunks) {
+  // A 3 MB SUBMIT-sized payload arrives in 64 KiB reads, as the daemon's
+  // event loop delivers it, and a small POLL is pipelined behind it so it
+  // lands in the same read as the big frame's last bytes.
+  std::vector<std::uint8_t> big(3u << 20);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::uint8_t>(i * 131 + (i >> 16));
+  }
+  const std::vector<std::uint8_t> small = {7, 0, 0, 0, 0, 0, 0, 0, 1};
+  std::vector<std::uint8_t> wire = EncodeFrame(FrameType::kSubmit, big);
+  const std::vector<std::uint8_t> tail = EncodeFrame(FrameType::kPoll, small);
+  wire.insert(wire.end(), tail.begin(), tail.end());
+  const std::size_t chunk = 64u << 10;
+  ASSERT_EQ((kFrameHeaderBytes + big.size() - 1) / chunk,
+            (wire.size() - 1) / chunk);  // both frames end in one chunk
+
+  const std::vector<Frame> frames = FeedInChunks(wire, {chunk});
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].type, FrameType::kSubmit);
+  EXPECT_TRUE(frames[0].payload == big);
+  EXPECT_EQ(frames[1].type, FrameType::kPoll);
+  EXPECT_EQ(frames[1].payload, small);
+}
+
+TEST(FrameCodec, HeaderSplitAtEveryOffsetReassembles) {
+  // Two frames back to back, the stream cut once at every offset inside
+  // the first header and inside the second one.
+  const std::vector<std::uint8_t> first_payload(1000, 0x5a);
+  std::vector<std::uint8_t> wire =
+      EncodeFrame(FrameType::kResultChunk, first_payload);
+  const std::size_t second_at = wire.size();
+  const std::vector<std::uint8_t> second =
+      EncodeFrame(FrameType::kJobState, {3, 1, 4});
+  wire.insert(wire.end(), second.begin(), second.end());
+  for (std::size_t base : {std::size_t{0}, second_at}) {
+    for (std::size_t cut = 1; cut < kFrameHeaderBytes; ++cut) {
+      SCOPED_TRACE("cut at byte " + std::to_string(base + cut));
+      const std::vector<Frame> frames =
+          FeedInChunks(wire, {base + cut, wire.size()});
+      ASSERT_EQ(frames.size(), 2u);
+      EXPECT_EQ(frames[0].type, FrameType::kResultChunk);
+      EXPECT_EQ(frames[0].payload, first_payload);
+      EXPECT_EQ(frames[1].type, FrameType::kJobState);
+      EXPECT_EQ(frames[1].payload, (std::vector<std::uint8_t>{3, 1, 4}));
+    }
+  }
+}
+
+TEST(FrameCodec, FramesBeforeACorruptHeaderAreStillDelivered) {
+  std::vector<std::uint8_t> wire = EncodeFrame(FrameType::kPoll, {1, 2});
+  std::vector<std::uint8_t> bad = EncodeFrame(FrameType::kPoll, {3});
+  bad[0] = 'X';
+  wire.insert(wire.end(), bad.begin(), bad.end());
+  FrameDecoder decoder;
+  decoder.Feed(wire.data(), wire.size());
+  std::optional<Frame> frame;
+  ASSERT_TRUE(decoder.Next(&frame).ok());
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->payload, (std::vector<std::uint8_t>{1, 2}));
+  EXPECT_FALSE(decoder.Next(&frame).ok());
+  EXPECT_FALSE(frame.has_value());
 }
 
 // ---------------------------------------------------------------------------
