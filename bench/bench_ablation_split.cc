@@ -33,8 +33,11 @@ double Alg1CompositionTrial(std::size_t n, std::size_t d, double epsilon,
 
   const double tau =
       EstimateGradientSecondMoment(loss, FullView(data), Vector(d, 0.0));
-  const Alg1Schedule schedule =
-      SolveAlg1Schedule(n, d, epsilon, tau, ball.num_vertices(), 0.1);
+  Alg1Schedule schedule;
+  const Status solved =
+      TrySolveAlg1Schedule(n, d, PrivacyBudget::Pure(epsilon), tau,
+                           ball.num_vertices(), 0.1, &schedule);
+  HTDP_CHECK(solved.ok()) << solved.ToString();
   const int iterations = schedule.iterations;
   const double step_epsilon =
       AdvancedCompositionStepEpsilon(epsilon, delta, iterations);

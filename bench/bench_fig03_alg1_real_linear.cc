@@ -5,8 +5,9 @@
 // Frank-Wolfe minimizer over the unit l1 ball on the full data; the private
 // error is reported for growing prefixes n and several epsilon. The genuine
 // UCI files are not redistributable here, so data/real_world_sim.h provides
-// heavy-tailed correlated stand-ins with the paper's (n, d) (see DESIGN.md
-// section 3); drop the real CSVs in with data/csv.h to reproduce exactly.
+// heavy-tailed correlated stand-ins with the paper's (n, d) (see
+// "Deviations from the paper" in README.md); drop the real CSVs in with
+// data/csv.h to reproduce exactly.
 
 #include <cstdio>
 #include <memory>

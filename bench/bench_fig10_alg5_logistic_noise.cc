@@ -3,7 +3,8 @@
 // ~ Logistic(u = 0, s = 0.5).
 //
 // Note: the paper's body text specifies logistic noise while the figure
-// caption says lognormal; we follow the body text (DESIGN.md section 3).
+// caption says lognormal; we follow the body text (see "Deviations from the
+// paper" in README.md).
 
 #include "bench_common.h"
 

@@ -1,12 +1,12 @@
 // LASSO with heavy-tailed features: four estimators head to head.
 //
-//   1. "alg1_dp_fw"        (Heavy-tailed DP-FW, eps-DP) -- robust gradients
+//   1. "alg1_dp_fw"         (Heavy-tailed DP-FW, eps-DP) -- robust gradients
 //   2. "alg2_private_lasso" (Heavy-tailed Private LASSO) -- shrunken data
-//   3. Clipped DP-SGD (Abadi et al.)                     -- ad-hoc baseline
+//   3. "baseline_robust_gd" ([WXDX20], Remark 1)         -- poly(d) noise
 //   4. Non-private Frank-Wolfe                           -- the reference
 //
-// The two private solvers run through the registry on the SAME Problem --
-// only the name and the budget differ. Run on lognormal and Student-t
+// The three private solvers run through the registry on the SAME Problem --
+// only the name and the SolverSpec differ. Run on lognormal and Student-t
 // features (the Figure 5 / Figure 6 workloads) at a laptop-friendly scale.
 
 #include <cstdio>
@@ -53,13 +53,13 @@ void RunWorkload(const char* label, const ScalarDistribution& features,
           .Create(kSolverAlg2PrivateLasso)
           ->Fit(problem, alg2_spec, rng);
 
-  DpSgdOptions sgd;
-  sgd.epsilon = epsilon;
-  sgd.delta = delta;
-  sgd.iterations = 60;
-  sgd.clip_norm = 1.0;
-  sgd.step = 0.05;
-  const auto sgd_result = MinimizeDpSgd(loss, data, w0, sgd, rng);
+  SolverSpec baseline_spec;
+  baseline_spec.budget = PrivacyBudget::Approx(epsilon, delta);
+  baseline_spec.tau = alg1_spec.tau;
+  const FitResult baseline_result =
+      SolverRegistry::Global()
+          .Create(kSolverBaselineRobustGd)
+          ->Fit(problem, baseline_spec, rng);
 
   FrankWolfeOptions fw;
   fw.iterations = 120;
@@ -74,8 +74,8 @@ void RunWorkload(const char* label, const ScalarDistribution& features,
               ExcessEmpiricalRisk(loss, data, alg2_result.w, w_star),
               alg2_result.iterations, alg2_result.shrinkage_used);
   std::printf("  %-34s excess risk = %8.4f\n",
-              "Clipped DP-SGD baseline:",
-              ExcessEmpiricalRisk(loss, data, sgd_result.w, w_star));
+              "[WXDX20] robust-GD baseline:",
+              ExcessEmpiricalRisk(loss, data, baseline_result.w, w_star));
   std::printf("  %-34s excess risk = %8.4f\n",
               "Non-private Frank-Wolfe:",
               ExcessEmpiricalRisk(loss, data, fw_result.w, w_star));

@@ -36,8 +36,10 @@ int main() {
       SolverRegistry::Global().Create(kSolverAlg1DpFw);
 
   // Theorem 3 schedule: fixed step 1/sqrt(T), T ~ sqrt(n eps / log(d)).
-  const Alg1RobustSchedule schedule =
-      SolveAlg1RobustSchedule(n, d, epsilon, 0.1);
+  Alg1RobustSchedule schedule;
+  const Status solved = TrySolveAlg1RobustSchedule(
+      n, d, PrivacyBudget::Pure(epsilon), 0.1, &schedule);
+  HTDP_CHECK(solved.ok()) << solved.ToString();
   const BiweightLoss biweight(1.0);
   const Problem robust_problem = Problem::ConstrainedErm(biweight, data, ball);
   SolverSpec robust_spec;

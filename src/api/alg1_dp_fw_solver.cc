@@ -1,7 +1,5 @@
-// Algorithm 1 (heavy-tailed DP Frank-Wolfe) behind the Solver facade. The
-// iteration body is the former RunHtDpFw implementation, unchanged, so the
-// legacy wrapper reproduces its historical output bit for bit; only the
-// precondition checks moved into the non-aborting TryFit contract.
+// Algorithm 1 (heavy-tailed DP Frank-Wolfe) behind the Solver facade; the
+// precondition checks live in the non-aborting TryFit contract.
 
 #include <cmath>
 #include <cstddef>

@@ -1,6 +1,6 @@
 // Algorithm 2 (shrunken-data heavy-tailed private LASSO) behind the Solver
-// facade; squared loss by construction. Former RunHtPrivateLasso body; the
-// precondition checks live in the non-aborting TryFit contract.
+// facade; squared loss by construction. The precondition checks live in the
+// non-aborting TryFit contract.
 
 #include <cstddef>
 

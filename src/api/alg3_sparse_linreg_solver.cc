@@ -1,6 +1,6 @@
 // Algorithm 3 (truncated DP-IHT for sparse linear regression) behind the
-// Solver facade; squared loss by construction. Former RunHtSparseLinReg
-// body; the precondition checks live in the non-aborting TryFit contract.
+// Solver facade; squared loss by construction. The precondition checks live
+// in the non-aborting TryFit contract.
 
 #include <cmath>
 #include <cstddef>

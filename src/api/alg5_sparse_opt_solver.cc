@@ -1,6 +1,6 @@
 // Algorithm 5 (robust-gradient DP-IHT for general smooth losses) behind the
-// Solver facade. Former RunHtSparseOpt body; the precondition checks live
-// in the non-aborting TryFit contract.
+// Solver facade. The precondition checks live in the non-aborting TryFit
+// contract.
 
 #include <cmath>
 #include <cstddef>

@@ -1,6 +1,6 @@
 // The [WXDX20]-style low-dimensional baseline (full-vector Gaussian noise on
-// the robust gradient) behind the Solver facade. Former MinimizeDpRobustGd
-// body; the precondition checks live in the non-aborting TryFit contract.
+// the robust gradient) behind the Solver facade. The precondition checks
+// live in the non-aborting TryFit contract.
 // Registered so dimension ablations can enumerate it next to the paper's
 // algorithms.
 

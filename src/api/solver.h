@@ -77,8 +77,8 @@ class Solver {
                                      const SolverSpec& spec,
                                      Rng& rng) const = 0;
 
-  /// Legacy aborting wrapper: TryFit() with HTDP_CHECK on error, matching
-  /// the historical free functions' crash-on-misuse contract. Successful
+  /// Aborting wrapper: TryFit() with HTDP_CHECK on error, the
+  /// research-tool crash-on-misuse contract. Successful
   /// fits are bit-identical to TryFit() with the same Rng state.
   FitResult Fit(const Problem& problem, const SolverSpec& spec,
                 Rng& rng) const {

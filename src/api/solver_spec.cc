@@ -12,9 +12,8 @@ Status SolverSpec::Resolve(std::size_t n, std::size_t d) {
   if (n == 0) return Status::Invalid("dataset is empty");
   if (d == 0) return Status::Invalid("dataset has dimension 0");
 
-  // Mirrors the legacy free functions exactly: the auto-schedule is solved
-  // only when at least one of its outputs is unset, and explicitly pinned
-  // fields are never overwritten.
+  // The auto-schedule is solved only when at least one of its outputs is
+  // unset, and explicitly pinned fields are never overwritten.
   switch (algorithm) {
     case AlgorithmId::kDpFw: {
       if (iterations <= 0 || scale <= 0.0) {
@@ -109,8 +108,7 @@ Status SolverSpec::Resolve(std::size_t n, std::size_t d) {
     }
     case AlgorithmId::kRobustGd: {
       if (iterations <= 0 || scale <= 0.0) {
-        // Mirrors Algorithm 1's schedule with the l1-ball vertex count, as
-        // the legacy MinimizeDpRobustGd did.
+        // Mirrors Algorithm 1's schedule with the l1-ball vertex count.
         Alg1Schedule schedule;
         if (Status s = TrySolveAlg1Schedule(n, d, budget, tau, 2 * d,
                                             zeta, &schedule);

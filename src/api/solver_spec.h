@@ -24,11 +24,11 @@ enum class AlgorithmId {
   kRobustGd,      // [WXDX20]-style full-vector Gaussian baseline
 };
 
-/// The single options type shared by every Solver. It subsumes the five
-/// legacy per-algorithm option structs: each solver reads the fields that
-/// apply to it and ignores the rest (documented per field). Every schedule
-/// field left at its zero value is auto-solved from the paper's theorem
-/// schedules by Resolve(); explicit values are taken verbatim.
+/// The single options type shared by every Solver: each solver reads the
+/// fields that apply to it and ignores the rest (documented per field).
+/// Every schedule field left at its zero value is auto-solved from the
+/// paper's theorem schedules by Resolve(); explicit values are taken
+/// verbatim.
 struct SolverSpec {
   /// The end-to-end privacy contract. Pure-DP solvers (alg1_dp_fw) ignore
   /// delta; every other solver requires delta > 0.
@@ -51,7 +51,7 @@ struct SolverSpec {
   double shrinkage = 0.0;    // entrywise shrinkage threshold K (alg2-alg4)
   std::size_t sparsity = 0;  // Peeling sparsity s (alg3-alg5)
 
-  // --- Assumptions & knobs (defaults match the legacy option structs). ---
+  // --- Assumptions & knobs. ----------------------------------------------
   int sparsity_multiplier = 2;  // the c of Section 6.2's s = c s* (alg3)
   double beta = 1.0;            // Catoni smoothing precision
   double tau = 1.0;             // coordinate-wise gradient 2nd-moment bound
@@ -115,12 +115,11 @@ struct SolverSpec {
   std::size_t num_vertices = 0;     // |V| (from the constraint; 0 = 2d)
 
   /// Applies the theorem-driven auto-schedules of hyperparams.h to every
-  /// schedule field left at 0, exactly as the legacy free functions did.
-  /// Returns an error Status -- and leaves the spec unusable -- on
-  /// degenerate configurations (n * epsilon < 1, missing sparsity target,
-  /// zeta outside (0, 1)); it never produces T < 1, s == 0 or a non-finite
-  /// scale. Explicitly set schedule fields are taken verbatim -- and, like
-  /// the legacy paths, a fully pinned schedule skips the auto-solve
+  /// schedule field left at 0. Returns an error Status -- and leaves the
+  /// spec unusable -- on degenerate configurations (n * epsilon < 1,
+  /// missing sparsity target, zeta outside (0, 1)); it never produces
+  /// T < 1, s == 0 or a non-finite scale. Explicitly set schedule fields
+  /// are taken verbatim -- and a fully pinned schedule skips the auto-solve
   /// together with its input validation (tau/zeta are then the caller's
   /// responsibility; the solvers still HTDP_CHECK their own preconditions).
   Status Resolve(std::size_t n, std::size_t d);

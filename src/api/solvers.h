@@ -7,10 +7,9 @@
 
 namespace htdp {
 
-/// Factories for the built-in Solver implementations. Most callers should go
+/// Factories for the built-in Solver implementations. Callers should go
 /// through SolverRegistry::Global() instead; these exist so the registry can
-/// bootstrap itself and so call sites with a hard-wired algorithm (the legacy
-/// free-function wrappers) can avoid a registry lookup.
+/// bootstrap itself.
 std::unique_ptr<Solver> CreateAlg1DpFwSolver();
 std::unique_ptr<Solver> CreateAlg2PrivateLassoSolver();
 std::unique_ptr<Solver> CreateAlg3SparseLinRegSolver();

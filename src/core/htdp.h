@@ -21,7 +21,7 @@
 ///   Solver         -- the estimator interface; all five paper algorithms
 ///                     implement it. TryFit() is the non-aborting entry
 ///                     point (typed Status taxonomy in util/status.h);
-///                     Fit() the legacy CHECK-on-error wrapper.
+///                     Fit() the CHECK-on-error wrapper.
 ///   SolverRegistry -- WHO solves: algorithms constructible by name
 ///                     (Find()/TryCreate() for the non-aborting path).
 ///   FitResult      -- iterate + PrivacyLedger audit + resolved schedule +
@@ -42,21 +42,13 @@
 ///   "alg5_sparse_opt"     -- Alg.5, robust-gradient DP-IHT (general loss)
 ///   "baseline_robust_gd"  -- [WXDX20]-style poly(d) Gaussian baseline
 ///
-/// The free functions RunHtDpFw / RunHtPrivateLasso / RunHtSparseLinReg /
-/// RunHtSparseOpt / MinimizeDpRobustGd remain as thin back-compat wrappers
-/// over the facade and produce bit-identical results under a fixed seed;
-/// new code should use the registry (see README.md for a migration table).
-/// One deliberate behavior change rides along: a degenerate auto-schedule
-/// configuration (n * epsilon < 1) now aborts with a diagnostic instead of
-/// silently clamping T to 1 and returning a noise-dominated result. Pin
-/// `iterations`/`scale` explicitly to opt back into tiny-budget runs.
+/// The registry is the only fit API: every algorithm above runs through
+/// Solver::TryFit / Fit. A degenerate auto-schedule configuration
+/// (n * epsilon < 1) is rejected with a diagnostic instead of silently
+/// clamping T to 1 and returning a noise-dominated result; pin
+/// `iterations`/`scale` explicitly to opt into tiny-budget runs.
 
 #include "api/api.h"
-#include "core/dp_robust_gd.h"
-#include "core/ht_dp_fw.h"
-#include "core/ht_private_lasso.h"
-#include "core/ht_sparse_linreg.h"
-#include "core/ht_sparse_opt.h"
 #include "core/hyperparams.h"
 #include "core/minimax.h"
 #include "core/peeling.h"
@@ -82,8 +74,6 @@
 #include "losses/loss.h"
 #include "losses/mean_loss.h"
 #include "losses/squared_loss.h"
-#include "optim/dp_fw_regular.h"
-#include "optim/dp_sgd.h"
 #include "optim/frank_wolfe.h"
 #include "optim/iht.h"
 #include "optim/pgd.h"

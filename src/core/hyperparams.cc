@@ -4,8 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <sstream>
-
-#include "util/check.h"
+#include <string>
 
 namespace htdp {
 namespace {
@@ -26,9 +25,7 @@ std::string Describe(const char* field, double value) {
 }
 
 // Shared strict validation of the inputs every schedule depends on: the
-// typed PrivacyBudget check plus the fundability floor. The legacy Solve*
-// entry points HTDP_CHECK the same conditions except for the
-// n * epsilon >= 1 floor, which they clamp instead (tests rely on that).
+// typed PrivacyBudget check plus the fundability floor.
 Status CheckCommon(std::size_t n, const PrivacyBudget& budget) {
   if (n == 0) return Status::Invalid("n must be > 0");
   if (Status s = budget.Check(); !s.ok()) return s;  // incl. finiteness
@@ -71,16 +68,11 @@ double Alg3ShrinkageFor(std::size_t n, double epsilon, std::size_t sparsity,
   return std::pow(static_cast<double>(n) * epsilon / s_t, 0.25);
 }
 
-}  // namespace
-
+// The schedule formulas. Each is reached only through its TrySolve*
+// wrapper below, which validates every input first.
 Alg1Schedule SolveAlg1Schedule(std::size_t n, std::size_t d, double epsilon,
                                double tau, std::size_t num_vertices,
                                double zeta) {
-  HTDP_CHECK_GT(n, 0u);
-  HTDP_CHECK_GT(d, 0u);
-  HTDP_CHECK_GT(epsilon, 0.0);
-  HTDP_CHECK_GT(tau, 0.0);
-  HTDP_CHECK(zeta > 0.0 && zeta < 1.0) << "zeta=" << zeta;
   Alg1Schedule schedule;
   const double n_eps = static_cast<double>(n) * epsilon;
   schedule.iterations = ClampIterations(std::floor(std::cbrt(n_eps)), n);
@@ -91,6 +83,63 @@ Alg1Schedule SolveAlg1Schedule(std::size_t n, std::size_t d, double epsilon,
   schedule.beta = 1.0;
   return schedule;
 }
+
+Alg1RobustSchedule SolveAlg1RobustSchedule(std::size_t n, std::size_t d,
+                                           double epsilon, double zeta) {
+  Alg1RobustSchedule schedule;
+  const double n_eps = static_cast<double>(n) * epsilon;
+  const double log_d = SafeLog(static_cast<double>(d) / zeta);
+  schedule.iterations =
+      ClampIterations(std::floor(std::sqrt(n_eps / log_d)), n);
+  const double t = static_cast<double>(schedule.iterations);
+  schedule.scale = std::sqrt(
+      n_eps / (std::sqrt(t) * SafeLog(static_cast<double>(d) * t / zeta)));
+  schedule.beta = 1.0;
+  schedule.step = 1.0 / std::sqrt(t);
+  return schedule;
+}
+
+Alg2Schedule SolveAlg2Schedule(std::size_t n, double epsilon) {
+  Alg2Schedule schedule;
+  const double n_eps = static_cast<double>(n) * epsilon;
+  schedule.iterations =
+      ClampIterations(std::ceil(std::pow(n_eps, 0.4)), n);
+  schedule.shrinkage =
+      std::pow(n_eps, 0.25) /
+      std::pow(static_cast<double>(schedule.iterations), 0.125);
+  return schedule;
+}
+
+Alg3Schedule SolveAlg3Schedule(std::size_t n, double epsilon,
+                               std::size_t target_sparsity, int multiplier) {
+  Alg3Schedule schedule;
+  schedule.iterations =
+      ClampIterations(std::floor(std::log(static_cast<double>(n))), n);
+  schedule.sparsity = target_sparsity * static_cast<std::size_t>(multiplier);
+  schedule.shrinkage =
+      Alg3ShrinkageFor(n, epsilon, schedule.sparsity, schedule.iterations);
+  schedule.step = 0.5;
+  return schedule;
+}
+
+Alg5Schedule SolveAlg5Schedule(std::size_t n, double epsilon, double tau,
+                               std::size_t target_sparsity, double zeta) {
+  Alg5Schedule schedule;
+  schedule.iterations =
+      ClampIterations(std::floor(std::log(static_cast<double>(n))), n);
+  schedule.sparsity = 2 * target_sparsity;
+  const double t = static_cast<double>(schedule.iterations);
+  const double s = static_cast<double>(schedule.sparsity);
+  const double n_eps = static_cast<double>(n) * epsilon;
+  // k^4 = n^2 eps^2 tau^2 / ((s T)^2 log(T s / zeta)) per the Theorem 8 proof.
+  schedule.scale = std::sqrt(n_eps * tau / (s * t)) /
+                   std::pow(SafeLog(t * s / zeta), 0.25);
+  schedule.beta = 1.0;
+  schedule.step = 0.5;
+  return schedule;
+}
+
+}  // namespace
 
 Status TrySolveAlg1Schedule(std::size_t n, std::size_t d,
                             const PrivacyBudget& budget, double tau,
@@ -111,25 +160,6 @@ Status TrySolveAlg1Schedule(std::size_t n, std::size_t d,
   return Status::Ok();
 }
 
-Alg1RobustSchedule SolveAlg1RobustSchedule(std::size_t n, std::size_t d,
-                                           double epsilon, double zeta) {
-  HTDP_CHECK_GT(n, 0u);
-  HTDP_CHECK_GT(d, 0u);
-  HTDP_CHECK_GT(epsilon, 0.0);
-  HTDP_CHECK(zeta > 0.0 && zeta < 1.0) << "zeta=" << zeta;
-  Alg1RobustSchedule schedule;
-  const double n_eps = static_cast<double>(n) * epsilon;
-  const double log_d = SafeLog(static_cast<double>(d) / zeta);
-  schedule.iterations =
-      ClampIterations(std::floor(std::sqrt(n_eps / log_d)), n);
-  const double t = static_cast<double>(schedule.iterations);
-  schedule.scale = std::sqrt(
-      n_eps / (std::sqrt(t) * SafeLog(static_cast<double>(d) * t / zeta)));
-  schedule.beta = 1.0;
-  schedule.step = 1.0 / std::sqrt(t);
-  return schedule;
-}
-
 Status TrySolveAlg1RobustSchedule(std::size_t n, std::size_t d,
                                   const PrivacyBudget& budget, double zeta,
                                   Alg1RobustSchedule* out) {
@@ -147,19 +177,6 @@ Status TrySolveAlg1RobustSchedule(std::size_t n, std::size_t d,
   return Status::Ok();
 }
 
-Alg2Schedule SolveAlg2Schedule(std::size_t n, double epsilon) {
-  HTDP_CHECK_GT(n, 0u);
-  HTDP_CHECK_GT(epsilon, 0.0);
-  Alg2Schedule schedule;
-  const double n_eps = static_cast<double>(n) * epsilon;
-  schedule.iterations =
-      ClampIterations(std::ceil(std::pow(n_eps, 0.4)), n);
-  schedule.shrinkage =
-      std::pow(n_eps, 0.25) /
-      std::pow(static_cast<double>(schedule.iterations), 0.125);
-  return schedule;
-}
-
 Status TrySolveAlg2Schedule(std::size_t n, const PrivacyBudget& budget,
                             Alg2Schedule* out) {
   if (Status s = CheckCommon(n, budget); !s.ok()) return s;
@@ -172,22 +189,6 @@ Status TrySolveAlg2Schedule(std::size_t n, const PrivacyBudget& budget,
     return s;
   }
   return Status::Ok();
-}
-
-Alg3Schedule SolveAlg3Schedule(std::size_t n, double epsilon,
-                               std::size_t target_sparsity, int multiplier) {
-  HTDP_CHECK_GT(n, 0u);
-  HTDP_CHECK_GT(epsilon, 0.0);
-  HTDP_CHECK_GT(target_sparsity, 0u);
-  HTDP_CHECK_GE(multiplier, 1);
-  Alg3Schedule schedule;
-  schedule.iterations =
-      ClampIterations(std::floor(std::log(static_cast<double>(n))), n);
-  schedule.sparsity = target_sparsity * static_cast<std::size_t>(multiplier);
-  schedule.shrinkage =
-      Alg3ShrinkageFor(n, epsilon, schedule.sparsity, schedule.iterations);
-  schedule.step = 0.5;
-  return schedule;
 }
 
 Status TrySolveAlg3Schedule(std::size_t n, const PrivacyBudget& budget,
@@ -232,30 +233,6 @@ Status TrySolvePeelingShrinkage(std::size_t n, const PrivacyBudget& budget,
       *shrinkage);
 }
 
-Alg5Schedule SolveAlg5Schedule(std::size_t n, std::size_t d, double epsilon,
-                               double tau, std::size_t target_sparsity,
-                               double zeta) {
-  HTDP_CHECK_GT(n, 0u);
-  HTDP_CHECK_GT(d, 0u);
-  HTDP_CHECK_GT(epsilon, 0.0);
-  HTDP_CHECK_GT(tau, 0.0);
-  HTDP_CHECK_GT(target_sparsity, 0u);
-  HTDP_CHECK(zeta > 0.0 && zeta < 1.0) << "zeta=" << zeta;
-  Alg5Schedule schedule;
-  schedule.iterations =
-      ClampIterations(std::floor(std::log(static_cast<double>(n))), n);
-  schedule.sparsity = 2 * target_sparsity;
-  const double t = static_cast<double>(schedule.iterations);
-  const double s = static_cast<double>(schedule.sparsity);
-  const double n_eps = static_cast<double>(n) * epsilon;
-  // k^4 = n^2 eps^2 tau^2 / ((s T)^2 log(T s / zeta)) per the Theorem 8 proof.
-  schedule.scale = std::sqrt(n_eps * tau / (s * t)) /
-                   std::pow(SafeLog(t * s / zeta), 0.25);
-  schedule.beta = 1.0;
-  schedule.step = 0.5;
-  return schedule;
-}
-
 Status TrySolveAlg5Schedule(std::size_t n, std::size_t d,
                             const PrivacyBudget& budget, double tau,
                             std::size_t target_sparsity, double zeta,
@@ -267,7 +244,7 @@ Status TrySolveAlg5Schedule(std::size_t n, std::size_t d,
     return Status::Invalid("set target_sparsity (s*) or sparsity (s)");
   }
   if (Status s = CheckZeta(zeta); !s.ok()) return s;
-  *out = SolveAlg5Schedule(n, d, budget.epsilon, tau, target_sparsity, zeta);
+  *out = SolveAlg5Schedule(n, budget.epsilon, tau, target_sparsity, zeta);
   if (Status s = CheckScalePositive(
           "Alg5 schedule produced a degenerate truncation scale; scale",
           out->scale);

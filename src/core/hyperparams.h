@@ -13,22 +13,17 @@ namespace htdp {
 /// Section 6.2. Where the paper's experimental constants contradict its own
 /// theorems (the literal "s = floor(n eps)" for Algorithm 1 and
 /// "k = c2 n eps" for Algorithm 5 degenerate the bias/noise trade-off), the
-/// theorem-driven value is used; see DESIGN.md section 3 and EXPERIMENTS.md.
+/// theorem-driven value is used; see "Deviations from the paper" in
+/// README.md.
 ///
-/// Two entry points per schedule:
-///   SolveAlgX...   -- legacy, HTDP_CHECK-aborts on invalid arguments and
-///                     clamps borderline inputs (T floored at 1, capped at n)
-///                     so it always returns a usable schedule.
-///   TrySolveAlgX.. -- strict, returns an error Status on degenerate inputs
-///                     (n * epsilon < 1, target_sparsity == 0, zeta outside
-///                     (0, 1), non-finite results) instead of proceeding.
-///                     SolverSpec::Resolve uses these, which is what makes
-///                     the facade guarantee T >= 1, s >= 1 and finite
-///                     positive scales. The strict solvers take the typed
-///                     PrivacyBudget (dp/privacy.h) -- the same budget type
-///                     the accountant splits and the ledger audits -- and
-///                     validate it with PrivacyBudget::Check before the
-///                     n * epsilon fundability floor.
+/// One entry point per schedule: TrySolveAlgX returns an error Status on
+/// degenerate inputs (n * epsilon < 1, target_sparsity == 0, zeta outside
+/// (0, 1), non-finite results) instead of proceeding, and otherwise clamps
+/// T into [1, n]. SolverSpec::Resolve uses these, which is what makes the
+/// facade guarantee T >= 1, s >= 1 and finite positive scales. The solvers
+/// take the typed PrivacyBudget (dp/privacy.h) -- the same budget type the
+/// accountant splits and the ledger audits -- and validate it with
+/// PrivacyBudget::Check before the n * epsilon fundability floor.
 
 /// Algorithm 1 (Theorem 2 / Section 6.2).
 struct Alg1Schedule {
@@ -36,9 +31,6 @@ struct Alg1Schedule {
   double scale = 1.0;    // s = sqrt(n eps tau / (T log(|V| d T / zeta)))
   double beta = 1.0;     // beta = O(1)
 };
-Alg1Schedule SolveAlg1Schedule(std::size_t n, std::size_t d, double epsilon,
-                               double tau, std::size_t num_vertices,
-                               double zeta);
 Status TrySolveAlg1Schedule(std::size_t n, std::size_t d,
                             const PrivacyBudget& budget, double tau,
                             std::size_t num_vertices, double zeta,
@@ -53,8 +45,6 @@ struct Alg1RobustSchedule {
   double beta = 1.0;
   double step = 1.0;  // fixed eta
 };
-Alg1RobustSchedule SolveAlg1RobustSchedule(std::size_t n, std::size_t d,
-                                           double epsilon, double zeta);
 Status TrySolveAlg1RobustSchedule(std::size_t n, std::size_t d,
                                   const PrivacyBudget& budget, double zeta,
                                   Alg1RobustSchedule* out);
@@ -64,7 +54,6 @@ struct Alg2Schedule {
   int iterations = 1;    // T = ceil((n eps)^(2/5))
   double shrinkage = 1.0;  // K = (n eps)^(1/4) / T^(1/8)
 };
-Alg2Schedule SolveAlg2Schedule(std::size_t n, double epsilon);
 Status TrySolveAlg2Schedule(std::size_t n, const PrivacyBudget& budget,
                             Alg2Schedule* out);
 
@@ -75,15 +64,13 @@ struct Alg3Schedule {
   double shrinkage = 1.0;  // K = (n eps / (s T))^(1/4)
   double step = 0.5;       // eta0 (Section 6.2 uses 0.5)
 };
-Alg3Schedule SolveAlg3Schedule(std::size_t n, double epsilon,
-                               std::size_t target_sparsity, int multiplier);
 Status TrySolveAlg3Schedule(std::size_t n, const PrivacyBudget& budget,
                             std::size_t target_sparsity, int multiplier,
                             Alg3Schedule* out);
 
 /// The Algorithm 3 shrinkage rule K = (n eps / (s T))^(1/4) alone, for
 /// recomputing K against a caller-pinned (s, T) pair. The single source of
-/// truth shared with SolveAlg3Schedule.
+/// truth shared with TrySolveAlg3Schedule.
 Status TrySolveAlg3Shrinkage(std::size_t n, const PrivacyBudget& budget,
                              std::size_t sparsity, int iterations,
                              double* shrinkage);
@@ -103,9 +90,6 @@ struct Alg5Schedule {
   double beta = 1.0;
   double step = 0.5;       // eta (Section 6.2 uses 0.5)
 };
-Alg5Schedule SolveAlg5Schedule(std::size_t n, std::size_t d, double epsilon,
-                               double tau, std::size_t target_sparsity,
-                               double zeta);
 Status TrySolveAlg5Schedule(std::size_t n, std::size_t d,
                             const PrivacyBudget& budget, double tau,
                             std::size_t target_sparsity, double zeta,

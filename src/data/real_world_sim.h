@@ -15,8 +15,9 @@ namespace htdp {
 /// each simulator reproduces the properties the experiments depend on: the
 /// paper's (n, d), heavy-tailed skewed features with correlated coordinates
 /// (a low-rank lognormal factor model), and a planted linear / logistic
-/// signal with heavy-tailed residuals. See DESIGN.md section 3 for the
-/// substitution rationale. data/csv.h loads the genuine files when present.
+/// signal with heavy-tailed residuals. See "Deviations from the paper" in
+/// README.md for the substitution rationale. data/csv.h loads the genuine
+/// files when present.
 struct RealWorldSpec {
   std::string name;
   std::size_t n = 0;  // paper's sample count

@@ -137,7 +137,7 @@ class AdvancedAccountant final : public PrivacyAccountant {
     HTDP_CHECK_GT(total.delta, 0.0) << "Gaussian releases require delta > 0";
     if (steps == 1) return {total.epsilon, total.delta, 0.0};
     // Half the delta funds Lemma 2's composition slack, half the Gaussian
-    // tails -- the historical MinimizeDpSgd split, preserved bit for bit.
+    // tails -- the classic clipped DP-SGD split, preserved bit for bit.
     return {AdvancedCompositionStepEpsilon(total.epsilon, total.delta / 2.0,
                                            steps),
             AdvancedCompositionStepDelta(total.delta / 2.0, steps), 0.0};

@@ -60,7 +60,7 @@ TEST(AccountantTest, AdvancedSplitMatchesLegacyFreeFunctionsBitwise) {
 }
 
 TEST(AccountantTest, AdvancedGaussianKeepsTheDpSgdDeltaSplit) {
-  // GaussianFor(advanced) must reproduce the historical MinimizeDpSgd
+  // GaussianFor(advanced) must reproduce the classic clipped DP-SGD
   // arithmetic: (eps', delta') from Lemma 2 on (epsilon, delta/2).
   const double epsilon = 1.0;
   const double delta = 1e-5;

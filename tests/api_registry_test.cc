@@ -1,8 +1,7 @@
 // Tests for the unified Solver facade: registry round-trips, privacy-budget
 // audits through the common FitResult ledger, bit-for-bit agreement between
-// the facade and the legacy free-function wrappers, the per-iteration
-// observer, and strict SolverSpec::Resolve error reporting on degenerate
-// configurations.
+// the Peeling solver and a direct Peel call, the per-iteration observer, and
+// strict SolverSpec::Resolve error reporting on degenerate configurations.
 
 #include <algorithm>
 #include <cmath>
@@ -109,160 +108,6 @@ TEST(SolverRegistryTest, EveryRegisteredSolverFitsAndSpendsItsBudget) {
   }
 }
 
-TEST(SolverFacadeTest, Alg1MatchesLegacyFreeFunctionBitForBit) {
-  Rng data_rng(7);
-  const std::size_t d = 6;
-  const Vector w_star = MakeL1BallTarget(d, data_rng);
-  const Dataset data = LognormalLinearData(900, d, w_star, data_rng);
-  const L1Ball ball(d, 1.0);
-  const SquaredLoss loss;
-
-  HtDpFwOptions options;
-  options.epsilon = 0.8;
-  options.tau = 4.0;
-  Rng legacy_rng(99);
-  const HtDpFwResult legacy =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, legacy_rng);
-
-  const Problem problem = Problem::ConstrainedErm(loss, data, ball);
-  SolverSpec spec;
-  spec.budget = PrivacyBudget::Pure(0.8);
-  spec.tau = 4.0;
-  Rng facade_rng(99);
-  const FitResult facade = SolverRegistry::Global()
-                               .Create(kSolverAlg1DpFw)
-                               ->Fit(problem, spec, facade_rng);
-
-  EXPECT_EQ(facade.iterations, legacy.iterations);
-  EXPECT_EQ(facade.scale_used, legacy.scale_used);
-  ASSERT_EQ(facade.w.size(), legacy.w.size());
-  for (std::size_t j = 0; j < d; ++j) EXPECT_EQ(facade.w[j], legacy.w[j]);
-  EXPECT_EQ(facade.ledger.entries().size(), legacy.ledger.entries().size());
-}
-
-TEST(SolverFacadeTest, Alg2MatchesLegacyFreeFunctionBitForBit) {
-  Rng data_rng(11);
-  const std::size_t d = 8;
-  const Vector w_star = MakeL1BallTarget(d, data_rng);
-  const Dataset data = LognormalLinearData(700, d, w_star, data_rng);
-  const L1Ball ball(d, 1.0);
-
-  HtPrivateLassoOptions options;  // defaults: eps 1, delta 1e-5
-  Rng legacy_rng(31);
-  const HtPrivateLassoResult legacy =
-      RunHtPrivateLasso(data, ball, Vector(d, 0.0), options, legacy_rng);
-
-  Problem problem;
-  problem.data = &data;
-  problem.constraint = &ball;
-  SolverSpec spec;
-  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
-  Rng facade_rng(31);
-  const FitResult facade = SolverRegistry::Global()
-                               .Create(kSolverAlg2PrivateLasso)
-                               ->Fit(problem, spec, facade_rng);
-
-  EXPECT_EQ(facade.iterations, legacy.iterations);
-  EXPECT_EQ(facade.shrinkage_used, legacy.shrinkage_used);
-  for (std::size_t j = 0; j < d; ++j) EXPECT_EQ(facade.w[j], legacy.w[j]);
-}
-
-TEST(SolverFacadeTest, Alg3MatchesLegacyFreeFunctionBitForBit) {
-  Rng data_rng(13);
-  const std::size_t d = 20;
-  Vector w_star = MakeSparseTarget(d, 3, data_rng);
-  Scale(0.5, w_star);
-  SyntheticConfig config;
-  config.n = 800;
-  config.d = d;
-  config.feature_dist = ScalarDistribution::Normal(0.0, 2.0);
-  config.noise_dist = ScalarDistribution::Lognormal(0.0, 0.5);
-  const Dataset data = GenerateLinear(config, w_star, data_rng);
-
-  HtSparseLinRegOptions options;
-  options.target_sparsity = 3;
-  options.step = 0.1;
-  Rng legacy_rng(41);
-  const HtSparseLinRegResult legacy =
-      RunHtSparseLinReg(data, Vector(d, 0.0), options, legacy_rng);
-
-  Problem problem;
-  problem.data = &data;
-  problem.target_sparsity = 3;
-  SolverSpec spec;
-  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
-  spec.step = 0.1;
-  Rng facade_rng(41);
-  const FitResult facade = SolverRegistry::Global()
-                               .Create(kSolverAlg3SparseLinReg)
-                               ->Fit(problem, spec, facade_rng);
-
-  EXPECT_EQ(facade.iterations, legacy.iterations);
-  EXPECT_EQ(facade.sparsity_used, legacy.sparsity_used);
-  EXPECT_EQ(facade.shrinkage_used, legacy.shrinkage_used);
-  for (std::size_t j = 0; j < d; ++j) EXPECT_EQ(facade.w[j], legacy.w[j]);
-}
-
-TEST(SolverFacadeTest, Alg5MatchesLegacyFreeFunctionBitForBit) {
-  Rng data_rng(19);
-  const std::size_t d = 16;
-  const Vector w_star = MakeSparseTarget(d, 3, data_rng);
-  const Dataset data = LognormalLinearData(1000, d, w_star, data_rng);
-  const SquaredLoss loss;
-
-  HtSparseOptOptions options;
-  options.target_sparsity = 3;
-  options.tau = 4.0;
-  options.step = 0.05;
-  Rng legacy_rng(43);
-  const HtSparseOptResult legacy =
-      RunHtSparseOpt(loss, data, Vector(d, 0.0), options, legacy_rng);
-
-  const Problem problem = Problem::SparseErm(loss, data, 3);
-  SolverSpec spec;
-  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
-  spec.tau = 4.0;
-  spec.step = 0.05;
-  Rng facade_rng(43);
-  const FitResult facade = SolverRegistry::Global()
-                               .Create(kSolverAlg5SparseOpt)
-                               ->Fit(problem, spec, facade_rng);
-
-  EXPECT_EQ(facade.iterations, legacy.iterations);
-  EXPECT_EQ(facade.sparsity_used, legacy.sparsity_used);
-  EXPECT_EQ(facade.scale_used, legacy.scale_used);
-  for (std::size_t j = 0; j < d; ++j) EXPECT_EQ(facade.w[j], legacy.w[j]);
-}
-
-TEST(SolverFacadeTest, BaselineMatchesLegacyFreeFunctionBitForBit) {
-  Rng data_rng(23);
-  const std::size_t d = 10;
-  const Vector w_star = MakeL1BallTarget(d, data_rng);
-  const Dataset data = LognormalLinearData(800, d, w_star, data_rng);
-  const SquaredLoss loss;
-
-  DpRobustGdOptions options;
-  options.tau = 4.0;
-  Rng legacy_rng(47);
-  const DpRobustGdResult legacy =
-      MinimizeDpRobustGd(loss, data, Vector(d, 0.0), options, legacy_rng);
-
-  Problem problem;
-  problem.loss = &loss;
-  problem.data = &data;
-  SolverSpec spec;
-  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
-  spec.tau = 4.0;
-  Rng facade_rng(47);
-  const FitResult facade = SolverRegistry::Global()
-                               .Create(kSolverBaselineRobustGd)
-                               ->Fit(problem, spec, facade_rng);
-
-  EXPECT_EQ(facade.iterations, legacy.iterations);
-  EXPECT_EQ(facade.scale_used, legacy.scale_used);
-  for (std::size_t j = 0; j < d; ++j) EXPECT_EQ(facade.w[j], legacy.w[j]);
-}
-
 TEST(SolverFacadeTest, PeelingSolverMatchesDirectPeelBitForBit) {
   Rng data_rng(29);
   const std::size_t d = 15;
@@ -345,8 +190,7 @@ TEST(SolverFacadeTest, ObserverSeesEveryIteration) {
 }
 
 TEST(SolverFacadeTest, RiskTraceAvailableForIhtSolvers) {
-  // The facade extends the risk trace to the Peeling-based solvers, which
-  // the legacy option structs never exposed.
+  // The risk trace covers the Peeling-based IHT solvers too.
   Rng data_rng(37);
   const std::size_t d = 10;
   const Vector w_star = MakeSparseTarget(d, 2, data_rng);
@@ -370,7 +214,7 @@ TEST(SolverFacadeTest, RiskTraceAvailableForIhtSolvers) {
   EXPECT_EQ(result.selected.size(), result.sparsity_used);
 }
 
-TEST(SolverSpecTest, ResolveMatchesLegacyAutoSchedules) {
+TEST(SolverSpecTest, ResolveMatchesTheAutoSchedules) {
   SolverSpec spec;
   spec.algorithm = AlgorithmId::kDpFw;
   spec.budget = PrivacyBudget::Pure(1.0);
@@ -378,8 +222,10 @@ TEST(SolverSpecTest, ResolveMatchesLegacyAutoSchedules) {
   const Status status = spec.Resolve(10000, 200);
   ASSERT_TRUE(status.ok()) << status.message();
 
-  const Alg1Schedule expected = SolveAlg1Schedule(10000, 200, 1.0, 1.0, 400,
-                                                  0.1);
+  Alg1Schedule expected;
+  ASSERT_TRUE(TrySolveAlg1Schedule(10000, 200, PrivacyBudget::Pure(1.0), 1.0,
+                                   400, 0.1, &expected)
+                  .ok());
   EXPECT_EQ(spec.iterations, expected.iterations);
   EXPECT_EQ(spec.scale, expected.scale);
 }
@@ -436,7 +282,9 @@ TEST(SolverSpecTest, ResolveRejectsDegenerateConfigurations) {
   }
 }
 
-TEST(HyperparamsTest, TrySolversRejectDegenerateInputsButMatchOtherwise) {
+TEST(HyperparamsTest, TrySolversRejectDegenerateInputsAndFollowTheFormulas) {
+  // Each accepted schedule is checked against the closed form documented in
+  // core/hyperparams.h (Theorems 2, 3, 5, 7, 8 and Section 6.2).
   Alg1Schedule alg1;
   EXPECT_FALSE(
       TrySolveAlg1Schedule(10, 10, PrivacyBudget::Pure(0.01), 1.0, 20, 0.1, &alg1).ok());
@@ -444,51 +292,49 @@ TEST(HyperparamsTest, TrySolversRejectDegenerateInputsButMatchOtherwise) {
       TrySolveAlg1Schedule(10000, 10, PrivacyBudget::Pure(1.0), 1.0, 20, 1.5, &alg1).ok());
   ASSERT_TRUE(
       TrySolveAlg1Schedule(10000, 200, PrivacyBudget::Pure(1.0), 1.0, 400, 0.1, &alg1).ok());
-  const Alg1Schedule legacy1 =
-      SolveAlg1Schedule(10000, 200, 1.0, 1.0, 400, 0.1);
-  EXPECT_EQ(alg1.iterations, legacy1.iterations);
-  EXPECT_EQ(alg1.scale, legacy1.scale);
+  EXPECT_EQ(alg1.iterations, static_cast<int>(std::floor(std::cbrt(10000.0))));
+  EXPECT_DOUBLE_EQ(alg1.scale,
+                   std::sqrt(10000.0 / (alg1.iterations *
+                                        std::log(400.0 * 200.0 *
+                                                 alg1.iterations / 0.1))));
 
   Alg1RobustSchedule robust;
   EXPECT_FALSE(TrySolveAlg1RobustSchedule(10, 10, PrivacyBudget::Pure(0.01), 0.1, &robust).ok());
   EXPECT_FALSE(TrySolveAlg1RobustSchedule(10000, 10, PrivacyBudget::Pure(1.0), 1.5, &robust).ok());
   ASSERT_TRUE(TrySolveAlg1RobustSchedule(10000, 200, PrivacyBudget::Pure(1.0), 0.1, &robust).ok());
-  const Alg1RobustSchedule legacy_robust =
-      SolveAlg1RobustSchedule(10000, 200, 1.0, 0.1);
-  EXPECT_EQ(robust.iterations, legacy_robust.iterations);
-  EXPECT_EQ(robust.scale, legacy_robust.scale);
-  EXPECT_EQ(robust.step, legacy_robust.step);
+  EXPECT_EQ(robust.iterations, static_cast<int>(std::floor(std::sqrt(
+                                   10000.0 / std::log(200.0 / 0.1)))));
+  const double robust_t = robust.iterations;
+  EXPECT_DOUBLE_EQ(robust.scale,
+                   std::sqrt(10000.0 / (std::sqrt(robust_t) *
+                                        std::log(200.0 * robust_t / 0.1))));
+  EXPECT_DOUBLE_EQ(robust.step, 1.0 / std::sqrt(robust_t));
 
   Alg2Schedule alg2;
   EXPECT_FALSE(TrySolveAlg2Schedule(10, PrivacyBudget::Pure(0.01), &alg2).ok());
   ASSERT_TRUE(TrySolveAlg2Schedule(10000, PrivacyBudget::Pure(1.0), &alg2).ok());
-  const Alg2Schedule legacy2 = SolveAlg2Schedule(10000, 1.0);
-  EXPECT_EQ(alg2.iterations, legacy2.iterations);
-  EXPECT_EQ(alg2.shrinkage, legacy2.shrinkage);
+  EXPECT_EQ(alg2.iterations, static_cast<int>(std::ceil(std::pow(10000.0, 0.4))));
+  EXPECT_DOUBLE_EQ(alg2.shrinkage, std::pow(10000.0, 0.25) /
+                                       std::pow(alg2.iterations, 0.125));
 
   Alg3Schedule alg3;
   EXPECT_FALSE(TrySolveAlg3Schedule(10000, PrivacyBudget::Pure(1.0), 0, 2, &alg3).ok());
   ASSERT_TRUE(TrySolveAlg3Schedule(10000, PrivacyBudget::Pure(1.0), 5, 2, &alg3).ok());
-  const Alg3Schedule legacy3 = SolveAlg3Schedule(10000, 1.0, 5, 2);
-  EXPECT_EQ(alg3.iterations, legacy3.iterations);
-  EXPECT_EQ(alg3.sparsity, legacy3.sparsity);
-  EXPECT_EQ(alg3.shrinkage, legacy3.shrinkage);
+  EXPECT_EQ(alg3.iterations, static_cast<int>(std::floor(std::log(10000.0))));
+  EXPECT_EQ(alg3.sparsity, 10u);
+  EXPECT_DOUBLE_EQ(alg3.shrinkage,
+                   std::pow(10000.0 / (10.0 * alg3.iterations), 0.25));
 
   Alg5Schedule alg5;
   EXPECT_FALSE(
       TrySolveAlg5Schedule(10000, 100, PrivacyBudget::Pure(1.0), 1.0, 0, 0.1, &alg5).ok());
   ASSERT_TRUE(
       TrySolveAlg5Schedule(10000, 100, PrivacyBudget::Pure(1.0), 1.0, 5, 0.1, &alg5).ok());
-  const Alg5Schedule legacy5 = SolveAlg5Schedule(10000, 100, 1.0, 1.0, 5, 0.1);
-  EXPECT_EQ(alg5.iterations, legacy5.iterations);
-  EXPECT_EQ(alg5.sparsity, legacy5.sparsity);
-  EXPECT_EQ(alg5.scale, legacy5.scale);
-
-  // The legacy entry points still clamp borderline inputs instead of
-  // failing (ScheduleHandlesTinyNEps in edge_cases_test pins this).
-  const Alg1Schedule clamped = SolveAlg1Schedule(10, 10, 0.01, 1.0, 20, 0.1);
-  EXPECT_GE(clamped.iterations, 1);
-  EXPECT_GT(clamped.scale, 0.0);
+  EXPECT_EQ(alg5.iterations, static_cast<int>(std::floor(std::log(10000.0))));
+  EXPECT_EQ(alg5.sparsity, 10u);
+  EXPECT_DOUBLE_EQ(alg5.scale,
+                   std::sqrt(10000.0 / (10.0 * alg5.iterations)) /
+                       std::pow(std::log(alg5.iterations * 10.0 / 0.1), 0.25));
 }
 
 TEST(SolverFacadeDeathTest, NegativeStepAborts) {
@@ -508,7 +354,7 @@ TEST(SolverFacadeDeathTest, NegativeStepAborts) {
   EXPECT_DEATH(solver->Fit(problem, spec, rng), "step");
 }
 
-TEST(SolverFacadeDeathTest, MissingSparsityTargetAbortsLikeLegacy) {
+TEST(SolverFacadeDeathTest, MissingSparsityTargetAborts) {
   Rng rng(71);
   Dataset data;
   data.x = Matrix(100, 10);
@@ -517,9 +363,12 @@ TEST(SolverFacadeDeathTest, MissingSparsityTargetAbortsLikeLegacy) {
   const Problem problem = Problem::SparseErm(loss, data, /*target=*/0);
   SolverSpec spec;
   spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
-  const std::unique_ptr<Solver> solver =
-      SolverRegistry::Global().Create(kSolverAlg5SparseOpt);
-  EXPECT_DEATH(solver->Fit(problem, spec, rng), "target_sparsity");
+  for (const char* name : {kSolverAlg3SparseLinReg, kSolverAlg5SparseOpt}) {
+    SCOPED_TRACE(name);
+    const std::unique_ptr<Solver> solver =
+        SolverRegistry::Global().Create(name);
+    EXPECT_DEATH(solver->Fit(problem, spec, rng), "target_sparsity");
+  }
 }
 
 }  // namespace

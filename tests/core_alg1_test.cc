@@ -1,7 +1,7 @@
 #include <cmath>
 #include <cstddef>
 
-#include "core/ht_dp_fw.h"
+#include "api/api.h"
 #include "core/hyperparams.h"
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
@@ -32,11 +32,12 @@ TEST(HtDpFwTest, SpendsExactlyEpsilonViaParallelComposition) {
   const L1Ball ball(d, 1.0);
   const SquaredLoss loss;
 
-  HtDpFwOptions options;
-  options.epsilon = 0.8;
-  options.tau = 4.0;
-  const HtDpFwResult result =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng);
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Pure(0.8);
+  spec.tau = 4.0;
+  const FitResult result =
+      SolverRegistry::Global().Create(kSolverAlg1DpFw)->Fit(
+          Problem::ConstrainedErm(loss, data, ball), spec, rng);
 
   // One exponential-mechanism call per disjoint fold, each epsilon-DP.
   EXPECT_EQ(result.ledger.entries().size(),
@@ -47,8 +48,10 @@ TEST(HtDpFwTest, SpendsExactlyEpsilonViaParallelComposition) {
 
 TEST(HtDpFwTest, AutoScheduleMatchesSection62) {
   // T = floor((n eps)^(1/3)).
-  const Alg1Schedule schedule = SolveAlg1Schedule(10000, 200, 1.0, 1.0,
-                                                  400, 0.1);
+  Alg1Schedule schedule;
+  ASSERT_TRUE(TrySolveAlg1Schedule(10000, 200, PrivacyBudget::Pure(1.0), 1.0,
+                                   400, 0.1, &schedule)
+                  .ok());
   EXPECT_EQ(schedule.iterations,
             static_cast<int>(std::floor(std::cbrt(10000.0))));
   EXPECT_GT(schedule.scale, 0.0);
@@ -61,11 +64,12 @@ TEST(HtDpFwTest, IterateStaysInPolytope) {
   const Dataset data = LognormalLinearData(3000, d, w_star, rng);
   const L1Ball ball(d, 1.0);
   const SquaredLoss loss;
-  HtDpFwOptions options;
-  options.epsilon = 1.0;
-  options.tau = 4.0;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Pure(1.0);
+  spec.tau = 4.0;
   const auto result =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg1DpFw)->Fit(
+          Problem::ConstrainedErm(loss, data, ball), spec, rng);
   EXPECT_LE(NormL1(result.w), 1.0 + 1e-9);
 }
 
@@ -76,16 +80,18 @@ TEST(HtDpFwTest, DeterministicGivenSeed) {
   const Dataset data = LognormalLinearData(1000, d, w_star, data_rng);
   const L1Ball ball(d, 1.0);
   const SquaredLoss loss;
-  HtDpFwOptions options;
-  options.epsilon = 1.0;
-  options.tau = 4.0;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Pure(1.0);
+  spec.tau = 4.0;
 
   Rng rng_a(99);
   Rng rng_b(99);
   const auto result_a =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng_a);
+      SolverRegistry::Global().Create(kSolverAlg1DpFw)->Fit(
+          Problem::ConstrainedErm(loss, data, ball), spec, rng_a);
   const auto result_b =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng_b);
+      SolverRegistry::Global().Create(kSolverAlg1DpFw)->Fit(
+          Problem::ConstrainedErm(loss, data, ball), spec, rng_b);
   for (std::size_t j = 0; j < d; ++j) {
     EXPECT_EQ(result_a.w[j], result_b.w[j]);
   }
@@ -105,11 +111,12 @@ TEST(HtDpFwTest, ErrorDecreasesWithSampleSize) {
     for (int t = 0; t < trials; ++t) {
       const Vector w_star = MakeL1BallTarget(d, rng);
       const Dataset data = LognormalLinearData(n, d, w_star, rng);
-      HtDpFwOptions options;
-      options.epsilon = 1.0;
-      options.tau = 4.0;
+      SolverSpec spec;
+      spec.budget = PrivacyBudget::Pure(1.0);
+      spec.tau = 4.0;
       const auto result =
-          RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng);
+          SolverRegistry::Global().Create(kSolverAlg1DpFw)->Fit(
+              Problem::ConstrainedErm(loss, data, ball), spec, rng);
       total += ExcessEmpiricalRisk(loss, data, result.w, w_star);
     }
     return total / trials;
@@ -128,11 +135,12 @@ TEST(HtDpFwTest, CloseToNonPrivateForLargeBudget) {
   const L1Ball ball(d, 1.0);
   const SquaredLoss loss;
 
-  HtDpFwOptions options;
-  options.epsilon = 50.0;  // effectively non-private
-  options.tau = 4.0;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Pure(50.0);  // effectively non-private
+  spec.tau = 4.0;
   const auto result =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg1DpFw)->Fit(
+          Problem::ConstrainedErm(loss, data, ball), spec, rng);
   const double excess = ExcessEmpiricalRisk(loss, data, result.w, w_star);
   EXPECT_LT(excess, 0.25);
 }
@@ -150,11 +158,12 @@ TEST(HtDpFwTest, WorksWithLogisticLoss) {
   const L1Ball ball(d, 1.0);
   const LogisticLoss loss;
 
-  HtDpFwOptions options;
-  options.epsilon = 1.0;
-  options.tau = 4.0;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Pure(1.0);
+  spec.tau = 4.0;
   const auto result =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg1DpFw)->Fit(
+          Problem::ConstrainedErm(loss, data, ball), spec, rng);
   EXPECT_LE(NormL1(result.w), 1.0 + 1e-9);
   // Should do no worse than the w=0 predictor by a wide margin allowance.
   EXPECT_LT(EmpiricalRisk(loss, data, result.w),
@@ -175,16 +184,19 @@ TEST(HtDpFwTest, RobustRegressionVariantRuns) {
   const L1Ball ball(d, 1.0);
   const BiweightLoss loss(1.0);
 
-  const Alg1RobustSchedule schedule =
-      SolveAlg1RobustSchedule(config.n, d, 1.0, 0.1);
-  HtDpFwOptions options;
-  options.epsilon = 1.0;
-  options.iterations = schedule.iterations;
-  options.scale = schedule.scale;
-  options.diminishing_step = false;
-  options.fixed_step = schedule.step;
+  Alg1RobustSchedule schedule;
+  ASSERT_TRUE(TrySolveAlg1RobustSchedule(config.n, d, PrivacyBudget::Pure(1.0),
+                                         0.1, &schedule)
+                  .ok());
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Pure(1.0);
+  spec.iterations = schedule.iterations;
+  spec.scale = schedule.scale;
+  spec.diminishing_step = false;
+  spec.fixed_step = schedule.step;
   const auto result =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg1DpFw)->Fit(
+          Problem::ConstrainedErm(loss, data, ball), spec, rng);
   EXPECT_LE(NormL1(result.w), 1.0 + 1e-9);
   EXPECT_NEAR(result.ledger.TotalEpsilon(), 1.0, 1e-12);
 }
@@ -196,12 +208,13 @@ TEST(HtDpFwTest, RiskTraceRecordsWhenRequested) {
   const Dataset data = LognormalLinearData(1000, d, w_star, rng);
   const L1Ball ball(d, 1.0);
   const SquaredLoss loss;
-  HtDpFwOptions options;
-  options.epsilon = 1.0;
-  options.tau = 4.0;
-  options.record_risk_trace = true;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Pure(1.0);
+  spec.tau = 4.0;
+  spec.record_risk_trace = true;
   const auto result =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg1DpFw)->Fit(
+          Problem::ConstrainedErm(loss, data, ball), spec, rng);
   EXPECT_EQ(result.risk_trace.size(),
             static_cast<std::size_t>(result.iterations));
 }
@@ -224,11 +237,14 @@ TEST(HtDpFwTest, RunsOverProbabilitySimplex) {
   const SquaredLoss loss;
   const ProbabilitySimplex simplex(d);
 
-  HtDpFwOptions options;
-  options.epsilon = 1.0;
-  options.tau = 4.0;
-  Vector w0(d, 1.0 / static_cast<double>(d));  // uniform start
-  const auto result = RunHtDpFw(loss, data, simplex, w0, options, rng);
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Pure(1.0);
+  spec.tau = 4.0;
+  Problem problem = Problem::ConstrainedErm(loss, data, simplex);
+  problem.w0 = Vector(d, 1.0 / static_cast<double>(d));  // uniform start
+  const auto result =
+      SolverRegistry::Global().Create(kSolverAlg1DpFw)->Fit(problem, spec,
+                                                            rng);
 
   double total = 0.0;
   for (double v : result.w) {
@@ -246,12 +262,13 @@ TEST(HtDpFwTest, ExplicitOverridesRespected) {
   const Dataset data = LognormalLinearData(600, d, w_star, rng);
   const L1Ball ball(d, 1.0);
   const SquaredLoss loss;
-  HtDpFwOptions options;
-  options.epsilon = 1.0;
-  options.iterations = 5;
-  options.scale = 2.5;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Pure(1.0);
+  spec.iterations = 5;
+  spec.scale = 2.5;
   const auto result =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg1DpFw)->Fit(
+          Problem::ConstrainedErm(loss, data, ball), spec, rng);
   EXPECT_EQ(result.iterations, 5);
   EXPECT_NEAR(result.scale_used, 2.5, 1e-15);
 }

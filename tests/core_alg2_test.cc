@@ -1,7 +1,7 @@
 #include <cmath>
 #include <cstddef>
 
-#include "core/ht_private_lasso.h"
+#include "api/api.h"
 #include "core/hyperparams.h"
 #include "data/synthetic.h"
 #include "dp/privacy.h"
@@ -32,11 +32,14 @@ TEST(HtPrivateLassoTest, AdvancedCompositionStaysWithinBudget) {
       2000, d, ScalarDistribution::Lognormal(0.0, 0.6), w_star, rng);
   const L1Ball ball(d, 1.0);
 
-  HtPrivateLassoOptions options;
-  options.epsilon = 1.0;
-  options.delta = 1e-5;
-  const HtPrivateLassoResult result =
-      RunHtPrivateLasso(data, ball, Vector(d, 0.0), options, rng);
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
+  Problem problem;
+  problem.data = &data;
+  problem.constraint = &ball;
+  const FitResult result =
+      SolverRegistry::Global().Create(kSolverAlg2PrivateLasso)->Fit(
+          problem, spec, rng);
 
   EXPECT_EQ(result.ledger.entries().size(),
             static_cast<std::size_t>(result.iterations));
@@ -53,7 +56,9 @@ TEST(HtPrivateLassoTest, AdvancedCompositionStaysWithinBudget) {
 }
 
 TEST(HtPrivateLassoTest, AutoScheduleMatchesSection62) {
-  const Alg2Schedule schedule = SolveAlg2Schedule(10000, 1.0);
+  Alg2Schedule schedule;
+  ASSERT_TRUE(
+      TrySolveAlg2Schedule(10000, PrivacyBudget::Pure(1.0), &schedule).ok());
   EXPECT_EQ(schedule.iterations,
             static_cast<int>(std::ceil(std::pow(10000.0, 0.4))));
   const double expected_k =
@@ -69,9 +74,14 @@ TEST(HtPrivateLassoTest, IterateStaysInPolytope) {
   const Dataset data = HeavyTailedLinearData(
       3000, d, ScalarDistribution::StudentT(10.0), w_star, rng);
   const L1Ball ball(d, 1.0);
-  HtPrivateLassoOptions options;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
+  Problem problem;
+  problem.data = &data;
+  problem.constraint = &ball;
   const auto result =
-      RunHtPrivateLasso(data, ball, Vector(d, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg2PrivateLasso)->Fit(
+          problem, spec, rng);
   EXPECT_LE(NormL1(result.w), 1.0 + 1e-9);
 }
 
@@ -83,8 +93,13 @@ TEST(HtPrivateLassoTest, OriginalDataIsNotModified) {
       500, d, ScalarDistribution::Lognormal(0.0, 1.0), w_star, rng);
   const double before = data.x(3, 2);
   const L1Ball ball(d, 1.0);
-  HtPrivateLassoOptions options;
-  RunHtPrivateLasso(data, ball, Vector(d, 0.0), options, rng);
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
+  Problem problem;
+  problem.data = &data;
+  problem.constraint = &ball;
+  SolverRegistry::Global().Create(kSolverAlg2PrivateLasso)->Fit(
+      problem, spec, rng);
   EXPECT_EQ(data.x(3, 2), before);
 }
 
@@ -101,10 +116,14 @@ TEST(HtPrivateLassoTest, ErrorDecreasesWithSampleSize) {
       const Vector w_star = MakeL1BallTarget(d, rng);
       const Dataset data = HeavyTailedLinearData(
           n, d, ScalarDistribution::Lognormal(0.0, 0.6), w_star, rng);
-      HtPrivateLassoOptions options;
-      options.epsilon = 1.0;
+      SolverSpec spec;
+      spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
+      Problem problem;
+      problem.data = &data;
+      problem.constraint = &ball;
       const auto result =
-          RunHtPrivateLasso(data, ball, Vector(d, 0.0), options, rng);
+          SolverRegistry::Global().Create(kSolverAlg2PrivateLasso)->Fit(
+              problem, spec, rng);
       total += ExcessEmpiricalRisk(loss, data, result.w, w_star);
     }
     return total / trials;
@@ -122,10 +141,14 @@ TEST(HtPrivateLassoTest, LargeBudgetApproachesNonPrivateSolution) {
   const L1Ball ball(d, 1.0);
   const SquaredLoss loss;
 
-  HtPrivateLassoOptions options;
-  options.epsilon = 50.0;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(50.0, 1e-5);
+  Problem problem;
+  problem.data = &data;
+  problem.constraint = &ball;
   const auto result =
-      RunHtPrivateLasso(data, ball, Vector(d, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg2PrivateLasso)->Fit(
+          problem, spec, rng);
   EXPECT_LT(ExcessEmpiricalRisk(loss, data, result.w, w_star), 0.3);
 }
 
@@ -136,11 +159,16 @@ TEST(HtPrivateLassoTest, ShrinkageThresholdIsRecorded) {
   const Dataset data = HeavyTailedLinearData(
       1000, d, ScalarDistribution::Lognormal(0.0, 0.6), w_star, rng);
   const L1Ball ball(d, 1.0);
-  HtPrivateLassoOptions options;
-  options.iterations = 10;
-  options.shrinkage = 3.5;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
+  spec.iterations = 10;
+  spec.shrinkage = 3.5;
+  Problem problem;
+  problem.data = &data;
+  problem.constraint = &ball;
   const auto result =
-      RunHtPrivateLasso(data, ball, Vector(d, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg2PrivateLasso)->Fit(
+          problem, spec, rng);
   EXPECT_EQ(result.iterations, 10);
   EXPECT_NEAR(result.shrinkage_used, 3.5, 1e-15);
 }
@@ -152,11 +180,19 @@ TEST(HtPrivateLassoTest, DeterministicGivenSeed) {
   const Dataset data = HeavyTailedLinearData(
       800, d, ScalarDistribution::StudentT(10.0), w_star, data_rng);
   const L1Ball ball(d, 1.0);
-  HtPrivateLassoOptions options;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
   Rng a(5);
   Rng b(5);
-  const auto result_a = RunHtPrivateLasso(data, ball, Vector(d, 0.0), options, a);
-  const auto result_b = RunHtPrivateLasso(data, ball, Vector(d, 0.0), options, b);
+  Problem problem;
+  problem.data = &data;
+  problem.constraint = &ball;
+  const auto result_a =
+      SolverRegistry::Global().Create(kSolverAlg2PrivateLasso)->Fit(
+          problem, spec, a);
+  const auto result_b =
+      SolverRegistry::Global().Create(kSolverAlg2PrivateLasso)->Fit(
+          problem, spec, b);
   for (std::size_t j = 0; j < d; ++j) {
     EXPECT_EQ(result_a.w[j], result_b.w[j]);
   }

@@ -1,7 +1,7 @@
 #include <cmath>
 #include <cstddef>
 
-#include "core/ht_sparse_linreg.h"
+#include "api/api.h"
 #include "core/hyperparams.h"
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
@@ -38,12 +38,14 @@ TEST(HtSparseLinRegTest, OutputIsSparseAndInUnitBall) {
   const Dataset data = SparseLinearData(
       5000, d, w_star, ScalarDistribution::Lognormal(0.0, 0.5), rng);
 
-  HtSparseLinRegOptions options;
-  options.epsilon = 1.0;
-  options.delta = 1e-5;
-  options.target_sparsity = s_star;
-  const HtSparseLinRegResult result =
-      RunHtSparseLinReg(data, Vector(d, 0.0), options, rng);
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
+  Problem problem;
+  problem.data = &data;
+  problem.target_sparsity = s_star;
+  const FitResult result =
+      SolverRegistry::Global().Create(kSolverAlg3SparseLinReg)->Fit(
+          problem, spec, rng);
 
   EXPECT_LE(NormL0(result.w), result.sparsity_used);
   EXPECT_LE(NormL2(result.w), 1.0 + 1e-9);
@@ -56,11 +58,14 @@ TEST(HtSparseLinRegTest, LedgerComposesInParallelAcrossFolds) {
   const Vector w_star = HalfBallSparseTarget(d, 4, rng);
   const Dataset data = SparseLinearData(
       3000, d, w_star, ScalarDistribution::Lognormal(0.0, 0.5), rng);
-  HtSparseLinRegOptions options;
-  options.epsilon = 0.5;
-  options.delta = 1e-6;
-  options.target_sparsity = 4;
-  const auto result = RunHtSparseLinReg(data, Vector(d, 0.0), options, rng);
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(0.5, 1e-6);
+  Problem problem;
+  problem.data = &data;
+  problem.target_sparsity = 4;
+  const auto result =
+      SolverRegistry::Global().Create(kSolverAlg3SparseLinReg)->Fit(
+          problem, spec, rng);
 
   EXPECT_EQ(result.ledger.entries().size(),
             static_cast<std::size_t>(result.iterations));
@@ -69,7 +74,10 @@ TEST(HtSparseLinRegTest, LedgerComposesInParallelAcrossFolds) {
 }
 
 TEST(HtSparseLinRegTest, AutoScheduleMatchesSection62) {
-  const Alg3Schedule schedule = SolveAlg3Schedule(50000, 1.0, 20, 2);
+  Alg3Schedule schedule;
+  ASSERT_TRUE(TrySolveAlg3Schedule(50000, PrivacyBudget::Pure(1.0), 20, 2,
+                                   &schedule)
+                  .ok());
   EXPECT_EQ(schedule.iterations,
             static_cast<int>(std::floor(std::log(50000.0))));
   EXPECT_EQ(schedule.sparsity, 40u);
@@ -86,12 +94,15 @@ TEST(HtSparseLinRegTest, RecoversSupportWithLargeBudget) {
   const Dataset data = SparseLinearData(
       40000, d, w_star, ScalarDistribution::Normal(0.0, 0.1), rng);
 
-  HtSparseLinRegOptions options;
-  options.epsilon = 20.0;  // effectively non-private
-  options.delta = 1e-5;
-  options.target_sparsity = s_star;
-  options.step = 0.02;  // features have variance 25: keep eta/gamma stable
-  const auto result = RunHtSparseLinReg(data, Vector(d, 0.0), options, rng);
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(20.0, 1e-5);
+  spec.step = 0.02;  // features have variance 25: keep eta/gamma stable
+  Problem problem;
+  problem.data = &data;
+  problem.target_sparsity = s_star;
+  const auto result =
+      SolverRegistry::Global().Create(kSolverAlg3SparseLinReg)->Fit(
+          problem, spec, rng);
 
   const SupportRecovery recovery = EvaluateSupportRecovery(result.w, w_star);
   EXPECT_GT(recovery.recall, 0.7);
@@ -109,13 +120,15 @@ TEST(HtSparseLinRegTest, EstimationErrorDecreasesWithSampleSize) {
       const Vector w_star = HalfBallSparseTarget(d, s_star, rng);
       const Dataset data = SparseLinearData(
           n, d, w_star, ScalarDistribution::Lognormal(0.0, 0.5), rng);
-      HtSparseLinRegOptions options;
-      options.epsilon = 2.0;
-      options.delta = 1e-5;
-      options.target_sparsity = s_star;
-      options.step = 0.02;
+      SolverSpec spec;
+      spec.budget = PrivacyBudget::Approx(2.0, 1e-5);
+      spec.step = 0.02;
+      Problem problem;
+      problem.data = &data;
+      problem.target_sparsity = s_star;
       const auto result =
-          RunHtSparseLinReg(data, Vector(d, 0.0), options, rng);
+          SolverRegistry::Global().Create(kSolverAlg3SparseLinReg)->Fit(
+              problem, spec, rng);
       total += EstimationError(result.w, w_star);
     }
     return total / trials;
@@ -130,24 +143,19 @@ TEST(HtSparseLinRegTest, ExplicitOverridesRespected) {
   const Vector w_star = HalfBallSparseTarget(d, 3, rng);
   const Dataset data = SparseLinearData(
       1000, d, w_star, ScalarDistribution::Lognormal(0.0, 0.5), rng);
-  HtSparseLinRegOptions options;
-  options.iterations = 4;
-  options.sparsity = 9;
-  options.shrinkage = 2.0;
-  const auto result = RunHtSparseLinReg(data, Vector(d, 0.0), options, rng);
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
+  spec.iterations = 4;
+  spec.sparsity = 9;
+  spec.shrinkage = 2.0;
+  Problem problem;
+  problem.data = &data;
+  const auto result =
+      SolverRegistry::Global().Create(kSolverAlg3SparseLinReg)->Fit(
+          problem, spec, rng);
   EXPECT_EQ(result.iterations, 4);
   EXPECT_EQ(result.sparsity_used, 9u);
   EXPECT_NEAR(result.shrinkage_used, 2.0, 1e-15);
-}
-
-TEST(HtSparseLinRegDeathTest, RequiresSomeSparsityTarget) {
-  Rng rng(13);
-  Dataset data;
-  data.x = Matrix(100, 10);
-  data.y.assign(100, 0.0);
-  HtSparseLinRegOptions options;  // neither sparsity nor target set
-  EXPECT_DEATH(RunHtSparseLinReg(data, Vector(10, 0.0), options, rng),
-               "target_sparsity");
 }
 
 TEST(HtSparseLinRegTest, HeavyNoiseStillProducesBoundedIterate) {
@@ -156,9 +164,14 @@ TEST(HtSparseLinRegTest, HeavyNoiseStillProducesBoundedIterate) {
   const Vector w_star = HalfBallSparseTarget(d, 5, rng);
   const Dataset data = SparseLinearData(
       4000, d, w_star, ScalarDistribution::LogLogistic(0.1), rng);
-  HtSparseLinRegOptions options;
-  options.target_sparsity = 5;
-  const auto result = RunHtSparseLinReg(data, Vector(d, 0.0), options, rng);
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
+  Problem problem;
+  problem.data = &data;
+  problem.target_sparsity = 5;
+  const auto result =
+      SolverRegistry::Global().Create(kSolverAlg3SparseLinReg)->Fit(
+          problem, spec, rng);
   EXPECT_TRUE(std::isfinite(NormL2(result.w)));
   EXPECT_LE(NormL2(result.w), 1.0 + 1e-9);
 }

@@ -1,7 +1,7 @@
 #include <cmath>
 #include <cstddef>
 
-#include "core/ht_sparse_opt.h"
+#include "api/api.h"
 #include "core/hyperparams.h"
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
@@ -34,13 +34,12 @@ TEST(HtSparseOptTest, OutputSparsityAndLedger) {
   const Dataset data = SparseLogisticData(4000, d, w_star, rng);
   const LogisticLoss loss(0.01);
 
-  HtSparseOptOptions options;
-  options.epsilon = 1.0;
-  options.delta = 1e-5;
-  options.target_sparsity = s_star;
-  options.tau = 25.0;  // E x_j^2 = 25 under N(0,5) features
-  const HtSparseOptResult result =
-      RunHtSparseOpt(loss, data, Vector(d, 0.0), options, rng);
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
+  spec.tau = 25.0;  // E x_j^2 = 25 under N(0,5) features
+  const FitResult result =
+      SolverRegistry::Global().Create(kSolverAlg5SparseOpt)->Fit(
+          Problem::SparseErm(loss, data, s_star), spec, rng);
 
   EXPECT_EQ(result.sparsity_used, 2 * s_star);
   EXPECT_LE(NormL0(result.w), result.sparsity_used);
@@ -51,8 +50,10 @@ TEST(HtSparseOptTest, OutputSparsityAndLedger) {
 }
 
 TEST(HtSparseOptTest, AutoScheduleMatchesTheorem8) {
-  const Alg5Schedule schedule = SolveAlg5Schedule(8000, 100, 1.0, 1.0, 20,
-                                                  0.1);
+  Alg5Schedule schedule;
+  ASSERT_TRUE(TrySolveAlg5Schedule(8000, 100, PrivacyBudget::Pure(1.0), 1.0,
+                                   20, 0.1, &schedule)
+                  .ok());
   EXPECT_EQ(schedule.iterations,
             static_cast<int>(std::floor(std::log(8000.0))));
   EXPECT_EQ(schedule.sparsity, 40u);
@@ -84,18 +85,17 @@ TEST(HtSparseOptTest, SparseMeanEstimationImprovesWithBudget) {
       }
     }
     const MeanLoss loss;
-    HtSparseOptOptions options;
-    options.epsilon = epsilon;
-    options.delta = 1e-5;
-    options.target_sparsity = s_star;
-    options.tau = 10.0;
-    options.step = 0.25;  // mean loss has curvature 2
+    SolverSpec spec;
+    spec.budget = PrivacyBudget::Approx(epsilon, 1e-5);
+    spec.tau = 10.0;
+    spec.step = 0.25;  // mean loss has curvature 2
     double total = 0.0;
     const int trials = 3;
     for (int t = 0; t < trials; ++t) {
       Rng run_rng = rng.Fork();
       const auto result =
-          RunHtSparseOpt(loss, data, Vector(d, 0.0), options, run_rng);
+          SolverRegistry::Global().Create(kSolverAlg5SparseOpt)->Fit(
+              Problem::SparseErm(loss, data, s_star), spec, run_rng);
       total += NormL2Squared(Sub(result.w, mu));
     }
     return total / trials;
@@ -122,13 +122,13 @@ TEST(HtSparseOptTest, LargeBudgetRecoversSparseMean) {
     }
   }
   const MeanLoss loss;
-  HtSparseOptOptions options;
-  options.epsilon = 20.0;
-  options.delta = 1e-5;
-  options.target_sparsity = 2;
-  options.tau = 2.0;
-  options.step = 0.25;
-  const auto result = RunHtSparseOpt(loss, data, Vector(d, 0.0), options, rng);
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(20.0, 1e-5);
+  spec.tau = 2.0;
+  spec.step = 0.25;
+  const auto result =
+      SolverRegistry::Global().Create(kSolverAlg5SparseOpt)->Fit(
+          Problem::SparseErm(loss, data, 2), spec, rng);
   EXPECT_LT(DistanceL2(result.w, mu), 0.35);
 }
 
@@ -140,13 +140,12 @@ TEST(HtSparseOptTest, RegularizedLogisticRunsAtFigure10Scale) {
   const Dataset data = SparseLogisticData(8000, d, w_star, rng);
   const LogisticLoss loss(0.01);
 
-  HtSparseOptOptions options;
-  options.epsilon = 1.0;
-  options.delta = std::pow(8000.0, -1.1);
-  options.target_sparsity = s_star;
-  options.tau = 25.0;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(1.0, std::pow(8000.0, -1.1));
+  spec.tau = 25.0;
   const auto result =
-      RunHtSparseOpt(loss, data, Vector(d, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg5SparseOpt)->Fit(
+          Problem::SparseErm(loss, data, s_star), spec, rng);
   EXPECT_TRUE(std::isfinite(NormL2(result.w)));
   EXPECT_LE(NormL0(result.w), 2 * s_star);
 }
@@ -157,12 +156,14 @@ TEST(HtSparseOptTest, ExplicitOverridesRespected) {
   const Vector w_star = MakeSparseTarget(d, 2, rng);
   const Dataset data = SparseLogisticData(500, d, w_star, rng);
   const LogisticLoss loss;
-  HtSparseOptOptions options;
-  options.iterations = 3;
-  options.sparsity = 6;
-  options.scale = 4.0;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
+  spec.iterations = 3;
+  spec.sparsity = 6;
+  spec.scale = 4.0;
   const auto result =
-      RunHtSparseOpt(loss, data, Vector(d, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg5SparseOpt)->Fit(
+          Problem::SparseErm(loss, data, 0), spec, rng);
   EXPECT_EQ(result.iterations, 3);
   EXPECT_EQ(result.sparsity_used, 6u);
   EXPECT_NEAR(result.scale_used, 4.0, 1e-15);
@@ -174,12 +175,16 @@ TEST(HtSparseOptTest, DeterministicGivenSeed) {
   const Vector w_star = MakeSparseTarget(d, 3, data_rng);
   const Dataset data = SparseLogisticData(600, d, w_star, data_rng);
   const LogisticLoss loss(0.05);
-  HtSparseOptOptions options;
-  options.target_sparsity = 3;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
   Rng a(77);
   Rng b(77);
-  const auto result_a = RunHtSparseOpt(loss, data, Vector(d, 0.0), options, a);
-  const auto result_b = RunHtSparseOpt(loss, data, Vector(d, 0.0), options, b);
+  const auto result_a =
+      SolverRegistry::Global().Create(kSolverAlg5SparseOpt)->Fit(
+          Problem::SparseErm(loss, data, 3), spec, a);
+  const auto result_b =
+      SolverRegistry::Global().Create(kSolverAlg5SparseOpt)->Fit(
+          Problem::SparseErm(loss, data, 3), spec, b);
   for (std::size_t j = 0; j < d; ++j) {
     EXPECT_EQ(result_a.w[j], result_b.w[j]);
   }

@@ -19,11 +19,12 @@ TEST(EdgeCasesTest, OneDimensionalProblem) {
   const Dataset data = GenerateLinear(config, w_star, rng);
   const SquaredLoss loss;
   const L1Ball ball(1, 1.0);
-  HtDpFwOptions options;
-  options.epsilon = 2.0;
-  options.tau = 2.0;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Pure(2.0);
+  spec.tau = 2.0;
   const auto result =
-      RunHtDpFw(loss, data, ball, Vector(1, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg1DpFw)->Fit(
+          Problem::ConstrainedErm(loss, data, ball), spec, rng);
   EXPECT_LE(std::abs(result.w[0]), 1.0 + 1e-9);
 }
 
@@ -36,12 +37,13 @@ TEST(EdgeCasesTest, SingleIterationAlg1) {
   const Dataset data = GenerateLinear(config, w_star, rng);
   const SquaredLoss loss;
   const L1Ball ball(4, 1.0);
-  HtDpFwOptions options;
-  options.epsilon = 1.0;
-  options.iterations = 1;
-  options.scale = 1.0;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Pure(1.0);
+  spec.iterations = 1;
+  spec.scale = 1.0;
   const auto result =
-      RunHtDpFw(loss, data, ball, Vector(4, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg1DpFw)->Fit(
+          Problem::ConstrainedErm(loss, data, ball), spec, rng);
   EXPECT_EQ(result.iterations, 1);
   EXPECT_EQ(result.ledger.entries().size(), 1u);
 }
@@ -68,29 +70,26 @@ TEST(EdgeCasesTest, SparsityEqualToDimension) {
   config.d = 6;
   const Vector w_star = MakeL1BallTarget(6, rng);
   const Dataset data = GenerateLinear(config, w_star, rng);
-  HtSparseLinRegOptions options;
-  options.epsilon = 1.0;
-  options.delta = 1e-5;
-  options.sparsity = 6;  // s == d
-  options.target_sparsity = 3;
-  const auto result = RunHtSparseLinReg(data, Vector(6, 0.0), options, rng);
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
+  spec.sparsity = 6;  // s == d
+  Problem problem;
+  problem.data = &data;
+  problem.target_sparsity = 3;
+  const auto result =
+      SolverRegistry::Global().Create(kSolverAlg3SparseLinReg)->Fit(
+          problem, spec, rng);
   EXPECT_LE(NormL0(result.w), 6u);
 }
 
 TEST(EdgeCasesTest, ScheduleClampsIterationsToSampleCount) {
   // Tiny n with huge eps would give T > n; the schedule must clamp.
-  const Alg1Schedule schedule = SolveAlg1Schedule(5, 10, 1e9, 1.0, 20, 0.1);
+  Alg1Schedule schedule;
+  ASSERT_TRUE(TrySolveAlg1Schedule(5, 10, PrivacyBudget::Pure(1e9), 1.0, 20,
+                                   0.1, &schedule)
+                  .ok());
   EXPECT_LE(schedule.iterations, 5);
   EXPECT_GE(schedule.iterations, 1);
-}
-
-TEST(EdgeCasesTest, ScheduleHandlesTinyNEps) {
-  const Alg1Schedule schedule = SolveAlg1Schedule(10, 10, 0.01, 1.0, 20, 0.1);
-  EXPECT_GE(schedule.iterations, 1);
-  EXPECT_GT(schedule.scale, 0.0);
-  const Alg2Schedule a2 = SolveAlg2Schedule(10, 0.01);
-  EXPECT_GE(a2.iterations, 1);
-  EXPECT_GT(a2.shrinkage, 0.0);
 }
 
 TEST(EdgeCasesTest, ProjectionsOnZeroVector) {

@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "api/api.h"
-#include "core/dp_robust_gd.h"
 #include "data/synthetic.h"
 #include "dp/gaussian_mechanism.h"
 #include "gtest/gtest.h"
@@ -124,12 +123,15 @@ TEST(DpRobustGdTest, SpendsEpsilonPerFoldInParallel) {
   const Dataset data = GenerateLinear(config, w_star, rng);
   const SquaredLoss loss;
 
-  DpRobustGdOptions options;
-  options.epsilon = 1.0;
-  options.delta = 1e-5;
-  options.tau = 4.0;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
+  spec.tau = 4.0;
+  Problem problem;
+  problem.loss = &loss;
+  problem.data = &data;
   const auto result =
-      MinimizeDpRobustGd(loss, data, Vector(config.d, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverBaselineRobustGd)->Fit(
+          problem, spec, rng);
   EXPECT_EQ(result.ledger.entries().size(),
             static_cast<std::size_t>(result.iterations));
   EXPECT_NEAR(result.ledger.TotalEpsilon(), 1.0, 1e-12);
@@ -149,13 +151,16 @@ TEST(DpRobustGdTest, NoiseGrowsWithDimensionRelativeToAlg1) {
     const Vector w_star = MakeL1BallTarget(d, rng);
     const Dataset data = GenerateLinear(config, w_star, rng);
     const SquaredLoss loss;
-    DpRobustGdOptions options;
-    options.epsilon = 1.0;
-    options.delta = 1e-5;
-    options.iterations = 4;
-    options.scale = 2.0;
+    SolverSpec spec;
+    spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
+    spec.iterations = 4;
+    spec.scale = 2.0;
+    Problem problem;
+    problem.loss = &loss;
+    problem.data = &data;
     const auto result =
-        MinimizeDpRobustGd(loss, data, Vector(d, 0.0), options, rng);
+        SolverRegistry::Global().Create(kSolverBaselineRobustGd)->Fit(
+            problem, spec, rng);
     const double per_coord =
         4.0 * std::sqrt(2.0) * 2.0 / (3.0 * (data.size() / 4.0));
     EXPECT_NEAR(result.ledger.entries()[0].sensitivity,

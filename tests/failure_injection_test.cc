@@ -34,11 +34,12 @@ TEST(FailureInjectionTest, Alg1SurvivesPlantedMegaOutliers) {
   }
   const SquaredLoss loss;
   const L1Ball ball(d, 1.0);
-  HtDpFwOptions options;
-  options.epsilon = 1.0;
-  options.tau = 4.0;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Pure(1.0);
+  spec.tau = 4.0;
   const auto result =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg1DpFw)->Fit(
+          Problem::ConstrainedErm(loss, data, ball), spec, rng);
   EXPECT_TRUE(std::isfinite(NormL2(result.w)));
   EXPECT_LE(NormL1(result.w), 1.0 + 1e-9);
   EXPECT_NEAR(result.ledger.TotalEpsilon(), 1.0, 1e-12);
@@ -56,15 +57,17 @@ TEST(FailureInjectionTest, Alg1OutlierRowsBarelyMoveTheIterate) {
 
   const SquaredLoss loss;
   const L1Ball ball(d, 1.0);
-  HtDpFwOptions options;
-  options.epsilon = 5.0;
-  options.tau = 4.0;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Pure(5.0);
+  spec.tau = 4.0;
   Rng rng_a(42);
   Rng rng_b(42);
   const auto result_clean =
-      RunHtDpFw(loss, clean, ball, Vector(d, 0.0), options, rng_a);
+      SolverRegistry::Global().Create(kSolverAlg1DpFw)->Fit(
+          Problem::ConstrainedErm(loss, clean, ball), spec, rng_a);
   const auto result_dirty =
-      RunHtDpFw(loss, dirty, ball, Vector(d, 0.0), options, rng_b);
+      SolverRegistry::Global().Create(kSolverAlg1DpFw)->Fit(
+          Problem::ConstrainedErm(loss, dirty, ball), spec, rng_b);
   // Both stay in the ball; distance is at most the diameter but in
   // practice far below it (the truncation absorbs the row).
   EXPECT_LE(DistanceL2(result_clean.w, result_dirty.w), 1.0);
@@ -77,11 +80,14 @@ TEST(FailureInjectionTest, Alg2SurvivesInfinityMagnitudeEntries) {
   data.x(3, 4) = 1e300;
   data.y[9] = -1e300;
   const L1Ball ball(d, 1.0);
-  HtPrivateLassoOptions options;
-  options.epsilon = 1.0;
-  options.delta = 1e-5;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
+  Problem problem;
+  problem.data = &data;
+  problem.constraint = &ball;
   const auto result =
-      RunHtPrivateLasso(data, ball, Vector(d, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg2PrivateLasso)->Fit(
+          problem, spec, rng);
   EXPECT_TRUE(std::isfinite(NormL2(result.w)));
   EXPECT_LE(NormL1(result.w), 1.0 + 1e-9);
 }
@@ -93,11 +99,14 @@ TEST(FailureInjectionTest, Alg3SurvivesConstantFeatures) {
   const std::size_t d = 30;
   Dataset data = BaseData(3000, d, rng);
   for (std::size_t i = 0; i < data.size(); ++i) data.x(i, 5) = 1.0;
-  HtSparseLinRegOptions options;
-  options.epsilon = 1.0;
-  options.delta = 1e-5;
-  options.target_sparsity = 3;
-  const auto result = RunHtSparseLinReg(data, Vector(d, 0.0), options, rng);
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
+  Problem problem;
+  problem.data = &data;
+  problem.target_sparsity = 3;
+  const auto result =
+      SolverRegistry::Global().Create(kSolverAlg3SparseLinReg)->Fit(
+          problem, spec, rng);
   EXPECT_TRUE(std::isfinite(NormL2(result.w)));
   EXPECT_LE(NormL2(result.w), 1.0 + 1e-9);
 }
@@ -109,12 +118,11 @@ TEST(FailureInjectionTest, Alg5SurvivesAllZeroFeatures) {
   data.x = Matrix(500, d);  // all zeros
   data.y.assign(500, 1.0);
   const LogisticLoss loss;
-  HtSparseOptOptions options;
-  options.epsilon = 1.0;
-  options.delta = 1e-5;
-  options.target_sparsity = 2;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
   const auto result =
-      RunHtSparseOpt(loss, data, Vector(d, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg5SparseOpt)->Fit(
+          Problem::SparseErm(loss, data, 2), spec, rng);
   EXPECT_TRUE(std::isfinite(NormL2(result.w)));
   EXPECT_LE(NormL0(result.w), 4u);
 }
@@ -125,12 +133,11 @@ TEST(FailureInjectionTest, Alg5SurvivesSingleClassLabels) {
   Dataset data = BaseData(800, d, rng);
   for (double& y : data.y) y = 1.0;  // degenerate labels
   const LogisticLoss loss(0.01);
-  HtSparseOptOptions options;
-  options.epsilon = 1.0;
-  options.delta = 1e-5;
-  options.target_sparsity = 2;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(1.0, 1e-5);
   const auto result =
-      RunHtSparseOpt(loss, data, Vector(d, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg5SparseOpt)->Fit(
+          Problem::SparseErm(loss, data, 2), spec, rng);
   EXPECT_TRUE(std::isfinite(NormL2(result.w)));
 }
 
@@ -184,11 +191,12 @@ TEST(FailureInjectionTest, DuplicatedDatasetGivesConsistentResults) {
   }
   const SquaredLoss loss;
   const L1Ball ball(d, 1.0);
-  HtDpFwOptions options;
-  options.epsilon = 2.0;
-  options.tau = 4.0;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Pure(2.0);
+  spec.tau = 4.0;
   const auto result =
-      RunHtDpFw(loss, doubled, ball, Vector(d, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg1DpFw)->Fit(
+          Problem::ConstrainedErm(loss, doubled, ball), spec, rng);
   EXPECT_TRUE(std::isfinite(NormL2(result.w)));
   EXPECT_LE(NormL1(result.w), 1.0 + 1e-9);
 }

@@ -27,12 +27,13 @@ TEST(IntegrationTest, QuickstartFlowLinearLognormal) {
   const SquaredLoss loss;
   const L1Ball ball(d, 1.0);
 
-  HtDpFwOptions private_options;
-  private_options.epsilon = 1.0;
-  private_options.tau = EstimateGradientSecondMoment(loss, FullView(data),
-                                                     Vector(d, 0.0));
-  const HtDpFwResult private_result =
-      RunHtDpFw(loss, data, ball, Vector(d, 0.0), private_options, rng);
+  SolverSpec private_spec;
+  private_spec.budget = PrivacyBudget::Pure(1.0);
+  private_spec.tau = EstimateGradientSecondMoment(loss, FullView(data),
+                                                  Vector(d, 0.0));
+  const FitResult private_result =
+      SolverRegistry::Global().Create(kSolverAlg1DpFw)->Fit(
+          Problem::ConstrainedErm(loss, data, ball), private_spec, rng);
 
   FrankWolfeOptions fw_options;
   fw_options.iterations = 100;
@@ -67,11 +68,12 @@ TEST(IntegrationTest, PrivacyCostShrinksWithMoreBudget) {
     const int trials = 4;
     Rng trial_rng(1000 + static_cast<std::uint64_t>(epsilon * 8));
     for (int t = 0; t < trials; ++t) {
-      HtDpFwOptions options;
-      options.epsilon = epsilon;
-      options.tau = 4.0;
+      SolverSpec spec;
+      spec.budget = PrivacyBudget::Pure(epsilon);
+      spec.tau = 4.0;
       const auto result =
-          RunHtDpFw(loss, data, ball, Vector(d, 0.0), options, trial_rng);
+          SolverRegistry::Global().Create(kSolverAlg1DpFw)->Fit(
+              Problem::ConstrainedErm(loss, data, ball), spec, trial_rng);
       total += ExcessEmpiricalRisk(loss, data, result.w, w_star);
     }
     return total / trials;
@@ -98,12 +100,14 @@ TEST(IntegrationTest, SparsePipelineAlgorithm3VersusIht) {
   const double noise_mean = std::exp(0.5 * 0.25);
   for (double& y : data.y) y -= noise_mean;
 
-  HtSparseLinRegOptions options;
-  options.epsilon = 2.0;
-  options.delta = 1e-5;
-  options.target_sparsity = s_star;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(2.0, 1e-5);
+  Problem problem;
+  problem.data = &data;
+  problem.target_sparsity = s_star;
   const auto private_result =
-      RunHtSparseLinReg(data, Vector(d, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg3SparseLinReg)->Fit(
+          problem, spec, rng);
 
   const SquaredLoss loss;
   IhtOptions iht_options;
@@ -139,13 +143,12 @@ TEST(IntegrationTest, Algorithm5OnRegularizedLogisticStaysNearBaseline) {
   const Dataset data = GenerateLogistic(config, w_star, rng);
   const LogisticLoss loss(0.01);
 
-  HtSparseOptOptions options;
-  options.epsilon = 10.0;
-  options.delta = 1e-5;
-  options.target_sparsity = s_star;
-  options.tau = 1.0;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(10.0, 1e-5);
+  spec.tau = 1.0;
   const auto result =
-      RunHtSparseOpt(loss, data, Vector(d, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg5SparseOpt)->Fit(
+          Problem::SparseErm(loss, data, s_star), spec, rng);
 
   EXPECT_LT(EmpiricalRisk(loss, data, result.w),
             EmpiricalRisk(loss, data, Vector(d, 0.0)) + 0.25);
@@ -168,12 +171,13 @@ TEST(IntegrationTest, RealWorldSimPipelineMatchesPaperProtocol) {
       MinimizeFrankWolfe(loss, full, ball, Vector(d, 0.0), fw_options).w;
 
   const Dataset subset = Prefix(full, 4000);
-  HtDpFwOptions options;
-  options.epsilon = 2.0;
-  options.tau = EstimateGradientSecondMoment(loss, FullView(subset),
-                                             Vector(d, 0.0));
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Pure(2.0);
+  spec.tau = EstimateGradientSecondMoment(loss, FullView(subset),
+                                          Vector(d, 0.0));
   const auto result =
-      RunHtDpFw(loss, subset, ball, Vector(d, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg1DpFw)->Fit(
+          Problem::ConstrainedErm(loss, subset, ball), spec, rng);
   const double excess = EmpiricalRisk(loss, full, result.w) -
                         EmpiricalRisk(loss, full, w_ref);
   EXPECT_GT(excess, -0.05);  // w_ref is (near-)optimal on the full data
@@ -199,14 +203,13 @@ TEST(IntegrationTest, MinimaxInstanceErrorExceedsLowerBoundForDpAlgorithm) {
   const Dataset data = family.Sample(v, n, rng);
 
   const MeanLoss loss;
-  HtSparseOptOptions options;
-  options.epsilon = epsilon;
-  options.delta = delta;
-  options.target_sparsity = s_star;
-  options.tau = tau;
-  options.step = 0.25;
+  SolverSpec spec;
+  spec.budget = PrivacyBudget::Approx(epsilon, delta);
+  spec.tau = tau;
+  spec.step = 0.25;
   const auto result =
-      RunHtSparseOpt(loss, data, Vector(d, 0.0), options, rng);
+      SolverRegistry::Global().Create(kSolverAlg5SparseOpt)->Fit(
+          Problem::SparseErm(loss, data, s_star), spec, rng);
   const double risk = NormL2Squared(Sub(result.w, theta));
   const double bound =
       SparseMeanHardFamily::LowerBound(n, d, s_star, epsilon, delta, tau);

@@ -1,14 +1,10 @@
-#include <cmath>
 #include <cstddef>
 
 #include "data/synthetic.h"
-#include "dp/privacy.h"
 #include "gtest/gtest.h"
 #include "linalg/sparse_ops.h"
 #include "losses/logistic_loss.h"
 #include "losses/squared_loss.h"
-#include "optim/dp_fw_regular.h"
-#include "optim/dp_sgd.h"
 #include "optim/frank_wolfe.h"
 #include "optim/iht.h"
 #include "optim/pgd.h"
@@ -163,93 +159,6 @@ TEST(PgdTest, ProjectionHelperRespectsChoice) {
   Vector untouched = {5.0, 5.0};
   ApplyProjection(options, untouched);
   EXPECT_EQ(untouched[0], 5.0);
-}
-
-TEST(DpFwRegularTest, RunsAndSpendsDeclaredBudget) {
-  Rng rng(47);
-  const std::size_t d = 10;
-  const Vector w_star = MakeL1BallTarget(d, rng);
-  const Dataset data = MakeGaussianLinearData(2000, d, w_star, rng);
-  const L1Ball ball(d, 1.0);
-  const SquaredLoss loss;
-
-  DpFwRegularOptions options;
-  options.epsilon = 1.0;
-  options.delta = 1e-5;
-  options.iterations = 20;
-  options.gradient_linf_bound = 10.0;
-  const DpFwRegularResult result =
-      MinimizeDpFwRegular(loss, data, ball, Vector(d, 0.0), options, rng);
-
-  EXPECT_LE(NormL1(result.w), 1.0 + 1e-9);
-  EXPECT_EQ(result.ledger.entries().size(), 20u);
-  // Sum of per-step budgets stays below the advanced-composition total by
-  // construction of the per-step epsilon.
-  const double per_step =
-      AdvancedCompositionStepEpsilon(1.0, 1e-5, 20);
-  EXPECT_NEAR(result.ledger.entries()[0].epsilon, per_step, 1e-12);
-}
-
-TEST(DpFwRegularTest, LargeBudgetApproachesNonPrivate) {
-  Rng rng(53);
-  const std::size_t d = 8;
-  const Vector w_star = MakeL1BallTarget(d, rng);
-  const Dataset data = MakeGaussianLinearData(4000, d, w_star, rng);
-  const L1Ball ball(d, 1.0);
-  const SquaredLoss loss;
-
-  DpFwRegularOptions options;
-  options.epsilon = 200.0;  // effectively non-private
-  options.delta = 1e-5;
-  options.iterations = 80;
-  options.gradient_linf_bound = 20.0;
-  const auto result =
-      MinimizeDpFwRegular(loss, data, ball, Vector(d, 0.0), options, rng);
-  EXPECT_LT(ExcessEmpiricalRisk(loss, data, result.w, w_star), 0.1);
-}
-
-TEST(DpSgdTest, RunsProjectsAndAccountsBudget) {
-  Rng rng(59);
-  const std::size_t d = 12;
-  const Vector w_star = MakeL1BallTarget(d, rng);
-  const Dataset data = MakeGaussianLinearData(3000, d, w_star, rng);
-  const SquaredLoss loss;
-
-  DpSgdOptions options;
-  options.epsilon = 1.0;
-  options.delta = 1e-5;
-  options.iterations = 30;
-  options.batch_size = 128;
-  options.clip_norm = 2.0;
-  options.step = 0.05;
-  const DpSgdResult result =
-      MinimizeDpSgd(loss, data, Vector(d, 0.0), options, rng);
-
-  EXPECT_LE(NormL1(result.w), 1.0 + 1e-9);
-  EXPECT_EQ(result.ledger.entries().size(), 30u);
-  EXPECT_TRUE(std::isfinite(NormL2(result.w)));
-}
-
-TEST(DpSgdTest, HeavyTailsDegradeClippedSgd) {
-  // With lognormal features and a small clip bound, DP-SGD's clipped
-  // gradients are badly biased -- the motivating failure of Section 1. We
-  // only assert it runs and produces a finite iterate (no convergence
-  // guarantee exists).
-  Rng rng(61);
-  SyntheticConfig config;
-  config.n = 2000;
-  config.d = 10;
-  config.feature_dist = ScalarDistribution::Lognormal(0.0, 1.2);
-  const Vector w_star = MakeL1BallTarget(config.d, rng);
-  const Dataset data = GenerateLinear(config, w_star, rng);
-  const SquaredLoss loss;
-
-  DpSgdOptions options;
-  options.iterations = 20;
-  options.clip_norm = 0.5;
-  const auto result =
-      MinimizeDpSgd(loss, data, Vector(config.d, 0.0), options, rng);
-  EXPECT_TRUE(std::isfinite(NormL2(result.w)));
 }
 
 }  // namespace
