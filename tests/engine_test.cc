@@ -7,8 +7,10 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/htdp.h"
@@ -60,6 +62,81 @@ struct SharedWorkload {
   SquaredLoss loss;
   L1Ball ball;
 };
+
+/// Sum over every series of `name` (all label sets) in a Prometheus export.
+double ScrapedTotal(const std::string& text, const std::string& name) {
+  double total = 0.0;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.size() <= name.size() || line.compare(0, name.size(), name) != 0) {
+      continue;
+    }
+    const char next = line[name.size()];  // a label set or the value
+    if (next != ' ' && next != '{') continue;
+    total += std::stod(line.substr(line.rfind(' ') + 1));
+  }
+  return total;
+}
+
+/// Every engine counter family with the EngineStats field it mirrors.
+const std::vector<std::pair<std::string, std::size_t EngineStats::*>>&
+EngineCounterFamilies() {
+  static const auto* families =
+      new std::vector<std::pair<std::string, std::size_t EngineStats::*>>{
+          {"htdp_engine_jobs_submitted_total", &EngineStats::submitted},
+          {"htdp_engine_jobs_completed_total", &EngineStats::completed},
+          {"htdp_engine_jobs_succeeded_total", &EngineStats::succeeded},
+          {"htdp_engine_jobs_failed_total", &EngineStats::failed},
+          {"htdp_engine_jobs_cancelled_total", &EngineStats::cancelled},
+          {"htdp_engine_jobs_deadline_exceeded_total",
+           &EngineStats::deadline_exceeded},
+          {"htdp_engine_jobs_budget_rejected_total",
+           &EngineStats::budget_rejected},
+          {"htdp_engine_jobs_shed_total", &EngineStats::unavailable_rejected},
+          {"htdp_engine_jobs_shed_expired_total", &EngineStats::shed_expired},
+          {"htdp_engine_jobs_stolen_total", &EngineStats::steals},
+          {"htdp_engine_steal_failures_total", &EngineStats::steal_failures},
+      };
+  return *families;
+}
+
+/// Engine counter totals and the fit-latency observation count, read from
+/// the process-wide registry's export (reading never registers a series).
+struct RegistrySnapshot {
+  std::vector<double> counters;  // EngineCounterFamilies() order
+  double fit_latency_count = 0.0;
+};
+
+RegistrySnapshot SnapshotRegistry() {
+  const std::string text = obs::MetricRegistry::Global().ToPrometheus();
+  RegistrySnapshot snapshot;
+  for (const auto& family : EngineCounterFamilies()) {
+    snapshot.counters.push_back(ScrapedTotal(text, family.first));
+  }
+  snapshot.fit_latency_count =
+      ScrapedTotal(text, "htdp_fit_latency_seconds_count");
+  return snapshot;
+}
+
+/// Counter parity between the Engine's two stores: once `engine` is
+/// quiescent, every htdp_engine_*_total delta since `before` (taken while
+/// no other Engine was counting) equals the matching EngineStats field,
+/// and htdp_fit_latency_seconds observed exactly the `picked_up` jobs a
+/// worker ran -- inline rejections, queued cancels, dequeue sheds and
+/// shutdown sweeps are not observed.
+void ExpectRegistryMatchesStats(const RegistrySnapshot& before,
+                                const Engine& engine, std::size_t picked_up) {
+  const EngineStats stats = engine.stats();
+  const RegistrySnapshot after = SnapshotRegistry();
+  for (std::size_t i = 0; i < EngineCounterFamilies().size(); ++i) {
+    const auto& family = EngineCounterFamilies()[i];
+    EXPECT_EQ(after.counters[i] - before.counters[i],
+              static_cast<double>(stats.*family.second))
+        << family.first;
+  }
+  EXPECT_EQ(after.fit_latency_count - before.fit_latency_count,
+            static_cast<double>(picked_up));
+}
 
 TEST(EngineTest, EverySolverBitIdenticalToSequentialTryFit) {
   const SharedWorkload workload;
@@ -140,6 +217,7 @@ TEST(EngineTest, ExplicitRngStreamOverridesSeed) {
 }
 
 TEST(EngineTest, SubmitNeverAbortsOnUserError) {
+  const RegistrySnapshot before = SnapshotRegistry();
   const SharedWorkload workload;
   Engine engine(Engine::Options{2});
 
@@ -187,6 +265,7 @@ TEST(EngineTest, SubmitNeverAbortsOnUserError) {
   EXPECT_EQ(stats.completed, 4u);
   EXPECT_EQ(stats.failed, 4u);
   EXPECT_EQ(stats.succeeded, 0u);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/3);
 }
 
 /// Blocks a single-worker engine inside a fit until released, so queue
@@ -212,6 +291,7 @@ struct WorkerGate {
 };
 
 TEST(EngineTest, CancelQueuedJob) {
+  const RegistrySnapshot before = SnapshotRegistry();
   const SharedWorkload workload;
   Engine engine(Engine::Options{1});
   WorkerGate gate;
@@ -254,9 +334,11 @@ TEST(EngineTest, CancelQueuedJob) {
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.cancelled, 1u);
   EXPECT_EQ(stats.succeeded, 1u);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1);
 }
 
 TEST(EngineTest, CancelRunningJobStopsCooperatively) {
+  const RegistrySnapshot before = SnapshotRegistry();
   const SharedWorkload workload;
   Engine engine(Engine::Options{1});
   WorkerGate gate;
@@ -277,9 +359,11 @@ TEST(EngineTest, CancelRunningJobStopsCooperatively) {
   ASSERT_FALSE(fit.ok());
   EXPECT_EQ(fit.status().code(), StatusCode::kCancelled);
   EXPECT_EQ(engine.stats().cancelled, 1u);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1);
 }
 
 TEST(EngineTest, DeadlineExceededWhileQueued) {
+  const RegistrySnapshot before = SnapshotRegistry();
   const SharedWorkload workload;
   Engine engine(Engine::Options{1});
   WorkerGate gate;
@@ -300,9 +384,11 @@ TEST(EngineTest, DeadlineExceededWhileQueued) {
   EXPECT_EQ(fit.status().code(), StatusCode::kDeadlineExceeded);
   ASSERT_TRUE(running.Wait().ok());
   EXPECT_EQ(engine.stats().deadline_exceeded, 1u);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1);
 }
 
 TEST(EngineTest, DeadlineExceededMidFit) {
+  const RegistrySnapshot before = SnapshotRegistry();
   const SharedWorkload workload;
   Engine engine(Engine::Options{1});
 
@@ -316,9 +402,11 @@ TEST(EngineTest, DeadlineExceededMidFit) {
   const StatusOr<FitResult>& fit = handle.Wait();
   ASSERT_FALSE(fit.ok());
   EXPECT_EQ(fit.status().code(), StatusCode::kDeadlineExceeded);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1);
 }
 
 TEST(EngineTest, DeadlineExceededOnLateSuccess) {
+  const RegistrySnapshot before = SnapshotRegistry();
   // alg4 polls should_stop only once, before its single pass, so a short
   // deadline cannot interrupt it -- the contract still holds because the
   // Engine rejects the late result after the fit returns.
@@ -335,9 +423,11 @@ TEST(EngineTest, DeadlineExceededOnLateSuccess) {
   ASSERT_FALSE(fit.ok());
   EXPECT_EQ(fit.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(engine.stats().deadline_exceeded, 1u);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1);
 }
 
 TEST(EngineTest, ShutdownCancelsQueuedAndRejectsLateSubmits) {
+  const RegistrySnapshot before = SnapshotRegistry();
   const SharedWorkload workload;
   Engine engine(Engine::Options{1});
   WorkerGate gate;
@@ -363,6 +453,7 @@ TEST(EngineTest, ShutdownCancelsQueuedAndRejectsLateSubmits) {
   const StatusOr<FitResult>& late = late_handle.Wait();
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.status().code(), StatusCode::kCancelled);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1);
 }
 
 TEST(EngineTest, DrainWaitsForAllJobs) {
@@ -533,6 +624,7 @@ TEST(BudgetManagerTest, PureTenantCannotFundApproxJobs) {
 }
 
 TEST(EngineTenantTest, OverBudgetSubmissionsRejectedBeforeAnyWorkRuns) {
+  const RegistrySnapshot before = SnapshotRegistry();
   const SharedWorkload workload;
   BudgetManager budgets;
   ASSERT_TRUE(
@@ -576,6 +668,7 @@ TEST(EngineTenantTest, OverBudgetSubmissionsRejectedBeforeAnyWorkRuns) {
   const StatusOr<PrivacyBudget> remaining = budgets.Remaining("sweep");
   ASSERT_TRUE(remaining.ok());
   EXPECT_NEAR(remaining->epsilon, 0.5, 1e-12);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/2);
 }
 
 TEST(EngineTenantTest, TenantWithoutManagerIsATypedError) {
@@ -727,6 +820,7 @@ TEST(EngineOverloadTest, RetryAfterHintScalesWithBacklogAndClamps) {
 }
 
 TEST(EngineOverloadTest, QueueCapShedsWithTypedUnavailable) {
+  const RegistrySnapshot before = SnapshotRegistry();
   const SharedWorkload workload;
   Engine::Options options;
   options.workers = 1;
@@ -772,6 +866,7 @@ TEST(EngineOverloadTest, QueueCapShedsWithTypedUnavailable) {
   EXPECT_TRUE(q1.Wait().ok());
   EXPECT_TRUE(resumed.Wait().ok());
   EXPECT_FALSE(engine.stats().overloaded);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/3);
 }
 
 TEST(EngineOverloadTest, WatermarkHysteresisHoldsUntilLowWatermark) {
@@ -823,6 +918,7 @@ TEST(EngineOverloadTest, WatermarkHysteresisHoldsUntilLowWatermark) {
 }
 
 TEST(EngineOverloadTest, ExpiredQueuedJobShedAtDequeueRefundsTenant) {
+  const RegistrySnapshot before = SnapshotRegistry();
   const SharedWorkload workload;
   BudgetManager budgets;
   ASSERT_TRUE(
@@ -857,9 +953,11 @@ TEST(EngineOverloadTest, ExpiredQueuedJobShedAtDequeueRefundsTenant) {
   const StatusOr<PrivacyBudget> refunded = budgets.Remaining("late");
   ASSERT_TRUE(refunded.ok());
   EXPECT_NEAR(refunded->epsilon, 1.0, 1e-12);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1);
 }
 
 TEST(EngineOverloadTest, PerTenantInflightCapShedsAndRefunds) {
+  const RegistrySnapshot before = SnapshotRegistry();
   const SharedWorkload workload;
   BudgetManager budgets;
   ASSERT_TRUE(
@@ -916,6 +1014,7 @@ TEST(EngineOverloadTest, PerTenantInflightCapShedsAndRefunds) {
   const StatusOr<PrivacyBudget> remaining = budgets.Remaining("flood");
   ASSERT_TRUE(remaining.ok());
   EXPECT_NEAR(remaining->epsilon, 8.0, 1e-12);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/4);
 }
 
 TEST(EngineScenarioTest, EngineSweepMatchesSequentialRunTrials) {
