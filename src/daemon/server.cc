@@ -388,11 +388,12 @@ void Server::HandleCancel(int fd, const net::Frame& frame) {
 void Server::HandleStats(int fd) {
   net::StatsReply reply;
   reply.engine = engine_->stats();
-  for (const TenantConfig& tenant : options_.tenants) {
-    StatusOr<BudgetManager::TenantStats> stats = budgets_.Stats(tenant.name);
+  // TenantNames(), as in HandleBudget: recovered tenants are listed too.
+  for (const std::string& name : budgets_.TenantNames()) {
+    StatusOr<BudgetManager::TenantStats> stats = budgets_.Stats(name);
     if (!stats.ok()) continue;
     net::StatsReply::TenantRow row;
-    row.name = tenant.name;
+    row.name = name;
     row.total = stats.value().total;
     row.spent = stats.value().spent;
     row.admitted = stats.value().admitted;

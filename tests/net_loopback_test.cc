@@ -18,7 +18,9 @@
 #include "daemon/server.h"
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
+#include <filesystem>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -252,6 +254,46 @@ TEST(NetLoopback, OverBudgetTenantRejectedAtSocketWhileOthersProceed) {
   }
   EXPECT_TRUE(saw_alpha);
   EXPECT_EQ(stats.value().engine.budget_rejected, 1u);
+}
+
+TEST(NetLoopback, StatsListsTenantsKnownOnlyFromRecovery) {
+  std::string tmpl = ::testing::TempDir() + "htdp_stats_tenants_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
+  const std::string state_dir = tmpl;
+
+  // First life: alpha and beta configured, one fit charged to beta.
+  {
+    daemon::ServerOptions options;
+    options.state_dir = state_dir;
+    options.fsync = dp::FsyncPolicy::kOff;
+    options.tenants.push_back({"alpha", PrivacyBudget::Approx(2.0, 0.1)});
+    options.tenants.push_back({"beta", PrivacyBudget::Approx(2.0, 0.1)});
+    TestServer server(std::move(options));
+    auto client = server.Connect();
+    auto job = client->Submit(TestSubmit(5, "beta", 1.0));
+    ASSERT_TRUE(job.ok()) << job.status().message();
+    ASSERT_TRUE(client->WaitResult(job.value()).ok());
+  }
+
+  // Second life on the same ledger with only alpha configured: beta is
+  // known only from recovery, and STATS must list it just as BUDGET does.
+  daemon::ServerOptions options;
+  options.state_dir = state_dir;
+  options.fsync = dp::FsyncPolicy::kOff;
+  options.tenants.push_back({"alpha", PrivacyBudget::Approx(2.0, 0.1)});
+  TestServer server(std::move(options));
+  auto client = server.Connect();
+  auto stats = client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().message();
+  bool saw_beta = false;
+  for (const auto& row : stats.value().tenants) {
+    if (row.name != "beta") continue;
+    saw_beta = true;
+    EXPECT_DOUBLE_EQ(row.spent.epsilon, 1.0);
+  }
+  EXPECT_TRUE(saw_beta);
+  server.StopAndJoin();
+  std::filesystem::remove_all(state_dir);
 }
 
 TEST(NetLoopback, UnknownSolverAndUnknownJobAreTypedErrors) {
