@@ -13,6 +13,9 @@
 #   * the scrape carries the acceptance series: per-tenant fit-latency
 #     histogram with derived p50/p99, queue-depth gauge, and the tenant
 #     budget burn-down gauges;
+#   * `htdpctl --json stats` reports the same submitted / completed /
+#     succeeded / budget_rejected counts as the scraped
+#     htdp_engine_jobs_*_total counters (one Engine, one set of numbers);
 #   * `htdpctl metrics` (JSON) is a JSON object with the three sections;
 #   * `htdpctl trace --out` writes Chrome trace-event JSON (the Perfetto
 #     format) containing solver-iteration, engine-job and daemon-frame
@@ -165,6 +168,23 @@ expect_series "daemon submit frames" \
     'htdp_daemon_frames_received_total\{type="submit"\} 4'
 expect_series "event-loop poll gauge" 'htdp_event_loop_poll_seconds'
 expect_series "connection gauge" 'htdp_net_connections'
+
+# --- STATS and METRICS agree -----------------------------------------------
+# htdpd runs one Engine, so its EngineStats (the STATS reply) and the
+# process-wide engine counters just scraped must be the same numbers.
+
+run_expect 0 "stats --json" --json stats
+for field in submitted completed succeeded budget_rejected; do
+  stats_value=$(sed -n "s/.*\"$field\": \([0-9]*\).*/\1/p" "$WORK/out")
+  scraped=$(sed -n "s/^htdp_engine_jobs_${field}_total \([0-9]*\)$/\1/p" \
+      "$PROM")
+  if [[ -z "$stats_value" || "$stats_value" != "$scraped" ]]; then
+    fail "stats $field=${stats_value:-?} but scraped" \
+        "htdp_engine_jobs_${field}_total=${scraped:-?}"
+  else
+    echo "ok: stats and metrics agree on $field ($stats_value)"
+  fi
+done
 
 # --- JSON export ----------------------------------------------------------
 

@@ -1,6 +1,7 @@
 #include "api/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -24,73 +25,63 @@ namespace engine_internal {
 
 using Clock = std::chrono::steady_clock;
 
-/// Shared monotonic epoch with the observability layer (satellite: rates
-/// and uptimes derive from one steady clock, never wall time).
-double MonotonicSeconds() { return obs::MonotonicSeconds(); }
-
-/// Registry handles for the engine's exported metrics, resolved once.
-/// Several Engines in one process (tests, sharded setups) share these --
-/// the counters aggregate, which matches how stats() consumers sum them.
-struct EngineMetrics {
-  obs::Counter* submitted;
-  obs::Counter* completed;
-  obs::Counter* succeeded;
-  obs::Counter* failed;
-  obs::Counter* cancelled;
-  obs::Counter* deadline_exceeded;
-  obs::Counter* budget_rejected;
-  obs::Counter* shed;
-  obs::Counter* shed_expired;
-  obs::Counter* stolen;
-  obs::Counter* steal_failures;
-  obs::Gauge* queue_depth;
-  obs::Gauge* running;
-  obs::Gauge* overloaded;
+/// The Engine's job counters. Each lives in two stores with one writer,
+/// Count(): EngineShared::counts (this Engine's value, read by stats()) and
+/// the registry series of its kBuckets row (the process-wide total over
+/// every Engine). The outcome buckets, kSucceeded through kShedExpired, are
+/// counted only by FinishLocked.
+enum Bucket : std::size_t {
+  kSubmitted,
+  kCompleted,
+  kSucceeded,
+  kFailed,
+  kCancelled,
+  kDeadlineExceeded,
+  kBudgetRejected,
+  kShed,
+  kShedExpired,
+  kStolen,
+  kStealFailures,
+  kBucketCount,
 };
 
-EngineMetrics& Met() {
-  static EngineMetrics* metrics = [] {
-    obs::MetricRegistry& r = obs::MetricRegistry::Global();
-    auto* m = new EngineMetrics();
-    m->submitted = r.GetCounter("htdp_engine_jobs_submitted_total",
-                                "Jobs submitted to the Engine");
-    m->completed = r.GetCounter("htdp_engine_jobs_completed_total",
-                                "Jobs completed (all outcomes)");
-    m->succeeded = r.GetCounter("htdp_engine_jobs_succeeded_total",
-                                "Jobs that produced a FitResult");
-    m->failed = r.GetCounter("htdp_engine_jobs_failed_total",
-                             "Jobs that completed with an error");
-    m->cancelled = r.GetCounter("htdp_engine_jobs_cancelled_total",
-                                "Jobs cancelled before or during a fit");
-    m->deadline_exceeded =
-        r.GetCounter("htdp_engine_jobs_deadline_exceeded_total",
-                     "Jobs that missed their deadline");
-    m->budget_rejected =
-        r.GetCounter("htdp_engine_jobs_budget_rejected_total",
-                     "Submissions rejected by tenant budget admission");
-    m->shed = r.GetCounter("htdp_engine_jobs_shed_total",
-                           "Submissions shed by overload admission");
-    m->shed_expired =
-        r.GetCounter("htdp_engine_jobs_shed_expired_total",
-                     "Queued jobs shed because their deadline expired");
-    m->stolen = r.GetCounter("htdp_engine_jobs_stolen_total",
-                             "Jobs taken from another worker's deque");
-    m->steal_failures =
-        r.GetCounter("htdp_engine_steal_failures_total",
-                     "Steal sweeps that found the backlog already claimed");
-    m->queue_depth =
-        r.GetGauge("htdp_engine_queue_depth", "Jobs waiting in the queue");
-    m->running =
-        r.GetGauge("htdp_engine_jobs_running", "Jobs currently on a worker");
-    m->overloaded = r.GetGauge("htdp_engine_overloaded",
-                               "1 while the shed watermark latch is on");
-    return m;
-  }();
-  return *metrics;
-}
+/// One row per Bucket, in enum order. `parent` is the coarser bucket an
+/// outcome also counts in, and every outcome chains up to kCompleted: a shed
+/// job is failed and completed, an expired one deadline-exceeded and
+/// completed. Buckets that are not outcomes name themselves.
+struct BucketRow {
+  const char* metric;
+  const char* help;
+  Bucket parent;
+};
+constexpr BucketRow kBuckets[kBucketCount] = {
+    {"htdp_engine_jobs_submitted_total", "Jobs submitted to the Engine",
+     kSubmitted},
+    {"htdp_engine_jobs_completed_total", "Jobs completed (all outcomes)",
+     kCompleted},
+    {"htdp_engine_jobs_succeeded_total", "Jobs that produced a FitResult",
+     kCompleted},
+    {"htdp_engine_jobs_failed_total", "Jobs that completed with an error",
+     kCompleted},
+    {"htdp_engine_jobs_cancelled_total",
+     "Jobs cancelled before or during a fit", kCompleted},
+    {"htdp_engine_jobs_deadline_exceeded_total",
+     "Jobs that missed their deadline", kCompleted},
+    {"htdp_engine_jobs_budget_rejected_total",
+     "Submissions rejected by tenant budget admission", kFailed},
+    {"htdp_engine_jobs_shed_total", "Submissions shed by overload admission",
+     kFailed},
+    {"htdp_engine_jobs_shed_expired_total",
+     "Queued jobs shed because their deadline expired", kDeadlineExceeded},
+    {"htdp_engine_jobs_stolen_total", "Jobs taken from another worker's deque",
+     kStolen},
+    {"htdp_engine_steal_failures_total",
+     "Steal sweeps that found the backlog already claimed", kStealFailures},
+};
 
-/// Per-tenant end-to-end fit latency (submit -> completion). The label
-/// value "none" keeps untenanted jobs out of the empty-label series.
+/// Per-tenant end-to-end fit latency (submit -> completion) of the jobs a
+/// worker ran. The label value "none" keeps untenanted jobs out of the
+/// empty-label series.
 void ObserveFitLatency(const std::string& tenant, double seconds) {
   obs::MetricRegistry::Global()
       .GetHistogram("htdp_fit_latency_seconds",
@@ -114,19 +105,21 @@ void ObserveFitLatency(const std::string& tenant, double seconds) {
 ///   pop path contends per shard, not globally.
 /// - Ring membership is completion ownership: whichever path removes a
 ///   record from its shard (worker pop, Cancel's Remove, Shutdown's
-///   DrainAll) is the unique path that completes and counts it. This
-///   replaces the old "records in the queue are only completed under mu"
-///   arbitration and keeps every job counted exactly once.
+///   DrainAll) is the unique path that finishes it, through FinishLocked.
+///   Inline rejections at Submit never enter a ring and are finished there.
+///   Either way every job is finished and counted exactly once.
 /// - `queue_depth` is the global backlog estimate: incremented under `mu`
 ///   just before the push (so work_cv waiters never miss work -- the
 ///   predicate state changes inside the critical section), decremented
 ///   atomically at every removal. Increment-before-push means the counter
 ///   can transiently exceed the ring contents but never underflows.
 /// - `inflight` (guarded by `mu`) counts jobs from enqueue to completion --
-///   including the pop-to-RunJob handoff where a job is in no ring and not
+///   including the pop-to-claim handoff where a job is in no ring and not
 ///   yet `running` -- so Drain() has an exact predicate.
-/// - Lock order: `mu` -> a shard's internal lock -> a record's mu. Workers
-///   may take a shard lock without `mu`, but never the reverse nesting.
+/// - Lock order: `mu` -> a shard's internal lock -> a record's mu, and `mu`
+///   -> the BudgetManager's lock (FinishLocked closes reservations under
+///   `mu`). Workers may take a shard lock without `mu`, but never the
+///   reverse nesting.
 struct EngineShared {
   std::mutex mu;
   std::condition_variable work_cv;  // backlog became non-empty / stopping
@@ -136,9 +129,8 @@ struct EngineShared {
   std::vector<obs::Gauge*> depth_gauges;  // per-shard depth, worker label
   std::atomic<std::size_t> queue_depth{0};
   std::atomic<std::size_t> rr_next{0};  // round-robin cursor, untenanted jobs
-  std::atomic<std::size_t> steals{0};
-  std::atomic<std::size_t> steal_failures{0};
   std::size_t inflight = 0;  // enqueued jobs not yet completed (guarded by mu)
+  std::size_t running = 0;   // claimed by a worker, not finished (guarded by mu)
   bool stop = false;
 
   /// Tenant-budget ledger (Options::budgets). Not owned; set once at Engine
@@ -153,109 +145,93 @@ struct EngineShared {
   bool overloaded = false;
   std::map<std::string, std::size_t> tenant_inflight;
 
-  // Counters (guarded by mu). Every submitted job increments `completed`
-  // exactly once: at Submit for inline failures, in RunJob's finish, in
-  // Cancel's queued branch, or in Shutdown's orphan sweep.
-  std::size_t submitted = 0;
-  std::size_t completed = 0;
-  std::size_t succeeded = 0;
-  std::size_t failed = 0;
-  std::size_t cancelled = 0;
-  std::size_t deadline_exceeded = 0;
-  std::size_t budget_rejected = 0;
-  std::size_t unavailable_rejected = 0;
-  std::size_t shed_expired = 0;
-  std::size_t running = 0;
+  /// This Engine's counters, indexed by Bucket and written only by Count().
+  /// Submissions and outcomes are counted under `mu`, so a stats() snapshot
+  /// is consistent; the steal buckets are counted lock-free by DequeueWork.
+  std::array<std::atomic<std::size_t>, kBucketCount> counts{};
 
-  const double start_seconds = MonotonicSeconds();
+  const double start_seconds = obs::MonotonicSeconds();
 };
+
+/// Bumps one counter in both of its stores (see Bucket).
+void Count(EngineShared& engine, Bucket bucket) {
+  static const std::array<obs::Counter*, kBucketCount> registry = [] {
+    std::array<obs::Counter*, kBucketCount> counters{};
+    for (std::size_t b = 0; b < kBucketCount; ++b) {
+      counters[b] = obs::MetricRegistry::Global().GetCounter(
+          kBuckets[b].metric, kBuckets[b].help);
+    }
+    return counters;
+  }();
+  engine.counts[bucket].fetch_add(1, std::memory_order_relaxed);
+  registry[bucket]->Increment();
+}
+
+/// Publishes the load gauges from the state they mirror; the one writer of
+/// every engine gauge. Caller holds `mu`. A `shard` >= 0 also refreshes
+/// that worker's deque-depth gauge, the only shard the caller changed.
+void PublishGaugesLocked(EngineShared& engine, int shard) {
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  static obs::Gauge* const queue_depth =
+      registry.GetGauge("htdp_engine_queue_depth", "Jobs waiting in the queue");
+  static obs::Gauge* const running = registry.GetGauge(
+      "htdp_engine_jobs_running", "Jobs currently on a worker");
+  static obs::Gauge* const overloaded = registry.GetGauge(
+      "htdp_engine_overloaded", "1 while the shed watermark latch is on");
+  queue_depth->Set(static_cast<double>(
+      engine.queue_depth.load(std::memory_order_relaxed)));
+  running->Set(static_cast<double>(engine.running));
+  overloaded->Set(engine.overloaded ? 1.0 : 0.0);
+  if (shard >= 0) {
+    const auto s = static_cast<std::size_t>(shard);
+    engine.depth_gauges[s]->Set(static_cast<double>(engine.shards[s]->size()));
+  }
+}
 
 /// Shared state of one submitted job. The Engine and every JobHandle copy
 /// hold it through a shared_ptr; its own mutex/cv make Wait() independent
 /// of the Engine's lifetime (the Engine completes all jobs before dying).
-///
-/// Stage transitions (guarded by `mu`): kQueued -> kRunning -> kDone, or
-/// kQueued -> kDone directly when Cancel()/Shutdown() completes a job that
-/// never ran. Lock order: the EngineShared mu is always acquired before a
-/// record's mu, never the other way around.
 struct JobRecord {
-  enum class Stage { kQueued, kRunning, kDone };
-
   FitJob job;
   const Solver* solver = nullptr;  // resolved at Submit; null on lookup error
-  std::shared_ptr<EngineShared> engine;  // null once completed inline
+  std::shared_ptr<EngineShared> engine;  // set when enqueued, else null
   std::atomic<bool> cancel{false};
   bool has_deadline = false;
   Clock::time_point deadline;
 
   /// Shard the job was enqueued on; -1 until enqueued (inline-completed
   /// jobs never get one). Written once in Submit before the record is
-  /// published to the shard, read by Cancel under the engine mutex.
+  /// published to the shard.
   int shard_index = -1;
 
   /// obs::NowNanos() at Submit entry; start edge of the engine.queue_wait
   /// span and the origin of the per-tenant fit-latency observation.
   std::uint64_t submit_ns = 0;
 
-  /// True while the job holds a tenant-budget reservation. Only the path
-  /// that completes the job (the unique Complete() winner) reads or clears
-  /// it, so no extra synchronization is needed.
+  /// The tenant-budget reservation opened at Submit (BudgetManager::Reserve),
+  /// open while `charged`. FinishLocked closes it exactly once.
   bool charged = false;
-
-  /// The open reservation backing `charged` (BudgetManager::Reserve at
-  /// Submit). Closed exactly once: CommitIfCharged when the job released
-  /// mechanism output, RefundIfCharged when it provably never ran.
   BudgetManager::ReservationId reservation = 0;
 
-  /// True while the job counts against its tenant's inflight cap. Guarded
-  /// by the ENGINE mutex (the count lives in EngineShared::tenant_inflight).
-  bool counted_inflight = false;
-
-  /// Aborts the tenant reservation of a job that released no mechanism
-  /// output: the budget becomes available again (journaled as ABORT when
-  /// the manager is durable). Call only from the completing path.
-  void RefundIfCharged(BudgetManager* budgets) {
-    if (!charged || budgets == nullptr) return;
-    (void)budgets->Abort(reservation);
-    charged = false;
-  }
-
-  /// Finalizes the reservation of a job whose fit ran (or may have run):
-  /// the spend is permanent (journaled as COMMIT when the manager is
-  /// durable). Call only from the completing path.
-  void CommitIfCharged(BudgetManager* budgets) {
-    if (!charged || budgets == nullptr) return;
-    (void)budgets->Commit(reservation);
-    charged = false;
-  }
+  // Guarded by the ENGINE mutex.
+  bool counted_inflight = false;  // holds a slot in tenant_inflight
+  bool running = false;           // claimed by a worker; counted in `running`
 
   std::mutex mu;
   std::condition_variable cv;
-  Stage stage = Stage::kQueued;
-  std::optional<StatusOr<FitResult>> result;
+  std::optional<StatusOr<FitResult>> result;  // set once, under mu = done
 
-  /// Publishes the outcome unless the job already completed (e.g. a
-  /// queued-job Cancel() raced with shutdown). Returns whether this call
-  /// won.
-  bool Complete(StatusOr<FitResult> outcome) {
+  bool Expired() const { return has_deadline && Clock::now() >= deadline; }
+
+  /// Publishes the outcome and wakes the Wait()ers. Called once, by
+  /// FinishLocked.
+  void Complete(StatusOr<FitResult> outcome) {
     {
       const std::lock_guard<std::mutex> lock(mu);
-      if (stage == Stage::kDone) return false;
+      HTDP_DCHECK(!result.has_value()) << Describe() << " completed twice";
       result.emplace(std::move(outcome));
-      stage = Stage::kDone;
     }
     cv.notify_all();
-    return true;
-  }
-
-  /// Queued -> Running claim by the worker that popped the record from a
-  /// shard. Ring membership already made that worker the unique completion
-  /// owner, so this "cannot" fail; the check stays as a defensive guard.
-  bool TryStartRunning() {
-    const std::lock_guard<std::mutex> lock(mu);
-    if (stage == Stage::kDone) return false;
-    stage = Stage::kRunning;
-    return true;
   }
 
   std::string Describe() const {
@@ -265,19 +241,43 @@ struct JobRecord {
   }
 };
 
-/// Returns the job's slot in its tenant's inflight count. Caller must hold
-/// the engine mutex; idempotent (every completion path calls it once).
-void ReleaseTenantInflightLocked(EngineShared& engine, JobRecord& record) {
-  if (!record.counted_inflight) return;
-  record.counted_inflight = false;
-  const auto it = engine.tenant_inflight.find(record.job.tenant);
-  if (it != engine.tenant_inflight.end()) {
-    if (it->second <= 1) {
-      engine.tenant_inflight.erase(it);
-    } else {
-      --it->second;
-    }
+/// The one completion path. Every job -- rejected inline at Submit,
+/// cancelled while queued, shed at dequeue, run by a worker or swept by
+/// Shutdown -- is finished here exactly once, by the path that owns its
+/// completion. Caller holds `engine.mu` and notifies `idle_cv` after
+/// unlocking. The reservation closes and the outcome is counted BEFORE the
+/// result is published, so a waiter that sees its result finds the budget
+/// settled and both stats() and METRICS already counting the job.
+void FinishLocked(EngineShared& engine, JobRecord& record,
+                  StatusOr<FitResult> result, Bucket outcome) {
+  if (record.charged) {
+    // A job that never reached a solver released nothing, nor did one the
+    // solver rejected in its up-front validation (every solver validates
+    // before its first mechanism invocation): its reservation is aborted.
+    // Any other fit that ran -- even one stopped mid-fit -- released
+    // mechanism output, so its spend commits.
+    const StatusCode code = result.status().code();
+    const bool released = record.running &&
+                          code != StatusCode::kInvalidProblem &&
+                          code != StatusCode::kBudgetExhausted &&
+                          code != StatusCode::kShapeMismatch &&
+                          code != StatusCode::kUnknownSolver;
+    (void)(released ? engine.budgets->Commit(record.reservation)
+                    : engine.budgets->Abort(record.reservation));
+    record.charged = false;
   }
+  for (Bucket b = outcome;; b = kBuckets[b].parent) {
+    Count(engine, b);
+    if (b == kCompleted) break;
+  }
+  record.Complete(std::move(result));
+  if (record.shard_index >= 0) --engine.inflight;
+  if (record.running) --engine.running;
+  if (record.counted_inflight) {
+    const auto it = engine.tenant_inflight.find(record.job.tenant);
+    if (--it->second == 0) engine.tenant_inflight.erase(it);
+  }
+  PublishGaugesLocked(engine, record.shard_index);
 }
 
 std::size_t ShardForTenant(const std::string& tenant,
@@ -295,9 +295,10 @@ std::size_t ShardForTenant(const std::string& tenant,
 
 }  // namespace engine_internal
 
+using engine_internal::Bucket;
 using engine_internal::EngineShared;
+using engine_internal::FinishLocked;
 using engine_internal::JobRecord;
-using engine_internal::ReleaseTenantInflightLocked;
 
 const std::string& JobHandle::tag() const {
   HTDP_CHECK(record_ != nullptr) << "JobHandle is empty";
@@ -307,7 +308,7 @@ const std::string& JobHandle::tag() const {
 bool JobHandle::done() const {
   HTDP_CHECK(record_ != nullptr) << "JobHandle is empty";
   const std::lock_guard<std::mutex> lock(record_->mu);
-  return record_->stage == JobRecord::Stage::kDone;
+  return record_->result.has_value();
 }
 
 void JobHandle::Cancel() {
@@ -315,61 +316,35 @@ void JobHandle::Cancel() {
   record_->cancel.store(true, std::memory_order_release);
   const std::shared_ptr<EngineShared> engine = record_->engine;
   if (engine == nullptr) return;  // completed inline at Submit
-  // A job that has not started yet completes right here -- removed from
-  // its shard with the counters updated -- so Wait()/done()/stats() all
-  // observe the cancellation immediately, not after a worker drains to it.
-  // A running job only gets the flag; the should_stop hook picks it up at
-  // the next iteration boundary.
+  // A job that has not started yet completes right here, so Wait()/done()/
+  // stats() all observe the cancellation immediately, not after a worker
+  // drains to it. A running job only gets the flag; the should_stop hook
+  // picks it up at the next iteration boundary.
   //
   // Ring membership is the arbitration: workers pop shards WITHOUT the
-  // engine mutex, so a stage check alone cannot decide who completes the
-  // job -- whichever path removes the record from its shard (this Remove, a
-  // worker pop, Shutdown's sweep) is the unique completion owner. Remove
-  // failing means a worker already claimed the job (it observes `cancel` at
-  // its pre-run check or next iteration poll) or it already completed.
-  bool completed = false;
+  // engine mutex, so whichever path removes the record from its shard (this
+  // Remove, a worker pop, Shutdown's sweep) is the unique completion owner.
+  // Remove failing means a worker already claimed the job (it observes
+  // `cancel` at dequeue or at its next iteration poll) or it completed.
   {
     const std::lock_guard<std::mutex> engine_lock(engine->mu);
-    if (record_->shard_index >= 0 &&
-        engine->shards[static_cast<std::size_t>(record_->shard_index)]
-            ->Remove(record_)) {
-      const std::size_t depth =
-          engine->queue_depth.fetch_sub(1, std::memory_order_relaxed) - 1;
-      // Removing the record from its ring made this path the unique
-      // completion owner; close the reservation before the result becomes
-      // observable so Wait() never races the refund.
-      record_->RefundIfCharged(engine->budgets);  // cancelled before running
-      {
-        const std::lock_guard<std::mutex> record_lock(record_->mu);
-        record_->result.emplace(Status::Cancelled(
-            record_->Describe() + " cancelled before it started"));
-        record_->stage = JobRecord::Stage::kDone;
-      }
-      ++engine->completed;
-      ++engine->cancelled;
-      --engine->inflight;
-      engine_internal::Met().completed->Increment();
-      engine_internal::Met().cancelled->Increment();
-      engine_internal::Met().queue_depth->Set(static_cast<double>(depth));
-      engine->depth_gauges[static_cast<std::size_t>(record_->shard_index)]
-          ->Set(static_cast<double>(
-              engine->shards[static_cast<std::size_t>(record_->shard_index)]
-                  ->size()));
-      ReleaseTenantInflightLocked(*engine, *record_);
-      completed = true;
+    if (!engine->shards[static_cast<std::size_t>(record_->shard_index)]
+             ->Remove(record_)) {
+      return;
     }
+    engine->queue_depth.fetch_sub(1, std::memory_order_relaxed);
+    FinishLocked(*engine, *record_,
+                 Status::Cancelled(record_->Describe() +
+                                   " cancelled before it started"),
+                 Bucket::kCancelled);
   }
-  if (completed) {
-    record_->cv.notify_all();
-    engine->idle_cv.notify_all();
-  }
+  engine->idle_cv.notify_all();
 }
 
 const StatusOr<FitResult>& JobHandle::Wait() const& {
   HTDP_CHECK(record_ != nullptr) << "JobHandle is empty";
   std::unique_lock<std::mutex> lock(record_->mu);
-  record_->cv.wait(
-      lock, [&] { return record_->stage == JobRecord::Stage::kDone; });
+  record_->cv.wait(lock, [&] { return record_->result.has_value(); });
   return *record_->result;
 }
 
@@ -431,7 +406,6 @@ JobHandle Engine::Submit(FitJob job) {
   auto record = std::make_shared<JobRecord>();
   record->job = std::move(job);
   record->submit_ns = obs::NowNanos();
-  engine_internal::Met().submitted->Increment();
   if (record->job.deadline_seconds > 0.0) {
     record->has_deadline = true;
     record->deadline =
@@ -440,37 +414,28 @@ JobHandle Engine::Submit(FitJob job) {
             std::chrono::duration<double>(record->job.deadline_seconds));
   }
 
-  // Resolve the solver up front so an unknown name fails fast with the
-  // registry's typed Status (listing the known names) instead of occupying
-  // a worker.
-  if (record->job.solver != nullptr) {
-    record->solver = record->job.solver;
-  } else {
+  // Inline rejections complete the job right here, before it can reach a
+  // worker; `outcome` is their counter bucket. An unknown solver name fails
+  // fast with the registry's typed Status (listing the known names).
+  Status rejected = Status::Ok();
+  Bucket outcome = Bucket::kFailed;
+  record->solver = record->job.solver;
+  if (record->solver == nullptr) {
     StatusOr<const Solver*> found =
         SolverRegistry::Global().Find(record->job.solver_name);
-    if (!found.ok()) {
-      {
-        const std::lock_guard<std::mutex> lock(state_->mu);
-        ++state_->submitted;
-        ++state_->completed;
-        ++state_->failed;
-        record->Complete(found.status());
-      }
-      engine_internal::Met().completed->Increment();
-      engine_internal::Met().failed->Increment();
-      state_->idle_cv.notify_all();
-      return JobHandle(std::move(record));
+    if (found.ok()) {
+      record->solver = *found;
+    } else {
+      rejected = found.status();
     }
-    record->solver = *found;
   }
 
   // Tenant-budget admission: reserve the job's spec.budget from its named
-  // tenant before it can reach a worker. Rejections complete inline with
-  // the manager's typed Status (kBudgetExhausted when the budget is spent,
-  // kInvalidProblem for an unknown tenant or an Engine without a
-  // BudgetManager) -- no work runs, no privacy is spent. Reservation takes
-  // only the manager's own lock, never the engine mutex.
-  if (!record->job.tenant.empty()) {
+  // tenant. Rejections carry the manager's typed Status (kBudgetExhausted
+  // when the budget is spent, kInvalidProblem for an unknown tenant or an
+  // Engine without a BudgetManager) -- no work runs, no privacy is spent.
+  // Reservation takes only the manager's own lock, never the engine mutex.
+  if (rejected.ok() && !record->job.tenant.empty()) {
     StatusOr<BudgetManager::ReservationId> reservation =
         state_->budgets != nullptr
             ? state_->budgets->Reserve(record->job.tenant,
@@ -480,54 +445,34 @@ JobHandle Engine::Submit(FitJob job) {
                   record->job.tenant +
                   "\" but the Engine has no BudgetManager "
                   "(set Engine::Options::budgets)"));
-    Status reserved = reservation.status();
-    if (!reserved.ok()) {
-      const bool exhausted =
-          reserved.code() == StatusCode::kBudgetExhausted;
-      {
-        const std::lock_guard<std::mutex> lock(state_->mu);
-        ++state_->submitted;
-        ++state_->completed;
-        ++state_->failed;
-        if (exhausted) {
-          ++state_->budget_rejected;
-        }
-        record->Complete(std::move(reserved));
+    if (reservation.ok()) {
+      record->charged = true;
+      record->reservation = reservation.value();
+    } else {
+      rejected = reservation.status();
+      if (rejected.code() == StatusCode::kBudgetExhausted) {
+        outcome = Bucket::kBudgetRejected;
       }
-      engine_internal::Met().completed->Increment();
-      engine_internal::Met().failed->Increment();
-      if (exhausted) engine_internal::Met().budget_rejected->Increment();
-      state_->idle_cv.notify_all();
-      return JobHandle(std::move(record));
     }
-    record->charged = true;
-    record->reservation = reservation.value();
   }
 
-  bool rejected = false;
-  bool shed = false;
+  bool admitted = false;
   {
     const std::lock_guard<std::mutex> lock(state_->mu);
-    ++state_->submitted;
-    if (state_->stop) {
-      ++state_->completed;
-      ++state_->cancelled;
-      record->RefundIfCharged(state_->budgets);  // never ran
-      record->Complete(Status::Cancelled(record->Describe() +
-                                         " submitted after Engine shutdown"));
-      rejected = true;
-    } else if (Status admitted = AdmitLocked(*record); !admitted.ok()) {
+    engine_internal::Count(*state_, Bucket::kSubmitted);
+    if (rejected.ok() && state_->stop) {
+      rejected = Status::Cancelled(record->Describe() +
+                                   " submitted after Engine shutdown");
+      outcome = Bucket::kCancelled;
+    } else if (rejected.ok()) {
       // Overload shedding: the queue watermark latch or the tenant inflight
-      // cap refused the job. kUnavailable is retryable by contract -- the
-      // job never ran, and the reservation is closed BEFORE the completion
-      // publishes so no observer can see a shed job still holding budget.
-      ++state_->completed;
-      ++state_->failed;
-      ++state_->unavailable_rejected;
-      record->RefundIfCharged(state_->budgets);  // never ran
-      record->Complete(std::move(admitted));
-      rejected = true;
-      shed = true;
+      // cap may refuse the job with kUnavailable, retryable by contract.
+      rejected = AdmitLocked(*record);
+      outcome = Bucket::kShed;
+    }
+    admitted = rejected.ok();
+    if (!admitted) {
+      FinishLocked(*state_, *record, std::move(rejected), outcome);
     } else {
       record->engine = state_;
       // Shard choice: tenant-named jobs hash to a stable shard (tenant
@@ -547,32 +492,22 @@ JobHandle Engine::Submit(FitJob job) {
       // increment, or the unsigned counter would transiently wrap. The
       // whole enqueue happens under `mu`, so work_cv waiters still cannot
       // observe the backlog without the predicate being true.
-      const std::size_t depth =
-          state_->queue_depth.fetch_add(1, std::memory_order_relaxed) + 1;
+      state_->queue_depth.fetch_add(1, std::memory_order_relaxed);
       HTDP_CHECK(state_->shards[shard]->PushBack(record))
           << "shard " << shard << " over the admission-guaranteed bound";
-      engine_internal::Met().queue_depth->Set(static_cast<double>(depth));
-      state_->depth_gauges[shard]->Set(
-          static_cast<double>(state_->shards[shard]->size()));
       if (!record->job.tenant.empty() &&
           state_->max_inflight_per_tenant > 0) {
         ++state_->tenant_inflight[record->job.tenant];
         record->counted_inflight = true;
       }
+      engine_internal::PublishGaugesLocked(*state_, record->shard_index);
     }
   }
-  if (rejected) {
-    engine_internal::Met().completed->Increment();
-    if (shed) {
-      engine_internal::Met().failed->Increment();
-      engine_internal::Met().shed->Increment();
-    } else {
-      engine_internal::Met().cancelled->Increment();
-    }
+  if (admitted) {
+    state_->work_cv.notify_one();
+  } else {
     state_->idle_cv.notify_all();
-    return JobHandle(std::move(record));
   }
-  state_->work_cv.notify_one();
   return JobHandle(std::move(record));
 }
 
@@ -585,11 +520,9 @@ Status Engine::AdmitLocked(engine_internal::JobRecord& record) {
         state_->queue_depth.load(std::memory_order_relaxed);
     if (state_->overloaded && depth <= state_->queue_resume_depth) {
       state_->overloaded = false;
-      engine_internal::Met().overloaded->Set(0.0);
     }
     if (!state_->overloaded && depth >= state_->max_queue_depth) {
       state_->overloaded = true;
-      engine_internal::Met().overloaded->Set(1.0);
     }
     if (state_->overloaded) {
       return Status::Unavailable(
@@ -623,9 +556,6 @@ std::shared_ptr<JobRecord> Engine::DequeueWork(int worker_index) {
   // touching anyone else's lock.
   if (shards[static_cast<std::size_t>(worker_index)]->PopBack(&record)) {
     state_->queue_depth.fetch_sub(1, std::memory_order_relaxed);
-    state_->depth_gauges[static_cast<std::size_t>(worker_index)]->Set(
-        static_cast<double>(
-            shards[static_cast<std::size_t>(worker_index)]->size()));
     return record;
   }
   if (state_->queue_depth.load(std::memory_order_relaxed) == 0) {
@@ -640,16 +570,11 @@ std::shared_ptr<JobRecord> Engine::DequeueWork(int worker_index) {
     const int victim = (worker_index + k) % worker_count_;
     if (shards[static_cast<std::size_t>(victim)]->PopFront(&record)) {
       state_->queue_depth.fetch_sub(1, std::memory_order_relaxed);
-      state_->steals.fetch_add(1, std::memory_order_relaxed);
-      engine_internal::Met().stolen->Increment();
-      state_->depth_gauges[static_cast<std::size_t>(victim)]->Set(
-          static_cast<double>(shards[static_cast<std::size_t>(victim)]
-                                  ->size()));
+      engine_internal::Count(*state_, Bucket::kStolen);
       return record;
     }
   }
-  state_->steal_failures.fetch_add(1, std::memory_order_relaxed);
-  engine_internal::Met().steal_failures->Increment();
+  engine_internal::Count(*state_, Bucket::kStealFailures);
   return nullptr;
 }
 
@@ -669,54 +594,32 @@ void Engine::WorkerMain(int worker_index) {
       continue;
     }
     // The pop made this worker the record's unique completion owner (ring
-    // membership, see EngineShared). Deadline shedding and the running
-    // claim still happen under the engine mutex so the counters, Drain()'s
-    // inflight and stats() stay consistent.
-    bool shed = false;
+    // membership, see EngineShared). A job cancelled, or whose deadline
+    // expired, while it sat queued is shed right here -- the worker moves on
+    // to the next job instead of spinning up a fit that could only report
+    // kCancelled or kDeadlineExceeded. Otherwise the worker claims it.
     bool claimed = false;
     {
       const std::lock_guard<std::mutex> lock(state_->mu);
-      engine_internal::Met().queue_depth->Set(static_cast<double>(
-          state_->queue_depth.load(std::memory_order_relaxed)));
-      // Deadline-aware shedding: a job whose wall-clock deadline already
-      // expired while it sat queued is completed right here -- the worker
-      // immediately pops the next job instead of spinning up RunJob for a
-      // fit that could only ever report kDeadlineExceeded.
-      if (record->has_deadline &&
-          engine_internal::Clock::now() >= record->deadline) {
-        // The pop made this worker the record's unique completion owner,
-        // so the reservation closes BEFORE the completion publishes: a
-        // waiter that sees the shed finds the budget already returned.
-        record->RefundIfCharged(state_->budgets);  // never ran
-        shed = record->Complete(Status::DeadlineExceeded(
-            record->Describe() + " deadline expired while queued; shed"));
-        if (shed) {
-          ++state_->completed;
-          ++state_->deadline_exceeded;
-          ++state_->shed_expired;
-          engine_internal::Met().completed->Increment();
-          engine_internal::Met().deadline_exceeded->Increment();
-          engine_internal::Met().shed_expired->Increment();
-          ReleaseTenantInflightLocked(*state_, *record);
-        }
-        --state_->inflight;
-      } else if (record->TryStartRunning()) {
-        claimed = true;
-        ++state_->running;
-        engine_internal::Met().running->Set(
-            static_cast<double>(state_->running));
+      if (record->cancel.load(std::memory_order_acquire)) {
+        FinishLocked(*state_, *record,
+                     Status::Cancelled(record->Describe() +
+                                       " cancelled before it started"),
+                     Bucket::kCancelled);
+      } else if (record->Expired()) {
+        FinishLocked(*state_, *record,
+                     Status::DeadlineExceeded(
+                         record->Describe() +
+                         " deadline expired while queued; shed"),
+                     Bucket::kShedExpired);
       } else {
-        // Defensively balance the books for a record that was somehow
-        // completed despite being in a ring; RunJob's finish normally
-        // decrements inflight for claimed records.
-        --state_->inflight;
+        record->running = true;
+        ++state_->running;
+        engine_internal::PublishGaugesLocked(*state_, record->shard_index);
+        claimed = true;
       }
     }
-    if (claimed) {
-      RunJob(*record);
-      state_->idle_cv.notify_all();
-      continue;
-    }
+    if (claimed) RunJob(*record);
     state_->idle_cv.notify_all();
   }
 }
@@ -726,83 +629,6 @@ void Engine::RunJob(JobRecord& record) {
   // covers the full time the job sat before a worker picked it up.
   obs::RecordSpan("engine.queue_wait", record.submit_ns, obs::NowNanos());
   HTDP_TRACE_SPAN("engine.job");
-  // Refunds the tenant reservation when the outcome proves no mechanism
-  // output was released: the job never started, or the solver rejected it
-  // in its up-front validation (every solver validates before its first
-  // mechanism invocation; only kCancelled/kDeadlineExceeded can interrupt a
-  // fit that already released iterations).
-  const auto refund_if_unreleased = [&](const Status& status) {
-    switch (status.code()) {
-      case StatusCode::kInvalidProblem:
-      case StatusCode::kBudgetExhausted:
-      case StatusCode::kShapeMismatch:
-      case StatusCode::kUnknownSolver:
-        record.RefundIfCharged(state_->budgets);
-        break;
-      default:
-        break;
-    }
-  };
-
-  const auto finish = [&](StatusOr<FitResult> outcome,
-                          std::size_t EngineShared::* counter) {
-    // Whatever reservation the refund paths above left standing is now
-    // final: the fit ran (or may have released iterations before a cancel/
-    // deadline stop), so its spend commits. This happens BEFORE the
-    // completion is published -- when Drain() returns, every reservation
-    // is closed and the conservation invariant (open == 0) holds.
-    record.CommitIfCharged(state_->budgets);
-    // Export the obs counters BEFORE publishing the completion: a client
-    // that sees its result and immediately scrapes METRICS must find this
-    // job already counted (the registry is lock-free, so ordering is the
-    // only synchronization the scrape gets).
-    engine_internal::EngineMetrics& met = engine_internal::Met();
-    met.completed->Increment();
-    if (counter == &EngineShared::succeeded) {
-      met.succeeded->Increment();
-    } else if (counter == &EngineShared::failed) {
-      met.failed->Increment();
-    } else if (counter == &EngineShared::cancelled) {
-      met.cancelled->Increment();
-    } else if (counter == &EngineShared::deadline_exceeded) {
-      met.deadline_exceeded->Increment();
-    }
-    engine_internal::ObserveFitLatency(
-        record.job.tenant,
-        static_cast<double>(obs::NowNanos() - record.submit_ns) * 1e-9);
-    {
-      // Publish the result and update the counters in one engine-mutex
-      // critical section (engine mu -> record mu is the global lock order):
-      // when Drain() sees running == 0 the result is already observable,
-      // and when a waiter returns from Wait() the next stats() call --
-      // which must acquire the engine mutex -- already includes this job.
-      const std::lock_guard<std::mutex> lock(state_->mu);
-      record.Complete(std::move(outcome));
-      --state_->running;
-      --state_->inflight;
-      ++state_->completed;
-      ++((*state_).*counter);
-      ReleaseTenantInflightLocked(*state_, record);
-      engine_internal::Met().running->Set(
-          static_cast<double>(state_->running));
-    }
-  };
-
-  if (record.cancel.load(std::memory_order_acquire)) {
-    record.RefundIfCharged(state_->budgets);  // never ran
-    finish(Status::Cancelled(record.Describe() +
-                             " cancelled before it started"),
-           &EngineShared::cancelled);
-    return;
-  }
-  if (record.has_deadline &&
-      engine_internal::Clock::now() >= record.deadline) {
-    record.RefundIfCharged(state_->budgets);  // never ran
-    finish(Status::DeadlineExceeded(record.Describe() +
-                                    " missed its deadline while queued"),
-           &EngineShared::deadline_exceeded);
-    return;
-  }
 
   // Wire cancellation + deadline into the solver's cooperative-stop hook,
   // composing with any caller-installed hook. The hook never touches the
@@ -811,12 +637,8 @@ void Engine::RunJob(JobRecord& record) {
   const std::function<bool()> caller_stop = std::move(spec.should_stop);
   JobRecord* rec = &record;
   spec.should_stop = [rec, caller_stop] {
-    if (rec->cancel.load(std::memory_order_relaxed)) return true;
-    if (rec->has_deadline &&
-        engine_internal::Clock::now() >= rec->deadline) {
-      return true;
-    }
-    return caller_stop && caller_stop();
+    return rec->cancel.load(std::memory_order_relaxed) || rec->Expired() ||
+           (caller_stop && caller_stop());
   };
 
   Rng rng = record.job.rng.has_value() ? *record.job.rng
@@ -824,45 +646,41 @@ void Engine::RunJob(JobRecord& record) {
   StatusOr<FitResult> result =
       record.solver->TryFit(record.job.problem, spec, rng);
 
-  // Solver-produced errors get the job tag prefixed (Engine-generated
-  // cancel/deadline statuses below already carry it via Describe()), so a
-  // sweep's aggregated error log attributes every failure to its cell.
-  const auto tagged = [&](const Status& status) {
-    if (record.job.tag.empty()) return status;
-    return Status::WithCode(status.code(),
-                            record.Describe() + ": " + status.message());
-  };
-
+  Bucket outcome = Bucket::kSucceeded;
+  const StatusCode code = result.status().code();
   if (result.ok()) {
     // Hold the documented deadline contract even when the fit never hit a
     // should_stop poll after the deadline passed (e.g. single-poll alg4):
     // a result delivered late is a deadline miss, not a success.
-    if (record.has_deadline &&
-        engine_internal::Clock::now() >= record.deadline) {
-      finish(Status::DeadlineExceeded(record.Describe() +
-                                      " finished after its deadline"),
-             &EngineShared::deadline_exceeded);
-    } else {
-      finish(std::move(result), &EngineShared::succeeded);
+    if (record.Expired()) {
+      result = Status::DeadlineExceeded(record.Describe() +
+                                        " finished after its deadline");
+      outcome = Bucket::kDeadlineExceeded;
     }
-    return;
-  }
-  if (result.status().code() == StatusCode::kCancelled) {
+  } else if (code == StatusCode::kCancelled &&
+             !record.cancel.load(std::memory_order_acquire) &&
+             record.Expired()) {
     // Attribute the stop: an explicit Cancel() wins; otherwise a deadline
     // overrun mid-fit reports kDeadlineExceeded.
-    if (!record.cancel.load(std::memory_order_acquire) &&
-        record.has_deadline &&
-        engine_internal::Clock::now() >= record.deadline) {
-      finish(Status::DeadlineExceeded(record.Describe() +
-                                      " missed its deadline mid-fit"),
-             &EngineShared::deadline_exceeded);
-    } else {
-      finish(tagged(result.status()), &EngineShared::cancelled);
+    result = Status::DeadlineExceeded(record.Describe() +
+                                      " missed its deadline mid-fit");
+    outcome = Bucket::kDeadlineExceeded;
+  } else {
+    outcome = code == StatusCode::kCancelled ? Bucket::kCancelled
+                                             : Bucket::kFailed;
+    // Solver-produced errors get the job tag prefixed (Engine-generated
+    // statuses already carry it via Describe()), so a sweep's aggregated
+    // error log attributes every failure to its cell.
+    if (!record.job.tag.empty()) {
+      result = Status::WithCode(
+          code, record.Describe() + ": " + result.status().message());
     }
-    return;
   }
-  refund_if_unreleased(result.status());
-  finish(tagged(result.status()), &EngineShared::failed);
+  engine_internal::ObserveFitLatency(
+      record.job.tenant,
+      static_cast<double>(obs::NowNanos() - record.submit_ns) * 1e-9);
+  const std::lock_guard<std::mutex> lock(state_->mu);
+  FinishLocked(*state_, record, std::move(result), outcome);
 }
 
 void Engine::Drain() {
@@ -882,34 +700,22 @@ void Engine::Shutdown() {
     const std::lock_guard<std::mutex> lock(state_->mu);
     if (state_->stop && workers_.empty()) return;  // already shut down
     state_->stop = true;
-    // Sweep every shard and complete the orphans while still holding the
-    // engine mutex (engine mu -> shard lock -> record mu is the global lock
-    // order): draining a ring makes this path each orphan's unique
+    // Sweep every shard and finish the orphans while still holding the
+    // engine mutex: draining a ring makes this path each orphan's unique
     // completion owner, and the results are published before `inflight`
     // drains out of Drain()'s predicate. Jobs already popped by a worker
     // are not orphans -- the join below waits for them to finish.
-    std::size_t swept = 0;
-    for (std::size_t s = 0; s < state_->shards.size(); ++s) {
-      for (const std::shared_ptr<JobRecord>& record :
-           state_->shards[s]->DrainAll()) {
-        record->RefundIfCharged(state_->budgets);  // never ran
-        record->Complete(Status::Cancelled(record->Describe() +
-                                           " cancelled by Engine shutdown"));
-        ++state_->completed;
-        ++state_->cancelled;
-        --state_->inflight;
-        ++swept;
-        engine_internal::Met().completed->Increment();
-        engine_internal::Met().cancelled->Increment();
-        ReleaseTenantInflightLocked(*state_, *record);
+    for (const auto& shard : state_->shards) {
+      for (const std::shared_ptr<JobRecord>& record : shard->DrainAll()) {
+        // fetch_sub, not store: a worker's concurrent pop may be
+        // decrementing the same counter for a job this sweep never saw.
+        state_->queue_depth.fetch_sub(1, std::memory_order_relaxed);
+        FinishLocked(*state_, *record,
+                     Status::Cancelled(record->Describe() +
+                                       " cancelled by Engine shutdown"),
+                     Bucket::kCancelled);
       }
-      state_->depth_gauges[s]->Set(0.0);
     }
-    // fetch_sub, not store: a worker's concurrent pop may be decrementing
-    // the same counter for a job this sweep never saw.
-    state_->queue_depth.fetch_sub(swept, std::memory_order_relaxed);
-    engine_internal::Met().queue_depth->Set(static_cast<double>(
-        state_->queue_depth.load(std::memory_order_relaxed)));
   }
   state_->work_cv.notify_all();
   state_->idle_cv.notify_all();
@@ -920,27 +726,28 @@ void Engine::Shutdown() {
 EngineStats Engine::stats() const {
   EngineStats stats;
   const std::lock_guard<std::mutex> lock(state_->mu);
-  stats.submitted = state_->submitted;
-  stats.completed = state_->completed;
-  stats.succeeded = state_->succeeded;
-  stats.failed = state_->failed;
-  stats.cancelled = state_->cancelled;
-  stats.deadline_exceeded = state_->deadline_exceeded;
-  stats.budget_rejected = state_->budget_rejected;
-  stats.unavailable_rejected = state_->unavailable_rejected;
-  stats.shed_expired = state_->shed_expired;
+  const auto count = [&](Bucket bucket) {
+    return state_->counts[bucket].load(std::memory_order_relaxed);
+  };
+  stats.submitted = count(Bucket::kSubmitted);
+  stats.completed = count(Bucket::kCompleted);
+  stats.succeeded = count(Bucket::kSucceeded);
+  stats.failed = count(Bucket::kFailed);
+  stats.cancelled = count(Bucket::kCancelled);
+  stats.deadline_exceeded = count(Bucket::kDeadlineExceeded);
+  stats.budget_rejected = count(Bucket::kBudgetRejected);
+  stats.unavailable_rejected = count(Bucket::kShed);
+  stats.shed_expired = count(Bucket::kShedExpired);
   stats.queue_depth = state_->queue_depth.load(std::memory_order_relaxed);
   stats.running = state_->running;
-  stats.steals = state_->steals.load(std::memory_order_relaxed);
-  stats.steal_failures =
-      state_->steal_failures.load(std::memory_order_relaxed);
+  stats.steals = count(Bucket::kStolen);
+  stats.steal_failures = count(Bucket::kStealFailures);
   stats.overloaded = state_->overloaded;
   stats.worker_queue_depths.reserve(state_->shards.size());
   for (const auto& shard : state_->shards) {
     stats.worker_queue_depths.push_back(shard->size());
   }
-  stats.uptime_seconds =
-      engine_internal::MonotonicSeconds() - state_->start_seconds;
+  stats.uptime_seconds = obs::MonotonicSeconds() - state_->start_seconds;
   stats.jobs_per_second = stats.uptime_seconds > 0.0
                               ? static_cast<double>(stats.completed) /
                                     stats.uptime_seconds
