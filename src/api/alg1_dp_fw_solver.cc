@@ -36,6 +36,7 @@ class Alg1DpFwSolver final : public Solver {
     const Loss& loss = *problem.loss;
     const Vector w0 = problem.InitialIterate();
     HTDP_RETURN_IF_ERROR(CheckBetaPositive(spec.beta));
+    HTDP_RETURN_IF_ERROR(CheckRobustGradientLoss(*this, loss, data, w0));
 
     HTDP_ASSIGN_OR_RETURN(const SolverSpec resolved,
                           TryResolveSpec(*this, problem, spec));

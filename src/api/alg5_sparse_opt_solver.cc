@@ -37,6 +37,7 @@ class Alg5SparseOptSolver final : public Solver {
     const double step = spec.StepOr(0.5);
     HTDP_RETURN_IF_ERROR(CheckStepPositive(step));
     HTDP_RETURN_IF_ERROR(CheckBetaPositive(spec.beta));
+    HTDP_RETURN_IF_ERROR(CheckRobustGradientLoss(*this, loss, data, w0));
 
     HTDP_ASSIGN_OR_RETURN(const SolverSpec resolved,
                           TryResolveSpec(*this, problem, spec));

@@ -29,8 +29,9 @@ namespace htdp {
 /// runs many TryFits concurrently with cancellation and per-job wall-clock
 /// deadlines. Data-level parallelism inside each fit still flows through
 /// ParallelFor's shared worker pool, which the Engine makes multi-tenant:
-/// several jobs' reductions interleave on it safely (its dispatches are
-/// serialized and deterministic per dispatch).
+/// one job's dispatch holds the pool at a time, and a job that finds it busy
+/// runs its chunks on its own worker thread instead of waiting. Chunking is
+/// fixed per dispatch, so results do not depend on which of the two ran.
 ///
 /// Determinism contract: a job's result is bit-identical to a sequential
 /// `TryFit(problem, spec, rng)` with the same RNG state -- every job runs

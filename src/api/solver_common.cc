@@ -77,6 +77,18 @@ StatusOr<SolverSpec> TryResolveSpec(const Solver& solver,
   return resolved;
 }
 
+Status CheckRobustGradientLoss(const Solver& solver, const Loss& loss,
+                               const DatasetView& data, const Vector& w0) {
+  double scale = 0.0;
+  if (!loss.GradientAsScaledFeature(data.Row(0), data.Label(0), w0, &scale)) {
+    return Status::InvalidProblem(
+        solver.name() + ": loss '" + loss.Name() +
+        "' has no scaled-feature gradient form "
+        "(Loss::GradientAsScaledFeature), which the robust gradient needs");
+  }
+  return Status::Ok();
+}
+
 StatusOr<FoldedRobustPlan> TryMakeFoldedRobustPlan(
     const DatasetView& data, const SolverSpec& resolved) {
   HTDP_CHECK_GT(resolved.iterations, 0);  // Resolve never yields T < 1

@@ -52,6 +52,13 @@ StatusOr<SolverSpec> TryResolveSpec(const Solver& solver,
                                     const Problem& problem,
                                     const SolverSpec& spec);
 
+/// kInvalidProblem unless `loss` has the scaled-feature gradient form
+/// (Loss::GradientAsScaledFeature) that RobustGradientEstimator::Estimate
+/// requires; probed at the first sample of `data` and `w0`. Run by every
+/// solver that builds a FoldedRobustPlan, before it builds one.
+Status CheckRobustGradientLoss(const Solver& solver, const Loss& loss,
+                               const DatasetView& data, const Vector& w0);
+
 /// The fold-split robust-gradient plan shared by the splitting-based
 /// algorithms: one disjoint contiguous fold per iteration, one deterministic
 /// Catoni estimator at the resolved truncation scale. Errors with

@@ -2,13 +2,26 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <vector>
 
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/parallel.h"
 
 namespace htdp {
+
+namespace {
+
+// Coordinate blocks are whole groups of this many coordinates: a multiple
+// of every dispatched lane width (8 doubles at AVX-512, 4 at AVX2 and SSE2,
+// 1 scalar), so a block's slice of a row splits into exactly the lane
+// groups and the tail that a whole-row AccumulateContributions call uses.
+constexpr std::size_t kLaneGroup = 8;
+
+// Rows x coordinates one block must cover before a split pays for its
+// dispatch: small folds (a few thousand elements, as in serving) run inline.
+constexpr std::size_t kMinBlockElements = 32768;
+
+}  // namespace
 
 RobustGradientEstimator::RobustGradientEstimator(double scale, double beta,
                                                  SimdMode simd)
@@ -24,60 +37,57 @@ void RobustGradientEstimator::Estimate(const Loss& loss,
   HTDP_CHECK_EQ(view.dim(), w.size());
   const std::size_t d = w.size();
   const std::size_t m = view.size();
-
-  double probe = 0.0;
-  const bool glm =
-      loss.GradientAsScaledFeature(view.Row(0), view.Label(0), w, &probe);
   const double ridge = loss.RidgeCoefficient();
-
-  // Per-chunk accumulators keep the parallel reduction race-free and the
-  // summation order deterministic for a fixed thread configuration.
-  const std::size_t chunks = std::max<std::size_t>(
-      1, std::min<std::size_t>(static_cast<std::size_t>(NumWorkerThreads()),
-                               (m + 511) / 512));
-  const std::size_t chunk_size = (m + chunks - 1) / chunks;
 
   RobustGradientWorkspace local;
   RobustGradientWorkspace& ws = workspace != nullptr ? *workspace : local;
-  if (ws.partials.size() < chunks) ws.partials.resize(chunks);
-  if (ws.row_buffers.size() < chunks) ws.row_buffers.resize(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    ws.partials[c].assign(d, 0.0);
-    if (ws.row_buffers[c].size() < d) ws.row_buffers[c].resize(d);
-  }
+  if (ws.row_scales.size() < m) ws.row_scales.resize(m);
+  if (ws.row_buffer.size() < d) ws.row_buffer.resize(d);
+  double* const scales = ws.row_scales.data();
+  double* const row = ws.row_buffer.data();
 
-  // Each chunk is an expensive unit (hundreds of samples x d coordinates of
-  // erfc/exp-heavy math), so dispatch to the pool from two chunks up.
+  const std::size_t groups = (d + kLaneGroup - 1) / kLaneGroup;
+  const std::size_t blocks = std::max<std::size_t>(
+      1, std::min({static_cast<std::size_t>(NumWorkerThreads()), groups,
+                   m * d / kMinBlockElements}));
+
+  // Pass 1: the per-row GLM scales, split by row.
   ParallelFor(
-      chunks,
-      [&](std::size_t c_begin, std::size_t c_end) {
-        for (std::size_t c = c_begin; c < c_end; ++c) {
-          Vector& acc = ws.partials[c];
-          Vector& row_buf = ws.row_buffers[c];
-          const std::size_t lo = c * chunk_size;
-          const std::size_t hi = std::min(lo + chunk_size, m);
-          for (std::size_t i = lo; i < hi; ++i) {
-            if (glm) {
-              double scale = 0.0;
-              HTDP_CHECK(loss.GradientAsScaledFeature(view.Row(i),
-                                                      view.Label(i), w,
-                                                      &scale));
-              // Fused row kernel: materialize the per-sample gradient row
-              // scale * x_i + ridge * w, then push the whole contiguous row
-              // through the batched Catoni kernel.
-              ScaledSumKernel(scale, view.Row(i), ridge, w.data(),
-                              row_buf.data(), d);
-            } else {
-              loss.Gradient(view.Row(i), view.Label(i), w, row_buf);
-            }
-            estimator_.AccumulateContributions(row_buf.data(), d, acc.data());
+      blocks,
+      [&](std::size_t b_begin, std::size_t b_end) {
+        for (std::size_t b = b_begin; b < b_end; ++b) {
+          const IndexRange rows = ParallelChunkBounds(m, blocks, b);
+          for (std::size_t i = rows.begin; i < rows.end; ++i) {
+            HTDP_CHECK(loss.GradientAsScaledFeature(view.Row(i),
+                                                    view.Label(i), w,
+                                                    &scales[i]))
+                << loss.Name() << " has no scaled-feature gradient form";
           }
         }
       },
       /*min_parallel=*/2);
 
+  // Pass 2: each block owns coordinates [j0, j1) of the row buffer and of
+  // `out`, and walks all m rows in row order, so every coordinate's sum is
+  // the serial one whatever the block count.
   out.assign(d, 0.0);
-  for (std::size_t c = 0; c < chunks; ++c) Axpy(1.0, ws.partials[c], out);
+  ParallelFor(
+      blocks,
+      [&](std::size_t b_begin, std::size_t b_end) {
+        for (std::size_t b = b_begin; b < b_end; ++b) {
+          const IndexRange span = ParallelChunkBounds(groups, blocks, b);
+          const std::size_t j0 = span.begin * kLaneGroup;
+          const std::size_t j1 = std::min(span.end * kLaneGroup, d);
+          const std::size_t width = j1 - j0;
+          for (std::size_t i = 0; i < m; ++i) {
+            ScaledSumKernel(scales[i], view.Row(i) + j0, ridge, w.data() + j0,
+                            row + j0, width);
+            estimator_.AccumulateContributions(row + j0, width,
+                                               out.data() + j0);
+          }
+        }
+      },
+      /*min_parallel=*/2);
   Scale(1.0 / static_cast<double>(m), out);
 }
 

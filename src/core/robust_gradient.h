@@ -11,15 +11,14 @@
 
 namespace htdp {
 
-/// Reusable scratch for RobustGradientEstimator::Estimate: the per-chunk
-/// partial accumulators of the deterministic parallel reduction and one
-/// per-chunk row buffer (the fused scaled-feature row on the GLM path, the
-/// materialized per-sample gradient otherwise). Buffers grow on first use
-/// and are retained, so a fit loop that passes the same workspace every
-/// iteration performs no heap allocation after warm-up.
+/// Reusable scratch for RobustGradientEstimator::Estimate: the per-row GLM
+/// scales of the current call and one d-length row buffer that the
+/// coordinate blocks fill slice by slice. Buffers grow on first use and are
+/// retained, so a fit loop that passes the same workspace every iteration
+/// performs no heap allocation after warm-up.
 struct RobustGradientWorkspace {
-  std::vector<Vector> partials;
-  std::vector<Vector> row_buffers;
+  std::vector<double> row_scales;
+  Vector row_buffer;
 };
 
 /// The coordinate-wise robust gradient estimator g~(w, D) of Algorithm 1
@@ -45,13 +44,16 @@ class RobustGradientEstimator {
   double beta() const { return estimator_.beta(); }
   bool simd() const { return estimator_.simd(); }
 
-  /// Computes g~(w, view) into `out` (resized to w.size()). Uses the fused
-  /// batched GLM row kernel of `loss` when available; thread-parallel over
-  /// sample chunks with a deterministic reduction order that depends only on
-  /// (view.size(), NumWorkerThreads()), never on scheduling. Pass a
-  /// `workspace` owned by the fit loop to reuse the reduction buffers across
-  /// iterations (zero allocations after warm-up); with the default nullptr a
-  /// call-local workspace is used.
+  /// Computes g~(w, view) into `out` (resized to w.size()). `loss` must
+  /// have the scaled-feature gradient form (Loss::GradientAsScaledFeature);
+  /// the solvers reject other losses with kInvalidProblem before fitting.
+  /// Each row's gradient is the fused row scale * x_i + ridge * w. Work is
+  /// split by coordinate: blocks of whole 8-lane groups run on the worker
+  /// pool, and every coordinate sums its contributions over the rows in row
+  /// order. The result is therefore the serial one, bit for bit, at every
+  /// worker count and under any scheduling. Pass a `workspace` owned by the
+  /// fit loop to reuse the buffers across iterations (zero allocations after
+  /// warm-up); with the default nullptr a call-local workspace is used.
   void Estimate(const Loss& loss, const DatasetView& view, const Vector& w,
                 Vector& out, RobustGradientWorkspace* workspace = nullptr)
       const;

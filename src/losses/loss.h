@@ -22,10 +22,12 @@ class Loss {
   virtual void Gradient(const double* x, double y, const Vector& w,
                         Vector& grad) const = 0;
 
-  /// GLM fast path: if the gradient factors as scale(w,x,y) * x +
+  /// Scaled-feature form: if the gradient factors as scale(w,x,y) * x +
   /// RidgeCoefficient() * w, stores the scalar in *scale and returns true.
-  /// The robust gradient estimator uses this to stream per-coordinate
-  /// gradients without materializing a d-vector per sample.
+  /// The answer must not depend on the arguments. The robust gradient
+  /// estimator requires this form (Algorithms 1 and 5 and the robust-GD
+  /// baseline reject a loss without it); EmpiricalGradient uses it when
+  /// present.
   virtual bool GradientAsScaledFeature(const double* x, double y,
                                        const Vector& w, double* scale) const {
     (void)x;

@@ -21,4 +21,13 @@ void MeanLoss::Gradient(const double* x, double y, const Vector& w,
   for (std::size_t j = 0; j < w.size(); ++j) grad[j] = 2.0 * (w[j] - x[j]);
 }
 
+bool MeanLoss::GradientAsScaledFeature(const double* x, double y,
+                                       const Vector& w, double* scale) const {
+  (void)x;
+  (void)y;
+  (void)w;
+  *scale = -2.0;
+  return true;
+}
+
 }  // namespace htdp

@@ -44,16 +44,18 @@ class WorkerPool {
   }
 
   /// Runs task(ctx, t) for every t in [0, tasks) on the helpers plus the
-  /// calling thread; blocks until all tasks completed. Serializes concurrent
-  /// Run() callers.
+  /// calling thread; blocks until all tasks completed. The pool serves one
+  /// Run() at a time: a caller that finds it busy runs its tasks inline
+  /// rather than waiting behind the current dispatch.
   void Run(std::size_t tasks, void (*task)(void*, std::size_t), void* ctx) {
     if (tasks == 0) return;
-    if (helpers_wanted_ == 0 || tasks == 1 || t_inside_pool_task) {
+    std::unique_lock<std::mutex> run_lock(run_mu_, std::defer_lock);
+    if (helpers_wanted_ == 0 || tasks == 1 || t_inside_pool_task ||
+        !run_lock.try_lock()) {
       for (std::size_t t = 0; t < tasks; ++t) task(ctx, t);
       return;
     }
     HTDP_CHECK_LT(tasks, std::size_t{1} << 32);
-    const std::lock_guard<std::mutex> run_lock(run_mu_);
     EnsureStarted();
 
     std::uint64_t generation;
@@ -174,7 +176,7 @@ class WorkerPool {
   bool started_ = false;
   std::vector<std::thread> helpers_;
 
-  std::mutex run_mu_;  // serializes Run() callers
+  std::mutex run_mu_;  // held by the one Run() that owns the helpers
 
   std::mutex mu_;
   std::condition_variable wake_cv_;

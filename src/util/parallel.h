@@ -33,7 +33,9 @@ namespace parallel_internal {
 
 /// Runs task(ctx, t) for every t in [0, tasks) on the persistent worker
 /// pool plus the calling thread; blocks until all tasks completed. Performs
-/// no heap allocation. Nested calls from inside a pool task run serially.
+/// no heap allocation. The pool serves one dispatch at a time: a call made
+/// while another holds it, or from inside a pool task, runs its tasks
+/// serially on the calling thread instead of waiting.
 void PoolRun(std::size_t tasks, void (*task)(void* ctx, std::size_t t),
              void* ctx);
 
@@ -48,7 +50,9 @@ void PoolRun(std::size_t tasks, void (*task)(void* ctx, std::size_t t),
 /// call blocks until all chunks complete. Chunk boundaries are a
 /// deterministic function of (count, NumWorkerThreads()) only -- never of
 /// scheduling -- and cover [0, count) exactly once with no empty chunk.
-/// Nested calls from inside a pool task run serially.
+/// Concurrent callers never queue behind each other: while one call holds
+/// the pool, the others run their chunks on their own threads, and nested
+/// calls from inside a pool task run serially.
 template <typename Body>
 void ParallelFor(std::size_t count, const Body& body,
                  std::size_t min_parallel = kParallelForSerialThreshold) {

@@ -1,9 +1,15 @@
 #include <cmath>
 #include <cstddef>
+#include <memory>
+#include <string>
 
+#include "api/problem.h"
+#include "api/solver_registry.h"
+#include "api/solver_spec.h"
 #include "core/robust_gradient.h"
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
+#include "optim/polytope.h"
 #include "losses/logistic_loss.h"
 #include "losses/mean_loss.h"
 #include "losses/squared_loss.h"
@@ -102,9 +108,11 @@ TEST(RobustGradientTest, WorkspaceSurvivesShrinkingProblemSizes) {
   }
 }
 
-TEST(RobustGradientTest, GlmAndGenericPathsAgree) {
-  // MeanLoss has no GLM fast path; squared loss does. Wrap the squared loss
-  // to hide its fast path and check both paths produce identical estimates.
+TEST(RobustGradientTest, SolversRejectALossWithoutTheScaledFeatureForm) {
+  // The estimator runs only on the scaled-feature gradient form. A loss
+  // that hides it (here the squared loss behind a plain Gradient) must get
+  // a typed kInvalidProblem from every robust-gradient solver, not an
+  // abort inside Estimate.
   class HiddenGlmSquaredLoss final : public Loss {
    public:
     double Value(const double* x, double y, const Vector& w) const override {
@@ -126,15 +134,36 @@ TEST(RobustGradientTest, GlmAndGenericPathsAgree) {
   config.d = 4;
   const Vector w_star = MakeL1BallTarget(config.d, rng);
   const Dataset data = GenerateLinear(config, w_star, rng);
-  Vector w(config.d, -0.2);
+  const HiddenGlmSquaredLoss hidden;
+  const L1Ball ball(config.d, 1.0);
 
-  const RobustGradientEstimator estimator(2.0, 1.0);
-  Vector fast;
-  Vector generic;
-  estimator.Estimate(SquaredLoss(), FullView(data), w, fast);
-  estimator.Estimate(HiddenGlmSquaredLoss(), FullView(data), w, generic);
-  for (std::size_t j = 0; j < config.d; ++j) {
-    EXPECT_NEAR(fast[j], generic[j], 1e-12);
+  for (const char* name :
+       {kSolverAlg1DpFw, kSolverAlg5SparseOpt, kSolverBaselineRobustGd}) {
+    SCOPED_TRACE(name);
+    const std::unique_ptr<Solver> solver =
+        SolverRegistry::Global().Create(name);
+    Problem problem;
+    problem.loss = &hidden;
+    problem.data = &data;
+    problem.target_sparsity = 2;
+    if (solver->requires_constraint()) problem.constraint = &ball;
+    SolverSpec spec;
+    spec.budget = solver->supports_pure_dp()
+                      ? PrivacyBudget::Pure(1.0)
+                      : PrivacyBudget::Approx(1.0, 1e-5);
+    spec.tau = 4.0;
+    Rng fit_rng(9);
+    const StatusOr<FitResult> fit = solver->TryFit(problem, spec, fit_rng);
+    ASSERT_FALSE(fit.ok());
+    EXPECT_EQ(fit.status().code(), StatusCode::kInvalidProblem);
+    EXPECT_NE(fit.status().message().find("hidden-glm"), std::string::npos)
+        << fit.status().message();
+
+    // The same problem with the form exposed fits.
+    const SquaredLoss squared;
+    problem.loss = &squared;
+    Rng again(9);
+    EXPECT_TRUE(solver->TryFit(problem, spec, again).ok());
   }
 }
 

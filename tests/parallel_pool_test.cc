@@ -1,75 +1,67 @@
-// Pool determinism guards, run with HTDP_NUM_THREADS=8 forced by ctest (see
-// tests/CMakeLists.txt) so the worker pool genuinely executes on multiple
-// threads even on single-core CI machines.
+// Pool determinism guards. ctest runs this suite at HTDP_NUM_THREADS=1, 3
+// and 8 (see tests/CMakeLists.txt), so the worker pool genuinely executes
+// on multiple threads even on single-core CI machines, and the robust
+// gradient's coordinate blocks take three different layouts.
 //
-// The contract under test: results of the chunked reductions depend only on
-// the configured worker count (which fixes the chunk structure), never on
-// scheduling -- so the pooled execution must be bit-identical to a serial
-// evaluation of the same chunk structure, run after run.
+// The contracts under test: the robust gradient equals its serial
+// per-coordinate, row-order sum bit for bit at every worker count; other
+// chunked reductions depend only on the configured worker count, never on
+// scheduling; and a dispatch never waits for another one to release the
+// pool.
 
+#include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/htdp.h"
 #include "gtest/gtest.h"
 #include "util/parallel.h"
+#include "util/simd_dispatch.h"
 
 namespace htdp {
 namespace {
 
 TEST(ParallelPoolTest, WorkerCountHonorsEnvironment) {
-  // The ctest fixture pins HTDP_NUM_THREADS=8; if this test is run by hand
-  // without it, the remaining tests still hold, so only warn via skip.
+  // The ctest fixtures pin HTDP_NUM_THREADS to 8, 1 or 3; if this test is
+  // run by hand without it, the remaining tests still hold, so only warn
+  // via skip.
   const char* env = std::getenv("HTDP_NUM_THREADS");
   if (env == nullptr) GTEST_SKIP() << "HTDP_NUM_THREADS not set";
   EXPECT_EQ(NumWorkerThreads(), std::atoi(env));
 }
 
-// Serial reference implementing exactly the estimator's documented reduction
-// contract: per-chunk partials in chunk order, chunk structure a function of
-// (m, NumWorkerThreads()) only.
-Vector SerialChunkedRobustGradient(const RobustGradientEstimator& estimator,
-                                   const Loss& loss, const DatasetView& view,
-                                   const Vector& w) {
+// Serial reference of the estimator's reduction contract, written
+// coordinate by coordinate: each coordinate sums the scalar
+// SampleContribution of its fused gradient entries over the rows in row
+// order, then scales by 1/m. Nothing here depends on the worker count.
+Vector SerialCoordinateRobustGradient(const RobustGradientEstimator& estimator,
+                                      const Loss& loss,
+                                      const DatasetView& view,
+                                      const Vector& w) {
   const std::size_t d = w.size();
   const std::size_t m = view.size();
-  const std::size_t chunks = std::max<std::size_t>(
-      1, std::min<std::size_t>(static_cast<std::size_t>(NumWorkerThreads()),
-                               (m + 511) / 512));
-  const std::size_t chunk_size = (m + chunks - 1) / chunks;
   const RobustMeanEstimator scalar(estimator.scale(), estimator.beta());
-  std::vector<Vector> partial(chunks, Vector(d, 0.0));
-  Vector sample_grad(d);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = c * chunk_size;
-    const std::size_t hi = std::min(lo + chunk_size, m);
-    for (std::size_t i = lo; i < hi; ++i) {
+  const double ridge = loss.RidgeCoefficient();
+  Vector out(d, 0.0);
+  for (std::size_t j = 0; j < d; ++j) {
+    for (std::size_t i = 0; i < m; ++i) {
       double scale = 0.0;
-      if (loss.GradientAsScaledFeature(view.Row(i), view.Label(i), w,
-                                       &scale)) {
-        const double* row = view.Row(i);
-        const double ridge = loss.RidgeCoefficient();
-        for (std::size_t j = 0; j < d; ++j) {
-          partial[c][j] +=
-              scalar.SampleContribution(scale * row[j] + ridge * w[j]);
-        }
-      } else {
-        loss.Gradient(view.Row(i), view.Label(i), w, sample_grad);
-        for (std::size_t j = 0; j < d; ++j) {
-          partial[c][j] += scalar.SampleContribution(sample_grad[j]);
-        }
-      }
+      EXPECT_TRUE(
+          loss.GradientAsScaledFeature(view.Row(i), view.Label(i), w, &scale));
+      out[j] += scalar.SampleContribution(scale * view.Row(i)[j] +
+                                          ridge * w[j]);
     }
   }
-  Vector out(d, 0.0);
-  for (const Vector& acc : partial) Axpy(1.0, acc, out);
   Scale(1.0 / static_cast<double>(m), out);
   return out;
 }
 
-TEST(ParallelPoolTest, PooledRobustGradientMatchesSerialChunksBitForBit) {
+TEST(ParallelPoolTest, PooledRobustGradientMatchesSerialCoordinateSums) {
   Rng rng(21);
   const std::size_t n = 3000;
   const std::size_t d = 96;
@@ -78,22 +70,99 @@ TEST(ParallelPoolTest, PooledRobustGradientMatchesSerialChunksBitForBit) {
   const Vector w_star = MakeL1BallTarget(d, rng);
   const Dataset data = GenerateLinear(config, w_star, rng);
   const SquaredLoss loss;
-  // Scalar mode: the serial reference below recomputes contributions with
-  // scalar SampleContribution calls, which the batch kernel only matches
-  // bit for bit on the scalar path (SIMD agreement is ULP-bound, pinned in
-  // robust_test). The pool-vs-serial chunking property under test is
-  // mode-independent.
+  // Scalar mode: the serial reference recomputes contributions with scalar
+  // SampleContribution calls, which the batch kernel only matches bit for
+  // bit on the scalar path (SIMD agreement is ULP-bound, pinned in
+  // robust_test). The SIMD tables are pinned against the whole-row kernel
+  // in BlockedEstimateEqualsWholeRowKernelsUnderEveryTable.
   const RobustGradientEstimator estimator(5.0, 1.0, SimdMode::kOff);
   Vector w(d, 0.0);
   for (std::size_t j = 0; j < d; ++j) w[j] = 0.01 * static_cast<double>(j % 5);
 
   const Vector reference =
-      SerialChunkedRobustGradient(estimator, loss, FullView(data), w);
+      SerialCoordinateRobustGradient(estimator, loss, FullView(data), w);
   Vector pooled;
   estimator.Estimate(loss, FullView(data), w, pooled);
   ASSERT_EQ(pooled.size(), reference.size());
   for (std::size_t j = 0; j < d; ++j) {
     ASSERT_EQ(pooled[j], reference[j]) << "coordinate " << j;
+  }
+}
+
+// Whole-row reference: per row, one ScaledSumKernel and one
+// AccumulateContributions call over all d coordinates, in row order, then
+// 1/m. Estimate splits the row into 8-aligned coordinate blocks; under
+// every kernel table each block must see the same lane groups, cold spills
+// and tail as the whole row, so the two agree bit for bit. Also counts the
+// cold (non-closed-form) elements the rows contain.
+Vector WholeRowRobustGradient(const RobustGradientEstimator& estimator,
+                              const Loss& loss, const DatasetView& view,
+                              const Vector& w, std::size_t* cold) {
+  const std::size_t d = w.size();
+  const std::size_t m = view.size();
+  const RobustMeanEstimator kernel(
+      estimator.scale(), estimator.beta(),
+      estimator.simd() ? SimdMode::kOn : SimdMode::kOff);
+  const double sqrt_beta = std::sqrt(estimator.beta());
+  Vector row(d, 0.0);
+  Vector acc(d, 0.0);
+  for (std::size_t i = 0; i < m; ++i) {
+    double scale = 0.0;
+    EXPECT_TRUE(
+        loss.GradientAsScaledFeature(view.Row(i), view.Label(i), w, &scale));
+    ScaledSumKernel(scale, view.Row(i), loss.RidgeCoefficient(), w.data(),
+                    row.data(), d);
+    kernel.AccumulateContributions(row.data(), d, acc.data());
+    for (std::size_t j = 0; j < d; ++j) {
+      const double abs_a = std::abs(row[j] / estimator.scale());
+      if (!catoni_internal::ClosedFormApplies(abs_a, abs_a / sqrt_beta)) {
+        ++*cold;
+      }
+    }
+  }
+  Scale(1.0 / static_cast<double>(m), acc);
+  return acc;
+}
+
+TEST(ParallelPoolTest, BlockedEstimateEqualsWholeRowKernelsUnderEveryTable) {
+  const SquaredLoss loss;
+  for (const std::size_t m : {std::size_t{100}, std::size_t{3000}}) {
+    for (const std::size_t d : {5u, 37u, 64u, 400u, 803u}) {
+      Rng rng(1000 + 7 * m + d);
+      SyntheticConfig config{m, d, ScalarDistribution::Lognormal(0.0, 2.0),
+                             ScalarDistribution::Normal(0.0, 0.1)};
+      const Vector w_star = MakeL1BallTarget(d, rng);
+      const Dataset data = GenerateLinear(config, w_star, rng);
+      // At w* the residuals are the label noise, so the gradient entries
+      // are noise times Lognormal(0, 2) features: mostly closed-form, with
+      // a heavy tail of cold elements.
+      const Vector& w = w_star;
+      const auto expect_blocked_equals_whole_row =
+          [&](const RobustGradientEstimator& estimator) {
+            std::size_t cold = 0;
+            const Vector reference = WholeRowRobustGradient(
+                estimator, loss, FullView(data), w, &cold);
+            ASSERT_GT(cold, 0u) << "data must reach the scalar spill path";
+            Vector blocked;
+            estimator.Estimate(loss, FullView(data), w, blocked);
+            ASSERT_EQ(blocked.size(), d);
+            for (std::size_t j = 0; j < d; ++j) {
+              ASSERT_EQ(blocked[j], reference[j]) << "coordinate " << j;
+            }
+          };
+      SCOPED_TRACE("m=" + std::to_string(m) + " d=" + std::to_string(d));
+      for (const char* isa : {"avx512f", "avx2", "sse2"}) {
+        if (!SimdIsaAvailable(isa)) continue;
+        SCOPED_TRACE(isa);
+        const ScopedSimdIsaOverride pin(isa);
+        const RobustGradientEstimator estimator(1.0, 1.0, SimdMode::kOn);
+        ASSERT_TRUE(estimator.simd());
+        expect_blocked_equals_whole_row(estimator);
+      }
+      SCOPED_TRACE("simd off");
+      expect_blocked_equals_whole_row(
+          RobustGradientEstimator(1.0, 1.0, SimdMode::kOff));
+    }
   }
 }
 
@@ -135,6 +204,49 @@ TEST(ParallelPoolTest, PooledEmpiricalRiskIsStableAcrossRuns) {
   for (int round = 0; round < 50; ++round) {
     ASSERT_EQ(EmpiricalRisk(loss, data, w_star), first) << "round " << round;
   }
+}
+
+TEST(ParallelPoolTest, ContendedDispatchRunsInline) {
+  // Thread A's dispatch holds the pool until this thread's dispatch has
+  // finished. If the second dispatch queued behind the first, A's chunks
+  // would give up at the deadline and the test fails (it never hangs).
+  using Clock = std::chrono::steady_clock;
+  std::atomic<bool> a_running{false};
+  std::atomic<bool> b_done{false};
+  std::atomic<bool> a_timed_out{false};
+  const Clock::time_point deadline = Clock::now() + std::chrono::seconds(10);
+  std::thread a([&] {
+    ParallelFor(
+        64,
+        [&](std::size_t, std::size_t) {
+          a_running.store(true);
+          while (!b_done.load()) {
+            if (Clock::now() > deadline) {
+              a_timed_out.store(true);
+              return;
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        },
+        /*min_parallel=*/2);
+  });
+  while (!a_running.load()) std::this_thread::yield();
+
+  std::vector<std::atomic<int>> hits(1000);
+  ParallelFor(
+      hits.size(),
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+      },
+      /*min_parallel=*/2);
+  b_done.store(true);
+  a.join();
+
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+  EXPECT_FALSE(a_timed_out.load())
+      << "the second dispatch waited for the first to release the pool";
 }
 
 }  // namespace
