@@ -22,6 +22,9 @@
 #     exit 17 (10 + UNAVAILABLE wire code 7) carrying a retry hint, the
 #     shed is visible in stats, and `submit --retry` backs off and
 #     completes once the backlog drains.
+#   * strict flags: an out-of-range or malformed number makes either
+#     binary exit 1 with a message naming the flag, before it binds or
+#     connects -- htdpd --port=70000 must not wrap to port 4464.
 
 set -u
 
@@ -86,6 +89,33 @@ stop_daemon_expect() {
     echo "ok: $what (daemon exit $got)"
   fi
 }
+
+# ---------------------------------------------------------------------------
+# Strict numeric flags. `timeout` bounds a binary that accepts the bad value
+# and starts serving instead (it would exit 124).
+
+# flag_rejected <description> <flag> <command...>
+flag_rejected() {
+  local what=$1 flag=$2
+  shift 2
+  timeout 10 "$@" >"$WORK/out" 2>"$WORK/err"
+  local got=$?
+  if [[ $got -ne 1 ]]; then
+    fail "$what: exit $got, want 1"
+    sed 's/^/    /' "$WORK/out" "$WORK/err" >&2
+  elif ! grep -q -e "$flag" "$WORK/err"; then
+    fail "$what: message does not name $flag"
+    sed 's/^/    /' "$WORK/err" >&2
+  else
+    echo "ok: $what (exit $got)"
+  fi
+}
+
+flag_rejected "htdpd rejects --port=70000" --port "$HTDPD" --port=70000
+flag_rejected "htdpd rejects --max-frame-mb=-1" --max-frame-mb \
+    "$HTDPD" --port=0 --max-frame-mb=-1
+flag_rejected "htdpctl rejects --port=70000" --port \
+    "$HTDPCTL" --port=70000 stats
 
 # ---------------------------------------------------------------------------
 # Daemon 1: the full control-plane round-trip, tenants included.

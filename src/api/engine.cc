@@ -223,8 +223,8 @@ struct JobRecord {
 
   bool Expired() const { return has_deadline && Clock::now() >= deadline; }
 
-  /// Publishes the outcome and wakes the Wait()ers. Called once, by
-  /// FinishLocked.
+  /// Publishes the outcome, wakes the Wait()ers and runs the job's
+  /// on_done. Called once, by FinishLocked.
   void Complete(StatusOr<FitResult> outcome) {
     {
       const std::lock_guard<std::mutex> lock(mu);
@@ -232,6 +232,7 @@ struct JobRecord {
       result.emplace(std::move(outcome));
     }
     cv.notify_all();
+    if (job.on_done) job.on_done();
   }
 
   std::string Describe() const {

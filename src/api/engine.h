@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -124,6 +125,15 @@ struct FitJob {
   /// an Engine configured with Options::budgets and a tenant registered
   /// there; violations surface as the job's typed error Status.
   std::string tenant;
+
+  /// Called once when the job completes, on every completion path, right
+  /// after the result is published: Wait() and done() on the job's handle
+  /// already see it. It runs on whichever thread finishes the job -- the
+  /// Submit() caller for an inline rejection, the Cancel() caller for a
+  /// queued job, a worker, or Shutdown() -- with the Engine's mutex held,
+  /// so it must not block and must not call Submit, Cancel, stats or Drain
+  /// on the Engine. Empty = no callback.
+  std::function<void()> on_done;
 };
 
 namespace engine_internal {

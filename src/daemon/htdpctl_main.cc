@@ -20,7 +20,8 @@
 // data, unit l1-ball constraint) from --n/--d/--data-seed, so a submit is
 // fully reproducible from its command line.
 //
-// Exit codes: 0 success, 1 usage/connection error, 3 selfcheck mismatch,
+// Exit codes: 0 success, 1 usage/connection error (a malformed or
+// out-of-range numeric flag is a usage error), 3 selfcheck mismatch,
 // 10 + wire_code for a typed remote rejection -- so an over-budget tenant's
 // submit exits 12 (BUDGET_EXHAUSTED = 2), a cancelled wait exits 15, and a
 // shed submit (queue/connection cap) exits 17 (UNAVAILABLE = 7) unless
@@ -30,13 +31,13 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "api/solver_registry.h"
+#include "daemon/server.h"
 #include "data/synthetic.h"
 #include "net/client.h"
 #include "net/wire_status.h"
@@ -85,13 +86,6 @@ int Usage() {
                "          poll --job=ID | cancel --job=ID | selfcheck |\n"
                "          metrics [--prom] | trace [--out=FILE]\n");
   return 1;
-}
-
-bool FlagValue(const char* arg, const char* name, std::string* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
 }
 
 /// Typed remote errors map to stable exit codes scripts can branch on.
@@ -483,13 +477,16 @@ int RunSelfcheck(const Cli& cli, htdp::net::Client& client) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using htdp::daemon::FlagValue;
+  using htdp::daemon::ParseFlag;
   Cli cli;
   for (int i = 1; i < argc; ++i) {
     std::string value;
+    Status parsed = Status::Ok();
     if (FlagValue(argv[i], "--host", &value)) {
       cli.host = value;
     } else if (FlagValue(argv[i], "--port", &value)) {
-      cli.port = static_cast<std::uint16_t>(std::atoi(value.c_str()));
+      parsed = ParseFlag("--port", value, &cli.port);
     } else if (std::strcmp(argv[i], "--json") == 0) {
       cli.json = true;
     } else if (FlagValue(argv[i], "--solver", &value)) {
@@ -499,23 +496,23 @@ int main(int argc, char** argv) {
     } else if (FlagValue(argv[i], "--tag", &value)) {
       cli.tag = value;
     } else if (FlagValue(argv[i], "--seed", &value)) {
-      cli.seed = std::strtoull(value.c_str(), nullptr, 10);
+      parsed = ParseFlag("--seed", value, &cli.seed);
     } else if (FlagValue(argv[i], "--data-seed", &value)) {
-      cli.data_seed = std::strtoull(value.c_str(), nullptr, 10);
+      parsed = ParseFlag("--data-seed", value, &cli.data_seed);
     } else if (FlagValue(argv[i], "--n", &value)) {
-      cli.n = static_cast<std::size_t>(std::atoll(value.c_str()));
+      parsed = ParseFlag("--n", value, &cli.n);
     } else if (FlagValue(argv[i], "--d", &value)) {
-      cli.d = static_cast<std::size_t>(std::atoll(value.c_str()));
+      parsed = ParseFlag("--d", value, &cli.d);
     } else if (FlagValue(argv[i], "--epsilon", &value)) {
-      cli.epsilon = std::atof(value.c_str());
+      parsed = ParseFlag("--epsilon", value, &cli.epsilon);
     } else if (FlagValue(argv[i], "--delta", &value)) {
-      cli.delta = std::atof(value.c_str());
+      parsed = ParseFlag("--delta", value, &cli.delta);
     } else if (FlagValue(argv[i], "--iterations", &value)) {
-      cli.iterations = std::atoi(value.c_str());
+      parsed = ParseFlag("--iterations", value, &cli.iterations);
     } else if (FlagValue(argv[i], "--deadline", &value)) {
-      cli.deadline = std::atof(value.c_str());
+      parsed = ParseFlag("--deadline", value, &cli.deadline);
     } else if (FlagValue(argv[i], "--job", &value)) {
-      cli.job = std::strtoull(value.c_str(), nullptr, 10);
+      parsed = ParseFlag("--job", value, &cli.job);
     } else if (std::strcmp(argv[i], "--risk-trace") == 0) {
       cli.risk_trace = true;
     } else if (std::strcmp(argv[i], "--wait") == 0) {
@@ -525,9 +522,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--retry") == 0) {
       cli.retry = true;
     } else if (FlagValue(argv[i], "--retry-attempts", &value)) {
-      cli.retry_attempts = std::atoi(value.c_str());
+      parsed = ParseFlag("--retry-attempts", value, &cli.retry_attempts);
     } else if (FlagValue(argv[i], "--retry-deadline", &value)) {
-      cli.retry_deadline = std::atof(value.c_str());
+      parsed = ParseFlag("--retry-deadline", value, &cli.retry_deadline);
     } else if (std::strcmp(argv[i], "--prom") == 0) {
       cli.prom = true;
     } else if (FlagValue(argv[i], "--out", &value)) {
@@ -537,6 +534,10 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr, "htdpctl: unknown argument \"%s\"\n", argv[i]);
       return Usage();
+    }
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "htdpctl: %s\n", parsed.message().c_str());
+      return 1;
     }
   }
   if (cli.command.empty()) return Usage();

@@ -15,6 +15,10 @@
 //         [--trace=on|off] [--trace-capacity=SPANS]
 //         [--state-dir=DIR] [--fsync=always|batch|off]
 //
+// Numeric flags parse strictly (daemon/server.h ParseFlag): a malformed,
+// negative or out-of-range value -- --port=70000, --max-frame-mb=-1 --
+// exits 1 with a message naming the flag instead of wrapping silently.
+//
 // --state-dir makes the privacy-budget ledger durable: every reservation,
 // commit, and refund is journaled write-ahead under DIR, and a restart on
 // the same DIR recovers the exact committed spend (docs/durability.md).
@@ -52,13 +56,6 @@ void HandleSignal(int) {
   }
 }
 
-bool FlagValue(const char* arg, const char* name, std::string* out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
-}
-
 int Usage() {
   std::fprintf(
       stderr,
@@ -76,75 +73,75 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using htdp::daemon::FlagValue;
+  using htdp::daemon::ParseFlag;
+  using htdp::daemon::ParseMegabytesFlag;
   htdp::daemon::ServerOptions options;
   bool trace = true;
   for (int i = 1; i < argc; ++i) {
     std::string value;
+    htdp::Status parsed = htdp::Status::Ok();
     if (FlagValue(argv[i], "--host", &value)) {
       options.host = value;
     } else if (FlagValue(argv[i], "--port", &value)) {
-      options.port = static_cast<std::uint16_t>(std::atoi(value.c_str()));
+      parsed = ParseFlag("--port", value, &options.port);
     } else if (FlagValue(argv[i], "--workers", &value)) {
-      options.engine_workers = std::atoi(value.c_str());
+      parsed = ParseFlag("--workers", value, &options.engine_workers);
     } else if (FlagValue(argv[i], "--idle-timeout", &value)) {
-      options.idle_timeout_seconds = std::atof(value.c_str());
+      parsed =
+          ParseFlag("--idle-timeout", value, &options.idle_timeout_seconds);
     } else if (FlagValue(argv[i], "--max-frame-mb", &value)) {
-      options.max_payload_bytes =
-          static_cast<std::size_t>(std::atoi(value.c_str())) << 20;
+      parsed = ParseMegabytesFlag("--max-frame-mb", value,
+                                  &options.max_payload_bytes);
     } else if (FlagValue(argv[i], "--queue-cap", &value)) {
-      options.max_queue_depth =
-          static_cast<std::size_t>(std::atoll(value.c_str()));
+      parsed = ParseFlag("--queue-cap", value, &options.max_queue_depth);
     } else if (FlagValue(argv[i], "--queue-resume", &value)) {
-      options.queue_resume_depth =
-          static_cast<std::size_t>(std::atoll(value.c_str()));
+      parsed = ParseFlag("--queue-resume", value, &options.queue_resume_depth);
     } else if (FlagValue(argv[i], "--max-inflight-per-tenant", &value)) {
-      options.max_inflight_per_tenant =
-          static_cast<std::size_t>(std::atoll(value.c_str()));
+      parsed = ParseFlag("--max-inflight-per-tenant", value,
+                         &options.max_inflight_per_tenant);
     } else if (FlagValue(argv[i], "--max-connections", &value)) {
-      options.max_connections =
-          static_cast<std::size_t>(std::atoll(value.c_str()));
+      parsed = ParseFlag("--max-connections", value, &options.max_connections);
     } else if (FlagValue(argv[i], "--write-buffer-mb", &value)) {
-      options.max_write_buffer_bytes =
-          static_cast<std::size_t>(std::atoi(value.c_str())) << 20;
+      parsed = ParseMegabytesFlag("--write-buffer-mb", value,
+                                  &options.max_write_buffer_bytes);
     } else if (FlagValue(argv[i], "--read-deadline", &value)) {
-      options.read_deadline_seconds = std::atof(value.c_str());
+      parsed =
+          ParseFlag("--read-deadline", value, &options.read_deadline_seconds);
     } else if (FlagValue(argv[i], "--state-dir", &value)) {
       options.state_dir = value;
     } else if (FlagValue(argv[i], "--fsync", &value)) {
       htdp::StatusOr<htdp::dp::FsyncPolicy> policy =
           htdp::dp::ParseFsyncPolicy(value);
-      if (!policy.ok()) {
-        std::fprintf(stderr, "htdpd: %s\n", policy.status().message().c_str());
-        return 1;
-      }
-      options.fsync = policy.value();
+      parsed = policy.status();
+      if (policy.ok()) options.fsync = policy.value();
     } else if (FlagValue(argv[i], "--trace", &value)) {
       if (value == "on") {
         trace = true;
       } else if (value == "off") {
         trace = false;
       } else {
-        std::fprintf(stderr, "htdpd: --trace wants on|off, got \"%s\"\n",
-                     value.c_str());
-        return 1;
+        parsed = htdp::Status::InvalidProblem(
+            "--trace wants on|off, got \"" + value + "\"");
       }
     } else if (FlagValue(argv[i], "--trace-capacity", &value)) {
-      htdp::obs::SetTraceCapacity(
-          static_cast<std::size_t>(std::atoll(value.c_str())));
+      std::size_t capacity = 0;
+      parsed = ParseFlag("--trace-capacity", value, &capacity);
+      if (parsed.ok()) htdp::obs::SetTraceCapacity(capacity);
     } else if (FlagValue(argv[i], "--tenant", &value) ||
                (std::strcmp(argv[i], "--tenant") == 0 && i + 1 < argc &&
                 (value = argv[++i], true))) {
       htdp::StatusOr<htdp::daemon::TenantConfig> tenant =
           htdp::daemon::ParseTenantFlag(value);
-      if (!tenant.ok()) {
-        std::fprintf(stderr, "htdpd: %s\n",
-                     tenant.status().message().c_str());
-        return 1;
-      }
-      options.tenants.push_back(std::move(tenant).value());
+      parsed = tenant.status();
+      if (tenant.ok()) options.tenants.push_back(std::move(tenant).value());
     } else {
       std::fprintf(stderr, "htdpd: unknown argument \"%s\"\n", argv[i]);
       return Usage();
+    }
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "htdpd: %s\n", parsed.message().c_str());
+      return 1;
     }
   }
 

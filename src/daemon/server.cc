@@ -1,6 +1,9 @@
 #include "daemon/server.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "api/solver_registry.h"
@@ -21,20 +24,64 @@ StatusOr<TenantConfig> ParseTenantFlag(const std::string& value) {
   }
   TenantConfig config;
   config.name = value.substr(0, eq);
-  std::string budget = value.substr(eq + 1);
+  const std::string budget = value.substr(eq + 1);
   const std::size_t comma = budget.find(',');
-  try {
-    if (comma == std::string::npos) {
-      config.budget = PrivacyBudget::Pure(std::stod(budget));
-    } else {
-      config.budget = PrivacyBudget::Approx(std::stod(budget.substr(0, comma)),
-                                            std::stod(budget.substr(comma + 1)));
-    }
-  } catch (const std::exception&) {
-    return Status::InvalidProblem("unparseable budget in --tenant \"" + value +
+  double epsilon = 0.0;
+  if (comma == std::string::npos) {
+    HTDP_RETURN_IF_ERROR(ParseDoubleFlag("--tenant epsilon", budget, &epsilon));
+    config.budget = PrivacyBudget::Pure(epsilon);
+    return config;
+  }
+  double delta = 0.0;
+  HTDP_RETURN_IF_ERROR(
+      ParseDoubleFlag("--tenant epsilon", budget.substr(0, comma), &epsilon));
+  HTDP_RETURN_IF_ERROR(
+      ParseDoubleFlag("--tenant delta", budget.substr(comma + 1), &delta));
+  config.budget = PrivacyBudget::Approx(epsilon, delta);
+  return config;
+}
+
+bool FlagValue(const char* arg, const char* name, std::string* out) {
+  const std::size_t len = std::strlen(name);
+  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
+  *out = arg + len + 1;
+  return true;
+}
+
+Status ParseUintFlag(const std::string& flag, const std::string& value,
+                     std::uint64_t max, std::uint64_t* out) {
+  const char* end = value.data() + value.size();
+  std::uint64_t parsed = 0;
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (ec != std::errc() || ptr != end || parsed > max) {
+    return Status::InvalidProblem(flag + " wants an integer in [0, " +
+                                  std::to_string(max) + "], got \"" + value +
                                   "\"");
   }
-  return config;
+  *out = parsed;
+  return Status::Ok();
+}
+
+Status ParseDoubleFlag(const std::string& flag, const std::string& value,
+                       double* out) {
+  const char* end = value.data() + value.size();
+  double parsed = 0.0;
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (ec != std::errc() || ptr != end || !std::isfinite(parsed)) {
+    return Status::InvalidProblem(flag + " wants a finite number, got \"" +
+                                  value + "\"");
+  }
+  *out = parsed;
+  return Status::Ok();
+}
+
+Status ParseMegabytesFlag(const std::string& flag, const std::string& value,
+                          std::size_t* out) {
+  std::uint64_t mb = 0;
+  HTDP_RETURN_IF_ERROR(ParseUintFlag(
+      flag, value, std::numeric_limits<std::size_t>::max() >> 20, &mb));
+  *out = static_cast<std::size_t>(mb) << 20;
+  return Status::Ok();
 }
 
 Server::Server(ServerOptions options) : options_(std::move(options)) {}
@@ -102,14 +149,14 @@ StatusOr<std::unique_ptr<Server>> Server::Create(ServerOptions options) {
 }
 
 Server::~Server() {
-  // The loop has exited by now; waiter threads were joined in FinishJob,
-  // except for jobs that never completed processing (hard teardown paths).
+  // Finish every job while all members are alive: a completion runs the
+  // job's on_done, which touches completed_mu_ and loop_, and both die
+  // before engine_ -- its destructor must find nothing left to complete.
+  if (engine_ == nullptr) return;
   for (auto& [id, job] : jobs_) {
-    if (job.waiter.joinable()) {
-      job.handle.Cancel();
-      job.waiter.join();
-    }
+    if (!job.completed) job.handle.Cancel();
   }
+  engine_->Shutdown();
 }
 
 Status Server::Run() {
@@ -268,6 +315,9 @@ void Server::HandleSubmit(int fd, const net::Frame& frame) {
     return;
   }
 
+  // The id is taken before Submit so on_done can name the job; an inline
+  // rejection's id is skipped (FinishJob ignores ids not in jobs_).
+  const std::uint64_t id = next_job_id_++;
   FitJob fit;
   fit.solver_name = request.solver;
   fit.problem = holder.value()->problem();
@@ -276,6 +326,13 @@ void Server::HandleSubmit(int fd, const net::Frame& frame) {
   fit.deadline_seconds = request.deadline_seconds;
   fit.tag = request.tag;
   fit.tenant = request.tenant;
+  fit.on_done = [this, id] {
+    {
+      std::lock_guard<std::mutex> lock(completed_mu_);
+      completed_.push_back(id);
+    }
+    loop_->Wake();
+  };
   JobHandle handle = engine_->Submit(std::move(fit));
 
   if (handle.done() && !handle.Wait().ok()) {
@@ -287,7 +344,6 @@ void Server::HandleSubmit(int fd, const net::Frame& frame) {
     return;
   }
 
-  const std::uint64_t id = next_job_id_++;
   Job& job = jobs_[id];
   job.handle = handle;
   job.holder = std::move(holder).value();
@@ -299,18 +355,6 @@ void Server::HandleSubmit(int fd, const net::Frame& frame) {
   net::FrameWriter out(net::FrameType::kSubmitOk);
   EncodeSubmitOk(out.payload(), net::SubmitOk{id});
   SendFrame(fd, std::move(out));
-
-  net::EventLoop* loop = loop_.get();
-  std::mutex* mu = &completed_mu_;
-  std::vector<std::uint64_t>* completed = &completed_;
-  job.waiter = std::thread([handle, id, loop, mu, completed] {
-    handle.Wait();
-    {
-      std::lock_guard<std::mutex> lock(*mu);
-      completed->push_back(id);
-    }
-    loop->Wake();
-  });
 }
 
 void Server::HandlePoll(int fd, const net::Frame& frame) {
@@ -503,7 +547,6 @@ void Server::FinishJob(std::uint64_t id) {
   if (job.completed) return;
   job.completed = true;
   --inflight_;
-  if (job.waiter.joinable()) job.waiter.join();
 
   if (job.stream && job.origin_fd >= 0) {
     SendJobState(job.origin_fd, id, job);

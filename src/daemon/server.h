@@ -4,12 +4,13 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "api/budget_manager.h"
@@ -27,11 +28,11 @@ namespace daemon {
 ///
 /// One Server is one listening socket, one Engine, and one poll(2) loop
 /// thread that owns every connection and every job record. Engine workers
-/// never touch sockets: each submitted job gets a tiny waiter thread that
-/// blocks on JobHandle::Wait() and then wakes the loop through the
-/// EventLoop's signal-safe pipe, so frame writing happens on exactly one
-/// thread and the determinism contract is untouched -- a remote fit returns
-/// the same bits as an in-process TryFit at the same seed.
+/// never touch sockets: each submitted job's FitJob::on_done queues its id
+/// and wakes the loop through the EventLoop's signal-safe pipe, so frame
+/// writing happens on exactly one thread, no thread exists per job, and the
+/// determinism contract is untouched -- a remote fit returns the same bits
+/// as an in-process TryFit at the same seed.
 ///
 /// Tenant budgets are enforced AT THE SOCKET: the Engine completes an
 /// over-budget submission inline (api/engine.h), and the server translates
@@ -140,7 +141,6 @@ class Server {
     bool stream = false;
     bool completed = false;
     std::vector<int> parked;  // fds whose deliver-POLL awaits completion
-    std::thread waiter;
   };
 
   explicit Server(ServerOptions options);
@@ -188,7 +188,7 @@ class Server {
   std::size_t inflight_ = 0;  // submitted, completion not yet processed
   bool draining_ = false;
 
-  // Cross-thread completion queue (waiter threads -> loop thread).
+  // Cross-thread completion queue (FitJob::on_done -> loop thread).
   std::mutex completed_mu_;
   std::vector<std::uint64_t> completed_;
 
@@ -198,6 +198,42 @@ class Server {
 
 /// Parses "NAME=EPS" or "NAME=EPS,DELTA" (the --tenant flag).
 StatusOr<TenantConfig> ParseTenantFlag(const std::string& value);
+
+// --- Command-line flags shared by htdpd and htdpctl ------------------------
+
+/// True when `arg` is "NAME=VALUE" for this `name`; VALUE goes to *out.
+bool FlagValue(const char* arg, const char* name, std::string* out);
+
+/// The whole of `value` must be a decimal integer in [0, max]: no sign, no
+/// whitespace, no trailing bytes. Errors are kInvalidProblem naming `flag`.
+Status ParseUintFlag(const std::string& flag, const std::string& value,
+                     std::uint64_t max, std::uint64_t* out);
+
+/// The whole of `value` must parse as a finite double.
+Status ParseDoubleFlag(const std::string& flag, const std::string& value,
+                       double* out);
+
+/// A size given in MB, stored in bytes; values whose byte count would not
+/// fit a size_t are rejected rather than wrapped.
+Status ParseMegabytesFlag(const std::string& flag, const std::string& value,
+                          std::size_t* out);
+
+/// Strict numeric flag into `*out`: a double via ParseDoubleFlag, an
+/// integer via ParseUintFlag bounded by T's range (so a uint16_t port
+/// rejects 70000 instead of wrapping). *out is untouched on error.
+template <typename T>
+Status ParseFlag(const std::string& flag, const std::string& value, T* out) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return ParseDoubleFlag(flag, value, out);
+  } else {
+    std::uint64_t parsed = 0;
+    HTDP_RETURN_IF_ERROR(ParseUintFlag(
+        flag, value,
+        static_cast<std::uint64_t>(std::numeric_limits<T>::max()), &parsed));
+    *out = static_cast<T>(parsed);
+    return Status::Ok();
+  }
+}
 
 }  // namespace daemon
 }  // namespace htdp

@@ -118,14 +118,28 @@ RegistrySnapshot SnapshotRegistry() {
   return snapshot;
 }
 
-/// Counter parity between the Engine's two stores: once `engine` is
-/// quiescent, every htdp_engine_*_total delta since `before` (taken while
+/// Counts FitJob::on_done calls across one test's jobs.
+struct DoneCounter {
+  std::atomic<std::size_t> calls{0};
+
+  FitJob Counted(FitJob job) {
+    job.on_done = [this] { calls.fetch_add(1); };
+    return job;
+  }
+};
+
+/// Counter parity between the Engine's two stores: after draining
+/// `engine`, every htdp_engine_*_total delta since `before` (taken while
 /// no other Engine was counting) equals the matching EngineStats field,
 /// and htdp_fit_latency_seconds observed exactly the `picked_up` jobs a
 /// worker ran -- inline rejections, queued cancels, dequeue sheds and
-/// shutdown sweeps are not observed.
-void ExpectRegistryMatchesStats(const RegistrySnapshot& before,
-                                const Engine& engine, std::size_t picked_up) {
+/// shutdown sweeps are not observed. Every job was submitted through
+/// `done`, so on_done must have run once per completed job: Drain()
+/// returns only after each completion, callback included, has finished.
+void ExpectRegistryMatchesStats(const RegistrySnapshot& before, Engine& engine,
+                                std::size_t picked_up,
+                                const DoneCounter& done) {
+  engine.Drain();
   const EngineStats stats = engine.stats();
   const RegistrySnapshot after = SnapshotRegistry();
   for (std::size_t i = 0; i < EngineCounterFamilies().size(); ++i) {
@@ -136,6 +150,7 @@ void ExpectRegistryMatchesStats(const RegistrySnapshot& before,
   }
   EXPECT_EQ(after.fit_latency_count - before.fit_latency_count,
             static_cast<double>(picked_up));
+  EXPECT_EQ(done.calls.load(), stats.completed);
 }
 
 TEST(EngineTest, EverySolverBitIdenticalToSequentialTryFit) {
@@ -218,6 +233,7 @@ TEST(EngineTest, ExplicitRngStreamOverridesSeed) {
 
 TEST(EngineTest, SubmitNeverAbortsOnUserError) {
   const RegistrySnapshot before = SnapshotRegistry();
+  DoneCounter done;
   const SharedWorkload workload;
   Engine engine(Engine::Options{2});
 
@@ -225,7 +241,7 @@ TEST(EngineTest, SubmitNeverAbortsOnUserError) {
     // Unknown solver name: typed status listing the registered names.
     FitJob job = workload.JobFor(kSolverAlg1DpFw, 1);
     job.solver_name = "no_such_solver";
-    const JobHandle handle = engine.Submit(std::move(job));
+    const JobHandle handle = engine.Submit(done.Counted(std::move(job)));
     const StatusOr<FitResult>& fit = handle.Wait();
     ASSERT_FALSE(fit.ok());
     EXPECT_EQ(fit.status().code(), StatusCode::kUnknownSolver);
@@ -236,7 +252,7 @@ TEST(EngineTest, SubmitNeverAbortsOnUserError) {
     // Unfundable budget.
     FitJob job = workload.JobFor(kSolverAlg1DpFw, 2);
     job.spec.budget.epsilon = -1.0;
-    const JobHandle handle = engine.Submit(std::move(job));
+    const JobHandle handle = engine.Submit(done.Counted(std::move(job)));
     const StatusOr<FitResult>& fit = handle.Wait();
     ASSERT_FALSE(fit.ok());
     EXPECT_EQ(fit.status().code(), StatusCode::kBudgetExhausted);
@@ -245,7 +261,7 @@ TEST(EngineTest, SubmitNeverAbortsOnUserError) {
     // Missing constraint.
     FitJob job = workload.JobFor(kSolverAlg1DpFw, 3);
     job.problem.constraint = nullptr;
-    const JobHandle handle = engine.Submit(std::move(job));
+    const JobHandle handle = engine.Submit(done.Counted(std::move(job)));
     const StatusOr<FitResult>& fit = handle.Wait();
     ASSERT_FALSE(fit.ok());
     EXPECT_EQ(fit.status().code(), StatusCode::kInvalidProblem);
@@ -254,7 +270,7 @@ TEST(EngineTest, SubmitNeverAbortsOnUserError) {
     // Shape mismatch.
     FitJob job = workload.JobFor(kSolverBaselineRobustGd, 4);
     job.problem.w0 = Vector(5, 0.0);
-    const JobHandle handle = engine.Submit(std::move(job));
+    const JobHandle handle = engine.Submit(done.Counted(std::move(job)));
     const StatusOr<FitResult>& fit = handle.Wait();
     ASSERT_FALSE(fit.ok());
     EXPECT_EQ(fit.status().code(), StatusCode::kShapeMismatch);
@@ -265,7 +281,7 @@ TEST(EngineTest, SubmitNeverAbortsOnUserError) {
   EXPECT_EQ(stats.completed, 4u);
   EXPECT_EQ(stats.failed, 4u);
   EXPECT_EQ(stats.succeeded, 0u);
-  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/3);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/3, done);
 }
 
 /// Blocks a single-worker engine inside a fit until released, so queue
@@ -292,16 +308,18 @@ struct WorkerGate {
 
 TEST(EngineTest, CancelQueuedJob) {
   const RegistrySnapshot before = SnapshotRegistry();
+  DoneCounter done;
   const SharedWorkload workload;
   Engine engine(Engine::Options{1});
   WorkerGate gate;
 
   FitJob blocker = workload.JobFor(kSolverAlg1DpFw, 11);
   blocker.spec.should_stop = gate.Hook();  // parks the only worker
-  const JobHandle running = engine.Submit(std::move(blocker));
+  const JobHandle running = engine.Submit(done.Counted(std::move(blocker)));
   gate.AwaitReached();
 
-  JobHandle queued = engine.Submit(workload.JobFor(kSolverAlg1DpFw, 12));
+  JobHandle queued =
+      engine.Submit(done.Counted(workload.JobFor(kSolverAlg1DpFw, 12)));
   EXPECT_EQ(engine.stats().queue_depth, 1u);
   queued.Cancel();
 
@@ -309,6 +327,7 @@ TEST(EngineTest, CancelQueuedJob) {
   // engine counters -- while the only worker is still parked inside the
   // blocking job, before anything dequeues.
   EXPECT_TRUE(queued.done());
+  EXPECT_EQ(done.calls.load(), 1u);  // on_done ran inside Cancel()
   const StatusOr<FitResult>& cancelled = queued.Wait();
   ASSERT_FALSE(cancelled.ok());
   EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
@@ -334,11 +353,12 @@ TEST(EngineTest, CancelQueuedJob) {
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.cancelled, 1u);
   EXPECT_EQ(stats.succeeded, 1u);
-  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1, done);
 }
 
 TEST(EngineTest, CancelRunningJobStopsCooperatively) {
   const RegistrySnapshot before = SnapshotRegistry();
+  DoneCounter done;
   const SharedWorkload workload;
   Engine engine(Engine::Options{1});
   WorkerGate gate;
@@ -350,7 +370,7 @@ TEST(EngineTest, CancelRunningJobStopsCooperatively) {
   FitJob job = workload.JobFor(kSolverAlg1DpFw, 13);
   job.spec.iterations = 20;  // >= 2 iterations so a later poll sees the flag
   job.spec.should_stop = gate.Hook();
-  JobHandle handle = engine.Submit(std::move(job));
+  JobHandle handle = engine.Submit(done.Counted(std::move(job)));
   gate.AwaitReached();  // the job is mid-fit now
   handle.Cancel();
   gate.release.store(true);
@@ -359,23 +379,24 @@ TEST(EngineTest, CancelRunningJobStopsCooperatively) {
   ASSERT_FALSE(fit.ok());
   EXPECT_EQ(fit.status().code(), StatusCode::kCancelled);
   EXPECT_EQ(engine.stats().cancelled, 1u);
-  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1, done);
 }
 
 TEST(EngineTest, DeadlineExceededWhileQueued) {
   const RegistrySnapshot before = SnapshotRegistry();
+  DoneCounter done;
   const SharedWorkload workload;
   Engine engine(Engine::Options{1});
   WorkerGate gate;
 
   FitJob blocker = workload.JobFor(kSolverAlg1DpFw, 21);
   blocker.spec.should_stop = gate.Hook();
-  const JobHandle running = engine.Submit(std::move(blocker));
+  const JobHandle running = engine.Submit(done.Counted(std::move(blocker)));
   gate.AwaitReached();
 
   FitJob hurried = workload.JobFor(kSolverAlg1DpFw, 22);
   hurried.deadline_seconds = 1e-4;
-  const JobHandle late = engine.Submit(std::move(hurried));
+  const JobHandle late = engine.Submit(done.Counted(std::move(hurried)));
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   gate.release.store(true);
 
@@ -384,11 +405,12 @@ TEST(EngineTest, DeadlineExceededWhileQueued) {
   EXPECT_EQ(fit.status().code(), StatusCode::kDeadlineExceeded);
   ASSERT_TRUE(running.Wait().ok());
   EXPECT_EQ(engine.stats().deadline_exceeded, 1u);
-  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1, done);
 }
 
 TEST(EngineTest, DeadlineExceededMidFit) {
   const RegistrySnapshot before = SnapshotRegistry();
+  DoneCounter done;
   const SharedWorkload workload;
   Engine engine(Engine::Options{1});
 
@@ -398,15 +420,16 @@ TEST(EngineTest, DeadlineExceededMidFit) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   };
   job.deadline_seconds = 0.05;
-  const JobHandle handle = engine.Submit(std::move(job));
+  const JobHandle handle = engine.Submit(done.Counted(std::move(job)));
   const StatusOr<FitResult>& fit = handle.Wait();
   ASSERT_FALSE(fit.ok());
   EXPECT_EQ(fit.status().code(), StatusCode::kDeadlineExceeded);
-  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1, done);
 }
 
 TEST(EngineTest, DeadlineExceededOnLateSuccess) {
   const RegistrySnapshot before = SnapshotRegistry();
+  DoneCounter done;
   // alg4 polls should_stop only once, before its single pass, so a short
   // deadline cannot interrupt it -- the contract still holds because the
   // Engine rejects the late result after the fit returns.
@@ -418,25 +441,27 @@ TEST(EngineTest, DeadlineExceededOnLateSuccess) {
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
   };
   job.deadline_seconds = 0.005;
-  const JobHandle handle = engine.Submit(std::move(job));
+  const JobHandle handle = engine.Submit(done.Counted(std::move(job)));
   const StatusOr<FitResult>& fit = handle.Wait();
   ASSERT_FALSE(fit.ok());
   EXPECT_EQ(fit.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(engine.stats().deadline_exceeded, 1u);
-  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1, done);
 }
 
 TEST(EngineTest, ShutdownCancelsQueuedAndRejectsLateSubmits) {
   const RegistrySnapshot before = SnapshotRegistry();
+  DoneCounter done;
   const SharedWorkload workload;
   Engine engine(Engine::Options{1});
   WorkerGate gate;
 
   FitJob blocker = workload.JobFor(kSolverAlg1DpFw, 31);
   blocker.spec.should_stop = gate.Hook();
-  const JobHandle running = engine.Submit(std::move(blocker));
+  const JobHandle running = engine.Submit(done.Counted(std::move(blocker)));
   gate.AwaitReached();
-  const JobHandle queued = engine.Submit(workload.JobFor(kSolverAlg1DpFw, 32));
+  const JobHandle queued =
+      engine.Submit(done.Counted(workload.JobFor(kSolverAlg1DpFw, 32)));
 
   // Shutdown must cancel the queued job and wait for the running one; the
   // release flips first so Shutdown's join can finish.
@@ -449,11 +474,33 @@ TEST(EngineTest, ShutdownCancelsQueuedAndRejectsLateSubmits) {
   EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
 
   const JobHandle late_handle =
-      engine.Submit(workload.JobFor(kSolverAlg1DpFw, 33));
+      engine.Submit(done.Counted(workload.JobFor(kSolverAlg1DpFw, 33)));
   const StatusOr<FitResult>& late = late_handle.Wait();
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.status().code(), StatusCode::kCancelled);
-  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1, done);
+}
+
+TEST(EngineTest, OnDoneSeesThePublishedResult) {
+  const SharedWorkload workload;
+  Engine engine(Engine::Options{1});
+  WorkerGate gate;
+
+  // The gate holds the worker inside the fit until `handle` is assigned,
+  // so the callback never reads it mid-write.
+  JobHandle handle;
+  std::atomic<int> saw_done{-1};
+  FitJob job = workload.JobFor(kSolverAlg1DpFw, 81);
+  job.spec.should_stop = gate.Hook();
+  job.on_done = [&saw_done, handle_ptr = &handle] {
+    saw_done.store(handle_ptr->done() ? 1 : 0);
+  };
+  handle = engine.Submit(std::move(job));
+  gate.release.store(true);
+
+  engine.Drain();
+  EXPECT_TRUE(handle.Wait().ok());
+  EXPECT_EQ(saw_done.load(), 1);
 }
 
 TEST(EngineTest, DrainWaitsForAllJobs) {
@@ -625,6 +672,7 @@ TEST(BudgetManagerTest, PureTenantCannotFundApproxJobs) {
 
 TEST(EngineTenantTest, OverBudgetSubmissionsRejectedBeforeAnyWorkRuns) {
   const RegistrySnapshot before = SnapshotRegistry();
+  DoneCounter done;
   const SharedWorkload workload;
   BudgetManager budgets;
   ASSERT_TRUE(
@@ -638,7 +686,7 @@ TEST(EngineTenantTest, OverBudgetSubmissionsRejectedBeforeAnyWorkRuns) {
   for (int i = 0; i < 3; ++i) {
     FitJob job = workload.JobFor(kSolverAlg2PrivateLasso, 7);
     job.tenant = "sweep";
-    handles.push_back(engine.Submit(std::move(job)));
+    handles.push_back(engine.Submit(done.Counted(std::move(job))));
   }
   ASSERT_TRUE(handles[0].Wait().ok());
   ASSERT_TRUE(handles[1].Wait().ok());
@@ -668,7 +716,7 @@ TEST(EngineTenantTest, OverBudgetSubmissionsRejectedBeforeAnyWorkRuns) {
   const StatusOr<PrivacyBudget> remaining = budgets.Remaining("sweep");
   ASSERT_TRUE(remaining.ok());
   EXPECT_NEAR(remaining->epsilon, 0.5, 1e-12);
-  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/2);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/2, done);
 }
 
 TEST(EngineTenantTest, TenantWithoutManagerIsATypedError) {
@@ -821,6 +869,7 @@ TEST(EngineOverloadTest, RetryAfterHintScalesWithBacklogAndClamps) {
 
 TEST(EngineOverloadTest, QueueCapShedsWithTypedUnavailable) {
   const RegistrySnapshot before = SnapshotRegistry();
+  DoneCounter done;
   const SharedWorkload workload;
   Engine::Options options;
   options.workers = 1;
@@ -831,16 +880,19 @@ TEST(EngineOverloadTest, QueueCapShedsWithTypedUnavailable) {
 
   FitJob blocker = workload.JobFor(kSolverAlg1DpFw, 41);
   blocker.spec.should_stop = gate.Hook();  // parks the only worker
-  const JobHandle running = engine.Submit(std::move(blocker));
+  const JobHandle running = engine.Submit(done.Counted(std::move(blocker)));
   gate.AwaitReached();
 
-  const JobHandle q1 = engine.Submit(workload.JobFor(kSolverAlg1DpFw, 42));
-  const JobHandle q2 = engine.Submit(workload.JobFor(kSolverAlg1DpFw, 43));
+  const JobHandle q1 =
+      engine.Submit(done.Counted(workload.JobFor(kSolverAlg1DpFw, 42)));
+  const JobHandle q2 =
+      engine.Submit(done.Counted(workload.JobFor(kSolverAlg1DpFw, 43)));
   EXPECT_EQ(engine.stats().queue_depth, 2u);
 
   // The queue is at its high watermark: this submit is shed synchronously
   // with the retryable typed code, naming the cap and a retry hint.
-  const JobHandle shed = engine.Submit(workload.JobFor(kSolverAlg1DpFw, 44));
+  const JobHandle shed =
+      engine.Submit(done.Counted(workload.JobFor(kSolverAlg1DpFw, 44)));
   EXPECT_TRUE(shed.done());
   const StatusOr<FitResult>& outcome = shed.Wait();
   ASSERT_FALSE(outcome.ok());
@@ -857,7 +909,7 @@ TEST(EngineOverloadTest, QueueCapShedsWithTypedUnavailable) {
   JobHandle cancel_me = q2;
   cancel_me.Cancel();
   const JobHandle resumed =
-      engine.Submit(workload.JobFor(kSolverAlg1DpFw, 45));
+      engine.Submit(done.Counted(workload.JobFor(kSolverAlg1DpFw, 45)));
   EXPECT_FALSE(resumed.done());  // admitted, queued behind q1
 
   gate.release.store(true);
@@ -866,7 +918,7 @@ TEST(EngineOverloadTest, QueueCapShedsWithTypedUnavailable) {
   EXPECT_TRUE(q1.Wait().ok());
   EXPECT_TRUE(resumed.Wait().ok());
   EXPECT_FALSE(engine.stats().overloaded);
-  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/3);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/3, done);
 }
 
 TEST(EngineOverloadTest, WatermarkHysteresisHoldsUntilLowWatermark) {
@@ -919,6 +971,7 @@ TEST(EngineOverloadTest, WatermarkHysteresisHoldsUntilLowWatermark) {
 
 TEST(EngineOverloadTest, ExpiredQueuedJobShedAtDequeueRefundsTenant) {
   const RegistrySnapshot before = SnapshotRegistry();
+  DoneCounter done;
   const SharedWorkload workload;
   BudgetManager budgets;
   ASSERT_TRUE(
@@ -928,13 +981,13 @@ TEST(EngineOverloadTest, ExpiredQueuedJobShedAtDequeueRefundsTenant) {
 
   FitJob blocker = workload.JobFor(kSolverAlg1DpFw, 61);
   blocker.spec.should_stop = gate.Hook();
-  const JobHandle running = engine.Submit(std::move(blocker));
+  const JobHandle running = engine.Submit(done.Counted(std::move(blocker)));
   gate.AwaitReached();
 
   FitJob hurried = workload.JobFor(kSolverAlg2PrivateLasso, 62);
   hurried.tenant = "late";
   hurried.deadline_seconds = 1e-4;
-  const JobHandle late = engine.Submit(std::move(hurried));
+  const JobHandle late = engine.Submit(done.Counted(std::move(hurried)));
   {
     const StatusOr<PrivacyBudget> reserved = budgets.Remaining("late");
     ASSERT_TRUE(reserved.ok());
@@ -953,11 +1006,12 @@ TEST(EngineOverloadTest, ExpiredQueuedJobShedAtDequeueRefundsTenant) {
   const StatusOr<PrivacyBudget> refunded = budgets.Remaining("late");
   ASSERT_TRUE(refunded.ok());
   EXPECT_NEAR(refunded->epsilon, 1.0, 1e-12);
-  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1, done);
 }
 
 TEST(EngineOverloadTest, PerTenantInflightCapShedsAndRefunds) {
   const RegistrySnapshot before = SnapshotRegistry();
+  DoneCounter done;
   const SharedWorkload workload;
   BudgetManager budgets;
   ASSERT_TRUE(
@@ -972,19 +1026,19 @@ TEST(EngineOverloadTest, PerTenantInflightCapShedsAndRefunds) {
 
   FitJob blocker = workload.JobFor(kSolverAlg1DpFw, 71);  // no tenant
   blocker.spec.should_stop = gate.Hook();
-  const JobHandle running = engine.Submit(std::move(blocker));
+  const JobHandle running = engine.Submit(done.Counted(std::move(blocker)));
   gate.AwaitReached();
 
   FitJob first = workload.JobFor(kSolverAlg2PrivateLasso, 72);
   first.tenant = "flood";
-  const JobHandle admitted = engine.Submit(std::move(first));
+  const JobHandle admitted = engine.Submit(done.Counted(std::move(first)));
   EXPECT_FALSE(admitted.done());  // queued, holds the tenant's one slot
 
   // The tenant's second inflight job is shed -- and its reservation comes
   // straight back, so the cap costs the tenant no budget.
   FitJob second = workload.JobFor(kSolverAlg2PrivateLasso, 73);
   second.tenant = "flood";
-  const JobHandle shed = engine.Submit(std::move(second));
+  const JobHandle shed = engine.Submit(done.Counted(std::move(second)));
   ASSERT_TRUE(shed.done());
   EXPECT_EQ(shed.Wait().status().code(), StatusCode::kUnavailable);
   {
@@ -994,7 +1048,8 @@ TEST(EngineOverloadTest, PerTenantInflightCapShedsAndRefunds) {
   }
 
   // The cap is per tenant: untenanted work still queues freely.
-  const JobHandle other = engine.Submit(workload.JobFor(kSolverAlg1DpFw, 74));
+  const JobHandle other =
+      engine.Submit(done.Counted(workload.JobFor(kSolverAlg1DpFw, 74)));
   EXPECT_FALSE(other.done());
 
   gate.release.store(true);
@@ -1009,12 +1064,12 @@ TEST(EngineOverloadTest, PerTenantInflightCapShedsAndRefunds) {
   // for the fits that ran.
   FitJob third = workload.JobFor(kSolverAlg2PrivateLasso, 75);
   third.tenant = "flood";
-  const JobHandle after = engine.Submit(std::move(third));
+  const JobHandle after = engine.Submit(done.Counted(std::move(third)));
   EXPECT_TRUE(after.Wait().ok());
   const StatusOr<PrivacyBudget> remaining = budgets.Remaining("flood");
   ASSERT_TRUE(remaining.ok());
   EXPECT_NEAR(remaining->epsilon, 8.0, 1e-12);
-  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/4);
+  ExpectRegistryMatchesStats(before, engine, /*picked_up=*/4, done);
 }
 
 TEST(EngineScenarioTest, EngineSweepMatchesSequentialRunTrials) {

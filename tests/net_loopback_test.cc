@@ -10,10 +10,13 @@
 //   * malformed bytes produce a typed ERROR and a closed connection, never
 //     a daemon crash;
 //   * the drain state machine (signal bookkeeping included) empties the
-//     daemon and returns from Run().
+//     daemon and returns from Run();
+//   * queued jobs add no threads: completions reach the loop through
+//     FitJob::on_done, not a thread per job;
+//   * the numeric flags of htdpd and htdpctl parse strictly.
 //
-// CI also runs this suite under TSan: the loop thread, the per-job waiter
-// threads and concurrent clients must be race-free.
+// CI also runs this suite under TSan: the loop thread, completion callbacks
+// fired from Engine workers and concurrent clients must be race-free.
 
 #include "daemon/server.h"
 
@@ -21,7 +24,9 @@
 #include <stdlib.h>
 
 #include <filesystem>
+#include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -33,6 +38,7 @@
 #include "net/wire_status.h"
 #include "obs/metrics.h"
 #include "rng/rng.h"
+#include "util/parallel.h"
 
 namespace htdp {
 namespace {
@@ -344,6 +350,54 @@ TEST(NetLoopback, QueuedJobCancelsWithTypedStatus) {
   EXPECT_TRUE(client->WaitResult(running.value()).ok());
 }
 
+/// Threads in this process, counted from /proc/self/task.
+std::size_t ThreadCount() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(NetLoopback, QueuedJobsAddNoThreads) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "/proc/self/task is not available";
+  }
+  // Start the lazily created pool helpers now, so the baseline counts them.
+  ParallelFor(kParallelForSerialThreshold, [](std::size_t, std::size_t) {});
+
+  daemon::ServerOptions options;
+  options.engine_workers = 1;
+  TestServer server(std::move(options));
+  auto client = server.Connect();
+  const std::size_t baseline = ThreadCount();
+
+  // The heavy job of QueuedJobCancelsWithTypedStatus holds the only worker
+  // while 16 more jobs queue behind it.
+  net::SubmitRequest heavy = TestSubmit(11);
+  heavy.problem = TestProblem(8000, 30);
+  heavy.spec.iterations = 1000;
+  heavy.spec.record_risk_trace = true;
+  std::vector<net::SubmitRequest> requests{heavy};
+  for (std::uint64_t seed = 200; seed < 216; ++seed) {
+    requests.push_back(TestSubmit(seed));
+  }
+  std::vector<std::uint64_t> ids;
+  for (const net::SubmitRequest& request : requests) {
+    auto job = client->Submit(request);
+    ASSERT_TRUE(job.ok()) << job.status().message();
+    ids.push_back(job.value());
+  }
+  EXPECT_LE(ThreadCount(), baseline + 2);
+
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    auto remote = client->WaitResult(ids[i]);
+    ASSERT_TRUE(remote.ok()) << remote.status().message();
+    EXPECT_EQ(remote.value().w, LocalFit(requests[i]).w) << "job " << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Hostile input at the socket
 
@@ -520,6 +574,97 @@ TEST(NetLoopback, MetricsRequestWithUnknownFormatIsATypedError) {
   net::WireReader reader(writer.bytes().data(), writer.bytes().size());
   const Status status = net::DecodeMetrics(reader, &decoded);
   EXPECT_EQ(status.code(), StatusCode::kInvalidProblem);
+}
+
+// ---------------------------------------------------------------------------
+// Command-line flags of htdpd and htdpctl
+
+TEST(DaemonFlags, FlagValueMatchesTheWholeName) {
+  std::string value;
+  EXPECT_TRUE(daemon::FlagValue("--port=80", "--port", &value));
+  EXPECT_EQ(value, "80");
+  EXPECT_TRUE(daemon::FlagValue("--port=", "--port", &value));
+  EXPECT_EQ(value, "");
+  EXPECT_FALSE(daemon::FlagValue("--ports=80", "--port", &value));
+  EXPECT_FALSE(daemon::FlagValue("--port", "--port", &value));
+}
+
+TEST(DaemonFlags, IntegersMustParseWhollyAndFitTheType) {
+  std::uint16_t port = 0;
+  EXPECT_TRUE(daemon::ParseFlag("--port", "65535", &port).ok());
+  EXPECT_EQ(port, 65535);
+  for (const char* bad : {"70000", "65536", "-1", "abc", "", " 80", "80x",
+                          "+80", "8.0"}) {
+    const Status status = daemon::ParseFlag("--port", bad, &port);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidProblem) << bad;
+    EXPECT_NE(status.message().find("--port"), std::string::npos) << bad;
+  }
+  EXPECT_EQ(port, 65535);  // untouched by every rejection
+
+  int workers = 0;
+  EXPECT_TRUE(daemon::ParseFlag("--workers", "4", &workers).ok());
+  EXPECT_EQ(workers, 4);
+  EXPECT_FALSE(daemon::ParseFlag("--workers", "-3", &workers).ok());
+  EXPECT_FALSE(daemon::ParseFlag("--workers", "2147483648", &workers).ok());
+
+  std::size_t cap = 0;
+  EXPECT_FALSE(daemon::ParseFlag("--queue-cap", "-5", &cap).ok());
+  EXPECT_TRUE(
+      daemon::ParseFlag("--queue-cap", "18446744073709551615", &cap).ok());
+  EXPECT_EQ(cap, std::numeric_limits<std::size_t>::max());
+  EXPECT_FALSE(
+      daemon::ParseFlag("--queue-cap", "18446744073709551616", &cap).ok());
+}
+
+TEST(DaemonFlags, DoublesMustParseWhollyAndBeFinite) {
+  double seconds = 0.0;
+  EXPECT_TRUE(daemon::ParseFlag("--idle-timeout", "2.5", &seconds).ok());
+  EXPECT_EQ(seconds, 2.5);
+  // Negative values are legal: "<= 0 disables" for the timeouts.
+  EXPECT_TRUE(daemon::ParseFlag("--idle-timeout", "-1", &seconds).ok());
+  EXPECT_EQ(seconds, -1.0);
+  for (const char* bad : {"abc", "", "1.5s", "nan", "inf", " 1"}) {
+    const Status status = daemon::ParseFlag("--idle-timeout", bad, &seconds);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidProblem) << bad;
+    EXPECT_NE(status.message().find("--idle-timeout"), std::string::npos);
+  }
+  EXPECT_EQ(seconds, -1.0);
+}
+
+TEST(DaemonFlags, MegabytesRejectNegativesAndOverflow) {
+  std::size_t bytes = 0;
+  EXPECT_TRUE(daemon::ParseMegabytesFlag("--max-frame-mb", "64", &bytes).ok());
+  EXPECT_EQ(bytes, std::size_t{64} << 20);
+  EXPECT_FALSE(daemon::ParseMegabytesFlag("--max-frame-mb", "-1", &bytes).ok());
+  const std::size_t max_mb = std::numeric_limits<std::size_t>::max() >> 20;
+  EXPECT_TRUE(daemon::ParseMegabytesFlag("--max-frame-mb",
+                                         std::to_string(max_mb), &bytes)
+                  .ok());
+  EXPECT_EQ(bytes, max_mb << 20);
+  EXPECT_FALSE(daemon::ParseMegabytesFlag("--max-frame-mb",
+                                          std::to_string(max_mb + 1), &bytes)
+                   .ok());
+}
+
+TEST(DaemonFlags, ParseTenantFlag) {
+  auto pure = daemon::ParseTenantFlag("acme=2.0");
+  ASSERT_TRUE(pure.ok()) << pure.status().message();
+  EXPECT_EQ(pure->name, "acme");
+  EXPECT_EQ(pure->budget.epsilon, 2.0);
+  EXPECT_EQ(pure->budget.delta, 0.0);
+
+  auto approx = daemon::ParseTenantFlag("beta=1.5,0.001");
+  ASSERT_TRUE(approx.ok()) << approx.status().message();
+  EXPECT_EQ(approx->name, "beta");
+  EXPECT_EQ(approx->budget.epsilon, 1.5);
+  EXPECT_EQ(approx->budget.delta, 0.001);
+
+  for (const char* bad : {"acme", "=1.0", "acme=", "acme=x", "acme=1.0x",
+                          "acme=1.0,", "acme=1.0,abc", "acme=1,2,3"}) {
+    const auto parsed = daemon::ParseTenantFlag(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidProblem) << bad;
+  }
 }
 
 }  // namespace
