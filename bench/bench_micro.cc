@@ -352,11 +352,11 @@ BENCHMARK(BM_ShrinkDataset)->Arg(100)->Arg(400);
 // iteration submits `jobs` pinned-schedule alg1 fits and waits for all of
 // them, so items_per_second in the BENCH_micro.json trajectory reads
 // directly as jobs/sec at that point (the "Engine throughput" section of
-// the perf trajectory). The grid is the work-stealing scheduler's scaling
-// sweep: the jobs > workers rows exercise queueing and stealing, the
-// jobs < workers rows measure idle-worker overhead, and comparing a fixed
-// jobs row across worker counts shows the speedup curve (flat on a 1-core
-// CI runner -- see hw_cores in the JSON header -- by design).
+// the perf trajectory). The grid is the scheduler's scaling sweep: the
+// jobs > workers rows exercise queueing, the jobs < workers rows measure
+// idle-worker overhead, and comparing a fixed jobs row across worker
+// counts shows the speedup curve (flat on a 1-core CI runner -- see
+// hw_cores in the JSON header -- by design).
 void BM_EngineThroughput(benchmark::State& state) {
   const int jobs = static_cast<int>(state.range(0));
   const int workers = static_cast<int>(state.range(1));

@@ -114,6 +114,10 @@ flag_rejected() {
 flag_rejected "htdpd rejects --port=70000" --port "$HTDPD" --port=70000
 flag_rejected "htdpd rejects --max-frame-mb=-1" --max-frame-mb \
     "$HTDPD" --port=0 --max-frame-mb=-1
+# --port=70000 comes second: a build that took --workers=257 still exits 1,
+# on the port, before it starts any thread -- and fails the message check.
+flag_rejected "htdpd rejects --workers=257" --workers \
+    "$HTDPD" --workers=257 --port=70000
 flag_rejected "htdpctl rejects --port=70000" --port \
     "$HTDPCTL" --port=70000 stats
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "api/solver_registry.h"
-#include "api/work_steal_deque.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -40,15 +40,13 @@ enum Bucket : std::size_t {
   kBudgetRejected,
   kShed,
   kShedExpired,
-  kStolen,
-  kStealFailures,
   kBucketCount,
 };
 
 /// One row per Bucket, in enum order. `parent` is the coarser bucket an
 /// outcome also counts in, and every outcome chains up to kCompleted: a shed
 /// job is failed and completed, an expired one deadline-exceeded and
-/// completed. Buckets that are not outcomes name themselves.
+/// completed. kSubmitted, not an outcome, names itself.
 struct BucketRow {
   const char* metric;
   const char* help;
@@ -73,10 +71,6 @@ constexpr BucketRow kBuckets[kBucketCount] = {
      kFailed},
     {"htdp_engine_jobs_shed_expired_total",
      "Queued jobs shed because their deadline expired", kDeadlineExceeded},
-    {"htdp_engine_jobs_stolen_total", "Jobs taken from another worker's deque",
-     kStolen},
-    {"htdp_engine_steal_failures_total",
-     "Steal sweeps that found the backlog already claimed", kStealFailures},
 };
 
 /// Per-tenant end-to-end fit latency (submit -> completion) of the jobs a
@@ -91,45 +85,30 @@ void ObserveFitLatency(const std::string& tenant, double seconds) {
       ->Observe(seconds);
 }
 
-/// Scheduler shards, counters and coordination state shared by the Engine
-/// and every JobRecord. Held through shared_ptrs so a JobHandle's Cancel()
-/// can update the shards/counters directly -- and safely even after the
-/// Engine object is gone (by then stop is set and the shards empty, so
-/// Cancel degenerates to a no-op).
+/// The job queue, counters and coordination state shared by the Engine and
+/// every JobRecord. Held through shared_ptrs so a JobHandle's Cancel() can
+/// update the queue/counters directly -- and safely even after the Engine
+/// object is gone (by then stop is set and the queue empty, so Cancel
+/// degenerates to a no-op).
 ///
-/// ### Work-stealing scheduler invariants (see docs/engine.md)
+/// ### Scheduler invariants (see docs/engine.md)
 ///
-/// - One WorkStealDeque per worker ("shard"). Submit pushes to one shard
-///   under `mu`; workers pop their own shard LIFO and steal from the others
-///   FIFO WITHOUT taking `mu` -- the deques carry their own locks, so the
-///   pop path contends per shard, not globally.
-/// - Ring membership is completion ownership: whichever path removes a
-///   record from its shard (worker pop, Cancel's Remove, Shutdown's
-///   DrainAll) is the unique path that finishes it, through FinishLocked.
-///   Inline rejections at Submit never enter a ring and are finished there.
+/// - One FIFO `queue`, guarded by `mu`. Submit pushes to the back; a worker
+///   pops the front and, in the same critical section, sheds the job or
+///   claims it as `running`. So a job is always queued, running or
+///   finished, and Drain() waits on `queue.empty() && running == 0`.
+/// - Queue membership is completion ownership: whichever path removes a
+///   record from `queue` (worker pop, Cancel's erase, Shutdown's sweep) is
+///   the unique path that finishes it, through FinishLocked. Inline
+///   rejections at Submit never enter the queue and are finished there.
 ///   Either way every job is finished and counted exactly once.
-/// - `queue_depth` is the global backlog estimate: incremented under `mu`
-///   just before the push (so work_cv waiters never miss work -- the
-///   predicate state changes inside the critical section), decremented
-///   atomically at every removal. Increment-before-push means the counter
-///   can transiently exceed the ring contents but never underflows.
-/// - `inflight` (guarded by `mu`) counts jobs from enqueue to completion --
-///   including the pop-to-claim handoff where a job is in no ring and not
-///   yet `running` -- so Drain() has an exact predicate.
-/// - Lock order: `mu` -> a shard's internal lock -> a record's mu, and `mu`
-///   -> the BudgetManager's lock (FinishLocked closes reservations under
-///   `mu`). Workers may take a shard lock without `mu`, but never the
-///   reverse nesting.
+/// - Lock order: `mu` -> a record's mu, and `mu` -> the BudgetManager's
+///   lock (FinishLocked closes reservations under `mu`). Never the reverse.
 struct EngineShared {
   std::mutex mu;
-  std::condition_variable work_cv;  // backlog became non-empty / stopping
-  std::condition_variable idle_cv;  // a job completed / left the backlog
-  std::vector<std::unique_ptr<WorkStealDeque<std::shared_ptr<JobRecord>>>>
-      shards;                        // one per worker, fixed at construction
-  std::vector<obs::Gauge*> depth_gauges;  // per-shard depth, worker label
-  std::atomic<std::size_t> queue_depth{0};
-  std::atomic<std::size_t> rr_next{0};  // round-robin cursor, untenanted jobs
-  std::size_t inflight = 0;  // enqueued jobs not yet completed (guarded by mu)
+  std::condition_variable work_cv;  // queue became non-empty / stopping
+  std::condition_variable idle_cv;  // a job completed
+  std::deque<std::shared_ptr<JobRecord>> queue;  // guarded by mu
   std::size_t running = 0;   // claimed by a worker, not finished (guarded by mu)
   bool stop = false;
 
@@ -145,15 +124,14 @@ struct EngineShared {
   bool overloaded = false;
   std::map<std::string, std::size_t> tenant_inflight;
 
-  /// This Engine's counters, indexed by Bucket and written only by Count().
-  /// Submissions and outcomes are counted under `mu`, so a stats() snapshot
-  /// is consistent; the steal buckets are counted lock-free by DequeueWork.
-  std::array<std::atomic<std::size_t>, kBucketCount> counts{};
+  /// This Engine's counters, indexed by Bucket and written only by Count(),
+  /// always under `mu`, so a stats() snapshot is consistent.
+  std::array<std::size_t, kBucketCount> counts{};
 
   const double start_seconds = obs::MonotonicSeconds();
 };
 
-/// Bumps one counter in both of its stores (see Bucket).
+/// Bumps one counter in both of its stores (see Bucket). Caller holds `mu`.
 void Count(EngineShared& engine, Bucket bucket) {
   static const std::array<obs::Counter*, kBucketCount> registry = [] {
     std::array<obs::Counter*, kBucketCount> counters{};
@@ -163,14 +141,13 @@ void Count(EngineShared& engine, Bucket bucket) {
     }
     return counters;
   }();
-  engine.counts[bucket].fetch_add(1, std::memory_order_relaxed);
+  ++engine.counts[bucket];
   registry[bucket]->Increment();
 }
 
 /// Publishes the load gauges from the state they mirror; the one writer of
-/// every engine gauge. Caller holds `mu`. A `shard` >= 0 also refreshes
-/// that worker's deque-depth gauge, the only shard the caller changed.
-void PublishGaugesLocked(EngineShared& engine, int shard) {
+/// every engine gauge. Caller holds `mu`.
+void PublishGaugesLocked(EngineShared& engine) {
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
   static obs::Gauge* const queue_depth =
       registry.GetGauge("htdp_engine_queue_depth", "Jobs waiting in the queue");
@@ -178,14 +155,9 @@ void PublishGaugesLocked(EngineShared& engine, int shard) {
       "htdp_engine_jobs_running", "Jobs currently on a worker");
   static obs::Gauge* const overloaded = registry.GetGauge(
       "htdp_engine_overloaded", "1 while the shed watermark latch is on");
-  queue_depth->Set(static_cast<double>(
-      engine.queue_depth.load(std::memory_order_relaxed)));
+  queue_depth->Set(static_cast<double>(engine.queue.size()));
   running->Set(static_cast<double>(engine.running));
   overloaded->Set(engine.overloaded ? 1.0 : 0.0);
-  if (shard >= 0) {
-    const auto s = static_cast<std::size_t>(shard);
-    engine.depth_gauges[s]->Set(static_cast<double>(engine.shards[s]->size()));
-  }
 }
 
 /// Shared state of one submitted job. The Engine and every JobHandle copy
@@ -198,11 +170,6 @@ struct JobRecord {
   std::atomic<bool> cancel{false};
   bool has_deadline = false;
   Clock::time_point deadline;
-
-  /// Shard the job was enqueued on; -1 until enqueued (inline-completed
-  /// jobs never get one). Written once in Submit before the record is
-  /// published to the shard.
-  int shard_index = -1;
 
   /// obs::NowNanos() at Submit entry; start edge of the engine.queue_wait
   /// span and the origin of the per-tenant fit-latency observation.
@@ -272,26 +239,12 @@ void FinishLocked(EngineShared& engine, JobRecord& record,
     if (b == kCompleted) break;
   }
   record.Complete(std::move(result));
-  if (record.shard_index >= 0) --engine.inflight;
   if (record.running) --engine.running;
   if (record.counted_inflight) {
     const auto it = engine.tenant_inflight.find(record.job.tenant);
     if (--it->second == 0) engine.tenant_inflight.erase(it);
   }
-  PublishGaugesLocked(engine, record.shard_index);
-}
-
-std::size_t ShardForTenant(const std::string& tenant,
-                           std::size_t shard_count) {
-  // FNV-1a 64-bit: deterministic across platforms and standard-library
-  // versions (std::hash is not), so tests and capacity planning can predict
-  // tenant placement.
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : tenant) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return static_cast<std::size_t>(h % (shard_count > 0 ? shard_count : 1));
+  PublishGaugesLocked(engine);
 }
 
 }  // namespace engine_internal
@@ -322,18 +275,16 @@ void JobHandle::Cancel() {
   // drains to it. A running job only gets the flag; the should_stop hook
   // picks it up at the next iteration boundary.
   //
-  // Ring membership is the arbitration: workers pop shards WITHOUT the
-  // engine mutex, so whichever path removes the record from its shard (this
-  // Remove, a worker pop, Shutdown's sweep) is the unique completion owner.
-  // Remove failing means a worker already claimed the job (it observes
-  // `cancel` at dequeue or at its next iteration poll) or it completed.
+  // Queue membership is the arbitration: whichever path removes the record
+  // from the queue (this erase, a worker pop, Shutdown's sweep) is the
+  // unique completion owner. A record not in the queue is running (its
+  // worker observes `cancel` at the next iteration poll) or finished.
   {
     const std::lock_guard<std::mutex> engine_lock(engine->mu);
-    if (!engine->shards[static_cast<std::size_t>(record_->shard_index)]
-             ->Remove(record_)) {
-      return;
-    }
-    engine->queue_depth.fetch_sub(1, std::memory_order_relaxed);
+    std::deque<std::shared_ptr<JobRecord>>& queue = engine->queue;
+    const auto it = std::find(queue.begin(), queue.end(), record_);
+    if (it == queue.end()) return;
+    queue.erase(it);
     FinishLocked(*engine, *record_,
                  Status::Cancelled(record_->Describe() +
                                    " cancelled before it started"),
@@ -366,26 +317,9 @@ Engine::Engine(Options options)
   const int workers =
       options.workers > 0 ? options.workers : NumWorkerThreads();
   worker_count_ = std::max(workers, 1);
-  // One deque per worker. The hard ring bound is the global queue cap:
-  // admission sheds at max_queue_depth total, so no single shard can ever
-  // be asked to hold more (PushBack failing is an invariant violation, see
-  // work_steal_deque.h). Per-shard depth gauges carry the worker index as
-  // a label so dashboards can see placement skew (a flooding tenant's
-  // shard) at a glance.
-  state_->shards.reserve(static_cast<std::size_t>(worker_count_));
-  state_->depth_gauges.reserve(static_cast<std::size_t>(worker_count_));
-  for (int i = 0; i < worker_count_; ++i) {
-    state_->shards.push_back(
-        std::make_unique<WorkStealDeque<std::shared_ptr<JobRecord>>>(
-            /*initial_capacity=*/8,
-            /*max_capacity=*/options.max_queue_depth));
-    state_->depth_gauges.push_back(obs::MetricRegistry::Global().GetGauge(
-        "htdp_engine_worker_queue_depth", "Jobs queued on one worker's deque",
-        {{"worker", std::to_string(i)}}));
-  }
   workers_.reserve(static_cast<std::size_t>(worker_count_));
   for (int i = 0; i < worker_count_; ++i) {
-    workers_.emplace_back([this, i] { WorkerMain(i); });
+    workers_.emplace_back([this] { WorkerMain(); });
   }
   // Info-style series (value pinned to 1, the payload lives in the labels):
   // tags every metrics scrape with the SIMD ISA the kernel dispatcher
@@ -476,32 +410,13 @@ JobHandle Engine::Submit(FitJob job) {
       FinishLocked(*state_, *record, std::move(rejected), outcome);
     } else {
       record->engine = state_;
-      // Shard choice: tenant-named jobs hash to a stable shard (tenant
-      // isolation -- one tenant's burst queues on one deque and only
-      // reaches other workers by stealing); untenanted jobs round-robin
-      // for even placement.
-      const std::size_t shard =
-          record->job.tenant.empty()
-              ? state_->rr_next.fetch_add(1, std::memory_order_relaxed) %
-                    state_->shards.size()
-              : engine_internal::ShardForTenant(record->job.tenant,
-                                                state_->shards.size());
-      record->shard_index = static_cast<int>(shard);
-      ++state_->inflight;
-      // Increment-before-push: a worker's pop (which runs without this
-      // mutex) must never decrement queue_depth before the matching
-      // increment, or the unsigned counter would transiently wrap. The
-      // whole enqueue happens under `mu`, so work_cv waiters still cannot
-      // observe the backlog without the predicate being true.
-      state_->queue_depth.fetch_add(1, std::memory_order_relaxed);
-      HTDP_CHECK(state_->shards[shard]->PushBack(record))
-          << "shard " << shard << " over the admission-guaranteed bound";
+      state_->queue.push_back(record);
       if (!record->job.tenant.empty() &&
           state_->max_inflight_per_tenant > 0) {
         ++state_->tenant_inflight[record->job.tenant];
         record->counted_inflight = true;
       }
-      engine_internal::PublishGaugesLocked(*state_, record->shard_index);
+      engine_internal::PublishGaugesLocked(*state_);
     }
   }
   if (admitted) {
@@ -517,8 +432,7 @@ Status Engine::AdmitLocked(engine_internal::JobRecord& record) {
   // off once a drain cycle brings the queue back to queue_resume_depth, so
   // admission does not flap once per popped job at the boundary.
   if (state_->max_queue_depth > 0) {
-    const std::size_t depth =
-        state_->queue_depth.load(std::memory_order_relaxed);
+    const std::size_t depth = state_->queue.size();
     if (state_->overloaded && depth <= state_->queue_resume_depth) {
       state_->overloaded = false;
     }
@@ -549,59 +463,23 @@ Status Engine::AdmitLocked(engine_internal::JobRecord& record) {
   return Status::Ok();
 }
 
-std::shared_ptr<JobRecord> Engine::DequeueWork(int worker_index) {
-  auto& shards = state_->shards;
-  std::shared_ptr<JobRecord> record;
-  // Own shard first, LIFO: the most recently queued job's problem/spec are
-  // still warm, and a worker keeps servicing its own submissions without
-  // touching anyone else's lock.
-  if (shards[static_cast<std::size_t>(worker_index)]->PopBack(&record)) {
-    state_->queue_depth.fetch_sub(1, std::memory_order_relaxed);
-    return record;
-  }
-  if (state_->queue_depth.load(std::memory_order_relaxed) == 0) {
-    return nullptr;  // genuinely idle, not a failed steal
-  }
-  // Backlog exists elsewhere: sweep the other shards FIFO (oldest job
-  // first, preserving rough submission order for stolen work). A sweep that
-  // comes up empty -- every observed job was claimed by its owner or
-  // another thief first -- counts as one steal failure; it is contention
-  // telemetry, not an error.
-  for (int k = 1; k < worker_count_; ++k) {
-    const int victim = (worker_index + k) % worker_count_;
-    if (shards[static_cast<std::size_t>(victim)]->PopFront(&record)) {
-      state_->queue_depth.fetch_sub(1, std::memory_order_relaxed);
-      engine_internal::Count(*state_, Bucket::kStolen);
-      return record;
-    }
-  }
-  engine_internal::Count(*state_, Bucket::kStealFailures);
-  return nullptr;
-}
-
-void Engine::WorkerMain(int worker_index) {
+void Engine::WorkerMain() {
   for (;;) {
-    std::shared_ptr<JobRecord> record = DequeueWork(worker_index);
-    if (record == nullptr) {
-      std::unique_lock<std::mutex> lock(state_->mu);
-      state_->work_cv.wait(lock, [&] {
-        return state_->stop ||
-               state_->queue_depth.load(std::memory_order_relaxed) > 0;
-      });
-      if (state_->stop &&
-          state_->queue_depth.load(std::memory_order_relaxed) == 0) {
-        return;  // Shutdown swept the shards; nothing left to run
-      }
-      continue;
-    }
-    // The pop made this worker the record's unique completion owner (ring
-    // membership, see EngineShared). A job cancelled, or whose deadline
-    // expired, while it sat queued is shed right here -- the worker moves on
-    // to the next job instead of spinning up a fit that could only report
-    // kCancelled or kDeadlineExceeded. Otherwise the worker claims it.
+    std::shared_ptr<JobRecord> record;
     bool claimed = false;
     {
-      const std::lock_guard<std::mutex> lock(state_->mu);
+      std::unique_lock<std::mutex> lock(state_->mu);
+      state_->work_cv.wait(
+          lock, [&] { return state_->stop || !state_->queue.empty(); });
+      if (state_->queue.empty()) return;  // stopping; Shutdown swept it
+      // Popping the front makes this worker the record's unique completion
+      // owner (queue membership, see EngineShared). A job cancelled, or
+      // whose deadline expired, while it sat queued is shed right here --
+      // the worker moves on to the next job instead of spinning up a fit
+      // that could only report kCancelled or kDeadlineExceeded. Otherwise
+      // the worker claims it.
+      record = std::move(state_->queue.front());
+      state_->queue.pop_front();
       if (record->cancel.load(std::memory_order_acquire)) {
         FinishLocked(*state_, *record,
                      Status::Cancelled(record->Describe() +
@@ -616,7 +494,7 @@ void Engine::WorkerMain(int worker_index) {
       } else {
         record->running = true;
         ++state_->running;
-        engine_internal::PublishGaugesLocked(*state_, record->shard_index);
+        engine_internal::PublishGaugesLocked(*state_);
         claimed = true;
       }
     }
@@ -685,37 +563,33 @@ void Engine::RunJob(JobRecord& record) {
 }
 
 void Engine::Drain() {
-  // `inflight` counts every enqueued job until its completion is published
-  // -- including the window where a worker has popped a job but not yet
-  // claimed it as running, which no (queue empty && running == 0) predicate
-  // could cover under lock-free pops.
+  // A worker pops and claims a job in one critical section, so every
+  // unfinished job is either queued or counted in `running`.
   std::unique_lock<std::mutex> lock(state_->mu);
-  state_->idle_cv.wait(lock, [&] { return state_->inflight == 0; });
+  state_->idle_cv.wait(lock, [&] {
+    return state_->queue.empty() && state_->running == 0;
+  });
 }
 
 void Engine::Shutdown() {
   // Serializes concurrent Shutdown() callers (incl. the destructor) so the
   // join below runs exactly once.
   const std::lock_guard<std::mutex> shutdown_lock(shutdown_mu_);
+  std::deque<std::shared_ptr<JobRecord>> orphans;
   {
     const std::lock_guard<std::mutex> lock(state_->mu);
     if (state_->stop && workers_.empty()) return;  // already shut down
     state_->stop = true;
-    // Sweep every shard and finish the orphans while still holding the
-    // engine mutex: draining a ring makes this path each orphan's unique
-    // completion owner, and the results are published before `inflight`
-    // drains out of Drain()'s predicate. Jobs already popped by a worker
-    // are not orphans -- the join below waits for them to finish.
-    for (const auto& shard : state_->shards) {
-      for (const std::shared_ptr<JobRecord>& record : shard->DrainAll()) {
-        // fetch_sub, not store: a worker's concurrent pop may be
-        // decrementing the same counter for a job this sweep never saw.
-        state_->queue_depth.fetch_sub(1, std::memory_order_relaxed);
-        FinishLocked(*state_, *record,
-                     Status::Cancelled(record->Describe() +
-                                       " cancelled by Engine shutdown"),
-                     Bucket::kCancelled);
-      }
+    // Swapping the queue out makes this path each orphan's unique
+    // completion owner; they finish before `mu` is released, so no Drain()
+    // or worker sees them half done. Jobs a worker already claimed are not
+    // orphans -- the join below waits for them to finish.
+    orphans.swap(state_->queue);
+    for (const std::shared_ptr<JobRecord>& record : orphans) {
+      FinishLocked(*state_, *record,
+                   Status::Cancelled(record->Describe() +
+                                     " cancelled by Engine shutdown"),
+                   Bucket::kCancelled);
     }
   }
   state_->work_cv.notify_all();
@@ -727,9 +601,7 @@ void Engine::Shutdown() {
 EngineStats Engine::stats() const {
   EngineStats stats;
   const std::lock_guard<std::mutex> lock(state_->mu);
-  const auto count = [&](Bucket bucket) {
-    return state_->counts[bucket].load(std::memory_order_relaxed);
-  };
+  const auto count = [&](Bucket bucket) { return state_->counts[bucket]; };
   stats.submitted = count(Bucket::kSubmitted);
   stats.completed = count(Bucket::kCompleted);
   stats.succeeded = count(Bucket::kSucceeded);
@@ -739,15 +611,9 @@ EngineStats Engine::stats() const {
   stats.budget_rejected = count(Bucket::kBudgetRejected);
   stats.unavailable_rejected = count(Bucket::kShed);
   stats.shed_expired = count(Bucket::kShedExpired);
-  stats.queue_depth = state_->queue_depth.load(std::memory_order_relaxed);
+  stats.queue_depth = state_->queue.size();
   stats.running = state_->running;
-  stats.steals = count(Bucket::kStolen);
-  stats.steal_failures = count(Bucket::kStealFailures);
   stats.overloaded = state_->overloaded;
-  stats.worker_queue_depths.reserve(state_->shards.size());
-  for (const auto& shard : state_->shards) {
-    stats.worker_queue_depths.push_back(shard->size());
-  }
   stats.uptime_seconds = obs::MonotonicSeconds() - state_->start_seconds;
   stats.jobs_per_second = stats.uptime_seconds > 0.0
                               ? static_cast<double>(stats.completed) /
@@ -758,9 +624,8 @@ EngineStats Engine::stats() const {
 
 std::uint32_t Engine::SuggestedRetryAfterMs() const {
   const std::lock_guard<std::mutex> lock(state_->mu);
-  return RetryAfterHintMs(
-      state_->queue_depth.load(std::memory_order_relaxed) + state_->running,
-      worker_count_);
+  return RetryAfterHintMs(state_->queue.size() + state_->running,
+                          worker_count_);
 }
 
 }  // namespace htdp

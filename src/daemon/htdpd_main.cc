@@ -18,6 +18,8 @@
 // Numeric flags parse strictly (daemon/server.h ParseFlag): a malformed,
 // negative or out-of-range value -- --port=70000, --max-frame-mb=-1 --
 // exits 1 with a message naming the flag instead of wrapping silently.
+// --workers takes at most kMaxWorkerThreads (util/parallel.h), the same
+// bound HTDP_NUM_THREADS has; 0 keeps the default.
 //
 // --state-dir makes the privacy-budget ledger durable: every reservation,
 // commit, and refund is journaled write-ahead under DIR, and a restart on
@@ -34,6 +36,7 @@
 
 #include <atomic>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,6 +45,7 @@
 
 #include "daemon/server.h"
 #include "obs/trace.h"
+#include "util/parallel.h"
 
 namespace {
 
@@ -76,6 +80,7 @@ int main(int argc, char** argv) {
   using htdp::daemon::FlagValue;
   using htdp::daemon::ParseFlag;
   using htdp::daemon::ParseMegabytesFlag;
+  using htdp::daemon::ParseUintFlag;
   htdp::daemon::ServerOptions options;
   bool trace = true;
   for (int i = 1; i < argc; ++i) {
@@ -86,7 +91,10 @@ int main(int argc, char** argv) {
     } else if (FlagValue(argv[i], "--port", &value)) {
       parsed = ParseFlag("--port", value, &options.port);
     } else if (FlagValue(argv[i], "--workers", &value)) {
-      parsed = ParseFlag("--workers", value, &options.engine_workers);
+      std::uint64_t workers = 0;
+      parsed = ParseUintFlag("--workers", value, htdp::kMaxWorkerThreads,
+                             &workers);
+      if (parsed.ok()) options.engine_workers = static_cast<int>(workers);
     } else if (FlagValue(argv[i], "--idle-timeout", &value)) {
       parsed =
           ParseFlag("--idle-timeout", value, &options.idle_timeout_seconds);

@@ -384,14 +384,6 @@ void EncodeStats(WireWriter& w, const StatsReply& msg) {
   w.U64(msg.engine.unavailable_rejected);
   w.U64(msg.engine.shed_expired);
   w.Bool(msg.engine.overloaded);
-  // Work-stealing scheduler telemetry, appended in a further revision under
-  // the same trailing-bytes rule.
-  w.U64(msg.engine.steals);
-  w.U64(msg.engine.steal_failures);
-  w.U32(static_cast<std::uint32_t>(msg.engine.worker_queue_depths.size()));
-  for (const std::size_t depth : msg.engine.worker_queue_depths) {
-    w.U64(depth);
-  }
 }
 
 Status DecodeStats(WireReader& r, StatsReply* out) {
@@ -442,23 +434,8 @@ Status DecodeStats(WireReader& r, StatsReply* out) {
     out->engine.shed_expired = static_cast<std::size_t>(counter);
     HTDP_RETURN_IF_ERROR(r.Bool(&out->engine.overloaded, "stats.overloaded"));
   }
-  // Work-stealing scheduler telemetry from newer daemons.
-  out->engine.steals = 0;
-  out->engine.steal_failures = 0;
-  out->engine.worker_queue_depths.clear();
-  if (r.remaining() > 0) {
-    HTDP_RETURN_IF_ERROR(r.U64(&counter, "stats.steals"));
-    out->engine.steals = static_cast<std::size_t>(counter);
-    HTDP_RETURN_IF_ERROR(r.U64(&counter, "stats.steal_failures"));
-    out->engine.steal_failures = static_cast<std::size_t>(counter);
-    std::uint32_t workers = 0;
-    HTDP_RETURN_IF_ERROR(r.U32(&workers, "stats.worker_count"));
-    for (std::uint32_t i = 0; i < workers; ++i) {
-      HTDP_RETURN_IF_ERROR(r.U64(&counter, "stats.worker_queue_depth"));
-      out->engine.worker_queue_depths.push_back(
-          static_cast<std::size_t>(counter));
-    }
-  }
+  // Older servers append a scheduler section here; it is left unread under
+  // the trailing-bytes rule.
   return Status::Ok();
 }
 

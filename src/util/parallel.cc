@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -16,8 +19,12 @@ namespace {
 
 int DetectWorkerThreads() {
   if (const char* env = std::getenv("HTDP_NUM_THREADS")) {
-    int parsed = std::atoi(env);
-    if (parsed >= 1) return parsed;
+    const int parsed = parallel_internal::ParseThreadCount(env);
+    if (parsed > 0) return parsed;
+    std::fprintf(stderr,
+                 "htdp: ignoring HTDP_NUM_THREADS=\"%s\": want an integer "
+                 "in [1, %d]\n",
+                 env, kMaxWorkerThreads);
   }
   unsigned hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
@@ -213,6 +220,17 @@ IndexRange ParallelChunkBounds(std::size_t count, std::size_t chunks,
 }
 
 namespace parallel_internal {
+
+int ParseThreadCount(const char* value) {
+  const char* end = value + std::strlen(value);
+  int parsed = 0;
+  const auto [ptr, ec] = std::from_chars(value, end, parsed);
+  if (ec != std::errc() || ptr != end || parsed < 1 ||
+      parsed > kMaxWorkerThreads) {
+    return 0;
+  }
+  return parsed;
+}
 
 void PoolRun(std::size_t tasks, void (*task)(void*, std::size_t), void* ctx) {
   WorkerPool::Instance().Run(tasks, task, ctx);

@@ -7,8 +7,13 @@ namespace htdp {
 
 /// Returns the number of worker threads used by ParallelFor. Defaults to the
 /// hardware concurrency, capped at 16; override with the HTDP_NUM_THREADS
-/// environment variable (HTDP_NUM_THREADS=1 forces serial execution).
+/// environment variable (HTDP_NUM_THREADS=1 forces serial execution). A
+/// value that is not a whole decimal integer in [1, kMaxWorkerThreads] is
+/// reported on stderr and the default is used.
 int NumWorkerThreads();
+
+/// The largest thread count HTDP_NUM_THREADS (and htdpd --workers) accepts.
+inline constexpr int kMaxWorkerThreads = 256;
 
 /// Below this many items a cheap-per-item loop is not worth dispatching to
 /// the pool; ParallelFor's default threshold. Callers whose items are
@@ -30,6 +35,11 @@ IndexRange ParallelChunkBounds(std::size_t count, std::size_t chunks,
                                std::size_t chunk);
 
 namespace parallel_internal {
+
+/// The thread count an HTDP_NUM_THREADS value asks for: the whole string
+/// must be a decimal integer in [1, kMaxWorkerThreads]. Returns 0 for any
+/// other value (sign, whitespace, trailing bytes, out of range).
+int ParseThreadCount(const char* value);
 
 /// Runs task(ctx, t) for every t in [0, tasks) on the persistent worker
 /// pool plus the calling thread; blocks until all tasks completed. Performs

@@ -694,25 +694,72 @@ TEST(Serialize, FitResultRoundTripsLedgerAndTrace) {
 TEST(Serialize, StatsAndSolverListAndErrorRoundTrip) {
   StatsReply stats;
   stats.engine.submitted = 10;
+  stats.engine.completed = 9;
   stats.engine.succeeded = 8;
+  stats.engine.failed = 1;
+  stats.engine.cancelled = 2;
+  stats.engine.deadline_exceeded = 3;
+  stats.engine.budget_rejected = 4;
+  stats.engine.queue_depth = 5;
+  stats.engine.running = 6;
+  stats.engine.uptime_seconds = 7.25;
   stats.engine.jobs_per_second = 123.5;
+  stats.engine.unavailable_rejected = 11;
+  stats.engine.shed_expired = 12;
+  stats.engine.overloaded = true;
   stats.tenants.push_back(
       {"acme", PrivacyBudget::Approx(2.0, 0.1), PrivacyBudget::Approx(1.5, 0.05),
        3, 1, 0});
   stats.connections = 4;
   stats.retained_jobs = 7;
   stats.draining = true;
+  const auto expect_decoded = [&](const std::vector<std::uint8_t>& bytes) {
+    WireReader r(bytes);
+    StatsReply out;
+    ASSERT_TRUE(DecodeStats(r, &out).ok());
+    EXPECT_EQ(out.engine.submitted, 10u);
+    EXPECT_EQ(out.engine.completed, 9u);
+    EXPECT_EQ(out.engine.succeeded, 8u);
+    EXPECT_EQ(out.engine.failed, 1u);
+    EXPECT_EQ(out.engine.cancelled, 2u);
+    EXPECT_EQ(out.engine.deadline_exceeded, 3u);
+    EXPECT_EQ(out.engine.budget_rejected, 4u);
+    EXPECT_EQ(out.engine.queue_depth, 5u);
+    EXPECT_EQ(out.engine.running, 6u);
+    EXPECT_EQ(out.engine.uptime_seconds, 7.25);
+    EXPECT_EQ(out.engine.jobs_per_second, 123.5);
+    EXPECT_EQ(out.engine.unavailable_rejected, 11u);
+    EXPECT_EQ(out.engine.shed_expired, 12u);
+    EXPECT_TRUE(out.engine.overloaded);
+    EXPECT_EQ(out.engine.steals, 0u);
+    ASSERT_EQ(out.tenants.size(), 1u);
+    EXPECT_EQ(out.tenants[0].name, "acme");
+    EXPECT_EQ(out.tenants[0].total.epsilon, 2.0);
+    EXPECT_EQ(out.tenants[0].total.delta, 0.1);
+    EXPECT_EQ(out.tenants[0].spent.epsilon, 1.5);
+    EXPECT_EQ(out.tenants[0].spent.delta, 0.05);
+    EXPECT_EQ(out.tenants[0].admitted, 3u);
+    EXPECT_EQ(out.tenants[0].rejected, 1u);
+    EXPECT_EQ(out.tenants[0].refunded, 0u);
+    EXPECT_EQ(out.connections, 4u);
+    EXPECT_EQ(out.retained_jobs, 7u);
+    EXPECT_TRUE(out.draining);
+  };
   WireWriter w1;
   EncodeStats(w1, stats);
-  WireReader r1(w1.bytes());
-  StatsReply stats_out;
-  ASSERT_TRUE(DecodeStats(r1, &stats_out).ok());
-  EXPECT_EQ(stats_out.engine.submitted, 10u);
-  EXPECT_EQ(stats_out.engine.jobs_per_second, 123.5);
-  ASSERT_EQ(stats_out.tenants.size(), 1u);
-  EXPECT_EQ(stats_out.tenants[0].name, "acme");
-  EXPECT_EQ(stats_out.tenants[0].spent.epsilon, 1.5);
-  EXPECT_TRUE(stats_out.draining);
+  expect_decoded(w1.bytes());
+
+  // An older daemon appends a scheduler section: u64 steal count, u64
+  // failed steal sweeps, u32 worker count and one u64 queue depth per
+  // worker. Current clients leave it unread.
+  WireWriter old_daemon;
+  EncodeStats(old_daemon, stats);
+  old_daemon.U64(13);
+  old_daemon.U64(14);
+  old_daemon.U32(2);
+  old_daemon.U64(15);
+  old_daemon.U64(16);
+  expect_decoded(old_daemon.bytes());
 
   SolverListReply list;
   list.solvers.push_back({"alg1_dp_fw", "Frank-Wolfe"});

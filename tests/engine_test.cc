@@ -1,12 +1,15 @@
 // Tests for the concurrent Engine job layer: bit-identical results to
 // sequential TryFit at fixed seeds for every registered solver, non-aborting
-// typed error statuses through Submit, cancellation (queued and running),
-// wall-clock deadlines, shutdown semantics, and aggregate EngineStats.
+// typed error statuses through Submit, FIFO start order, cancellation
+// (queued, running, and racing the workers' dequeue), wall-clock deadlines,
+// shutdown semantics, and aggregate EngineStats.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -94,8 +97,6 @@ EngineCounterFamilies() {
            &EngineStats::budget_rejected},
           {"htdp_engine_jobs_shed_total", &EngineStats::unavailable_rejected},
           {"htdp_engine_jobs_shed_expired_total", &EngineStats::shed_expired},
-          {"htdp_engine_jobs_stolen_total", &EngineStats::steals},
-          {"htdp_engine_steal_failures_total", &EngineStats::steal_failures},
       };
   return *families;
 }
@@ -354,6 +355,98 @@ TEST(EngineTest, CancelQueuedJob) {
   EXPECT_EQ(stats.cancelled, 1u);
   EXPECT_EQ(stats.succeeded, 1u);
   ExpectRegistryMatchesStats(before, engine, /*picked_up=*/1, done);
+}
+
+TEST(EngineTest, QueuedJobsStartInSubmissionOrder) {
+  const SharedWorkload workload;
+  Engine engine(Engine::Options{1});
+  WorkerGate gate;
+
+  FitJob blocker = workload.JobFor(kSolverAlg1DpFw, 11);
+  blocker.spec.should_stop = gate.Hook();  // parks the only worker
+  const JobHandle running = engine.Submit(std::move(blocker));
+  gate.AwaitReached();
+
+  // Each queued job records its index on its first should_stop poll, which
+  // comes before the fit's first iteration.
+  std::mutex mu;
+  std::vector<int> started;
+  constexpr int kQueued = 6;
+  std::vector<JobHandle> handles;
+  for (int i = 0; i < kQueued; ++i) {
+    FitJob job =
+        workload.JobFor(kSolverAlg1DpFw, 20 + static_cast<std::uint64_t>(i));
+    job.spec.should_stop = [&mu, &started, i] {
+      const std::lock_guard<std::mutex> lock(mu);
+      if (std::find(started.begin(), started.end(), i) == started.end()) {
+        started.push_back(i);
+      }
+      return false;
+    };
+    handles.push_back(engine.Submit(std::move(job)));
+  }
+  EXPECT_EQ(engine.stats().queue_depth, static_cast<std::size_t>(kQueued));
+
+  gate.release.store(true);
+  EXPECT_TRUE(running.Wait().ok());
+  for (const JobHandle& handle : handles) EXPECT_TRUE(handle.Wait().ok());
+  const std::vector<int> submitted = {0, 1, 2, 3, 4, 5};
+  EXPECT_EQ(started, submitted);
+}
+
+/// Cancel erases a queued job while four workers pop the same queue: each
+/// job must be finished once, by whichever side removed it.
+TEST(EngineTest, CancelRacingDequeueFinishesEachJobOnce) {
+  const RegistrySnapshot before = SnapshotRegistry();
+  DoneCounter done;
+  const SharedWorkload workload;
+  Engine engine(Engine::Options{/*workers=*/4});
+
+  constexpr std::size_t kJobs = 64;
+  std::vector<JobHandle> handles;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    handles.push_back(engine.Submit(
+        done.Counted(workload.JobFor(kSolverAlg1DpFw, 500 + i))));
+  }
+  std::thread canceller([&handles] {
+    for (std::size_t i = 1; i < kJobs; i += 2) handles[i].Cancel();
+  });
+  canceller.join();
+  engine.Drain();
+
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.completed, kJobs);
+  EXPECT_EQ(stats.cancelled + stats.succeeded, kJobs);
+  EXPECT_EQ(done.calls.load(), stats.completed);
+
+  // Jobs cancelled before a worker claimed them never reached a solver and
+  // carry this message; every other job was run by a worker.
+  std::size_t picked_up = 0;
+  const Solver* solver = *SolverRegistry::Global().Find(kSolverAlg1DpFw);
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    SCOPED_TRACE("job " + std::to_string(i));
+    const StatusOr<FitResult>& result = handles[i].Wait();
+    if (!result.ok()) {
+      EXPECT_EQ(i % 2, 1u);  // only the odd jobs were cancelled
+      EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+      if (result.status().message().find("cancelled before it started") ==
+          std::string::npos) {
+        ++picked_up;
+      }
+      continue;
+    }
+    ++picked_up;
+    const FitJob job = workload.JobFor(kSolverAlg1DpFw, 500 + i);
+    Rng rng(500 + i);
+    const StatusOr<FitResult> sequential =
+        solver->TryFit(job.problem, job.spec, rng);
+    ASSERT_TRUE(sequential.ok());
+    ASSERT_EQ(result->w.size(), sequential->w.size());
+    for (std::size_t j = 0; j < sequential->w.size(); ++j) {
+      EXPECT_EQ(result->w[j], sequential->w[j]);
+    }
+  }
+  ExpectRegistryMatchesStats(before, engine, picked_up, done);
 }
 
 TEST(EngineTest, CancelRunningJobStopsCooperatively) {

@@ -616,6 +616,29 @@ TEST(DaemonFlags, IntegersMustParseWhollyAndFitTheType) {
       daemon::ParseFlag("--queue-cap", "18446744073709551616", &cap).ok());
 }
 
+// htdpd parses --workers this way; the bound is HTDP_NUM_THREADS's, so no
+// flag value can ask the Engine for more threads than the environment can.
+// Only strings are parsed here: no Engine starts.
+TEST(DaemonFlags, WorkersAreBoundedLikeTheThreadCount) {
+  std::uint64_t workers = 7;
+  EXPECT_TRUE(daemon::ParseUintFlag("--workers", "0", kMaxWorkerThreads,
+                                    &workers)
+                  .ok());
+  EXPECT_EQ(workers, 0u);  // the hardware default
+  EXPECT_TRUE(daemon::ParseUintFlag("--workers", "256", kMaxWorkerThreads,
+                                    &workers)
+                  .ok());
+  EXPECT_EQ(workers, 256u);
+  for (const char* bad : {"257", "100000", "4x", "-1"}) {
+    const Status status =
+        daemon::ParseUintFlag("--workers", bad, kMaxWorkerThreads, &workers);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidProblem) << bad;
+    EXPECT_NE(status.message().find("--workers"), std::string::npos) << bad;
+    EXPECT_NE(status.message().find("256"), std::string::npos) << bad;
+  }
+  EXPECT_EQ(workers, 256u);  // untouched by every rejection
+}
+
 TEST(DaemonFlags, DoublesMustParseWhollyAndBeFinite) {
   double seconds = 0.0;
   EXPECT_TRUE(daemon::ParseFlag("--idle-timeout", "2.5", &seconds).ok());

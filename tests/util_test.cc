@@ -79,6 +79,18 @@ TEST(ParallelForTest, SumMatchesSerialComputation) {
 
 TEST(ParallelForTest, WorkerCountIsPositive) {
   EXPECT_GE(NumWorkerThreads(), 1);
+  EXPECT_LE(NumWorkerThreads(), kMaxWorkerThreads);
+}
+
+// HTDP_NUM_THREADS parsing, checked on strings alone: no pool starts here.
+TEST(ParallelForTest, ThreadCountMustBeAWholeIntegerInRange) {
+  EXPECT_EQ(parallel_internal::ParseThreadCount("1"), 1);
+  EXPECT_EQ(parallel_internal::ParseThreadCount("4"), 4);
+  EXPECT_EQ(parallel_internal::ParseThreadCount("256"), kMaxWorkerThreads);
+  for (const char* bad : {"0", "257", "100000", "99999999999", "-1", "4x",
+                          "abc", "", " 4", "4 ", "+4", "4.0"}) {
+    EXPECT_EQ(parallel_internal::ParseThreadCount(bad), 0) << bad;
+  }
 }
 
 TEST(ParallelChunkBoundsTest, PartitionIsExactAndNeverEmpty) {

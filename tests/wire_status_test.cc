@@ -71,7 +71,9 @@ TEST(WireStatus, WireNumbersAreDistinct) {
   };
   for (StatusCode a : all) {
     for (StatusCode b : all) {
-      if (a != b) EXPECT_NE(WireStatusFor(a), WireStatusFor(b));
+      if (a != b) {
+        EXPECT_NE(WireStatusFor(a), WireStatusFor(b));
+      }
     }
   }
 }
