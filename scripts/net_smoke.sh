@@ -14,6 +14,8 @@
 #   * an over-budget tenant's submit exits 12 (10 + BUDGET_EXHAUSTED wire
 #     code 2) while an in-budget tenant still proceeds; an unknown tenant
 #     exits 11;
+#   * a submit over the frame limit exits 11 with both sizes named, before
+#     any byte is sent (it used to abort the client with 134);
 #   * cancelling a queued job yields exit 15 (10 + CANCELLED wire code 5)
 #     from poll --wait;
 #   * SIGINT drains gracefully: the daemon finishes in-flight work and
@@ -158,6 +160,13 @@ run_expect 12 "over-budget tenant exits 12" \
 run_expect 11 "unknown tenant exits 11" \
     submit --tenant=ghost --epsilon=0.1 --seed=9
 run_expect 0 "untenanted submit still fine" submit --wait --seed=10
+
+# A SUBMIT over the 64 MiB frame limit (33000 x 256 doubles is ~68 MB) is
+# refused by the client before any byte is sent: the typed INVALID_PROBLEM
+# exit (10 + 1) with both sizes in the message, not an abort.
+run_expect 11 "oversized submit exits 11" submit --n=33000 --d=256 --seed=12
+grep -q "bytes exceeds the frame limit of 67108864" "$WORK/err" ||
+    fail "oversized submit did not name the frame limit"
 
 run_expect 0 "stats" stats
 grep -q "tenant acme" "$WORK/out" || fail "stats output lacks tenant acme"

@@ -253,7 +253,7 @@ void Server::OnWake() {
   if (draining_) MaybeFinishDrain();
 }
 
-void Server::HandleFrame(int fd, const net::Frame& frame) {
+void Server::HandleFrame(int fd, net::Frame& frame) {
   HTDP_TRACE_SPAN("daemon.dispatch");
   obs::MetricRegistry::Global()
       .GetCounter("htdp_daemon_frames_received_total",
@@ -262,7 +262,7 @@ void Server::HandleFrame(int fd, const net::Frame& frame) {
       ->Increment();
   switch (frame.type) {
     case net::FrameType::kSubmit:
-      HandleSubmit(fd, frame);
+      HandleSubmit(fd, net::TakeSubmit(frame));
       return;
     case net::FrameType::kPoll:
       HandlePoll(fd, frame);
@@ -294,14 +294,12 @@ void Server::HandleFrame(int fd, const net::Frame& frame) {
   }
 }
 
-void Server::HandleSubmit(int fd, const net::Frame& frame) {
-  net::WireReader reader(frame.payload);
-  net::SubmitRequest request;
-  Status decoded = DecodeSubmit(reader, &request);
+void Server::HandleSubmit(int fd, StatusOr<net::SubmitRequest> decoded) {
   if (!decoded.ok()) {
-    SendError(fd, decoded, 0);
+    SendError(fd, decoded.status(), 0);
     return;
   }
+  net::SubmitRequest request = std::move(decoded).value();
   if (draining_) {
     SendError(fd, Status::Cancelled("htdpd is draining; not accepting jobs"),
               0);

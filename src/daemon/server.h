@@ -128,8 +128,11 @@ class Server {
 
  private:
   struct Connection {
+    /// SUBMIT frames stream into net::OpenSubmitSink's assembler, so a
+    /// dataset lands in the job's own Matrix as it arrives.
     net::FrameDecoder decoder;
-    explicit Connection(std::size_t max_payload) : decoder(max_payload) {}
+    explicit Connection(std::size_t max_payload)
+        : decoder(max_payload, net::OpenSubmitSink) {}
   };
 
   struct Job {
@@ -150,8 +153,8 @@ class Server {
   void OnData(int fd, const std::uint8_t* data, std::size_t n);
   void OnConnClosed(int fd, const Status& reason);
   void OnWake();
-  void HandleFrame(int fd, const net::Frame& frame);
-  void HandleSubmit(int fd, const net::Frame& frame);
+  void HandleFrame(int fd, net::Frame& frame);
+  void HandleSubmit(int fd, StatusOr<net::SubmitRequest> decoded);
   void HandlePoll(int fd, const net::Frame& frame);
   void HandleCancel(int fd, const net::Frame& frame);
   void HandleStats(int fd);

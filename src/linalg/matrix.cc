@@ -1,11 +1,17 @@
 #include "linalg/matrix.h"
 
 #include <cstddef>
+#include <utility>
 
 #include "util/check.h"
 #include "util/parallel.h"
 
 namespace htdp {
+
+Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<double> data)
+    : rows_(rows), cols_(cols), data_(std::move(data)) {
+  HTDP_CHECK_EQ(data_.size(), rows * cols);
+}
 
 void Matrix::MatVec(const Vector& x, Vector& out) const {
   HTDP_CHECK_EQ(x.size(), cols_);

@@ -15,6 +15,9 @@ class Matrix {
   Matrix() : rows_(0), cols_(0) {}
   Matrix(std::size_t rows, std::size_t cols)
       : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
+  /// Adopts `data` (rows * cols entries, row-major) as the storage, with no
+  /// zero-fill and no copy.
+  Matrix(std::size_t rows, std::size_t cols, std::vector<double> data);
 
   Matrix(const Matrix&) = default;
   Matrix& operator=(const Matrix&) = default;

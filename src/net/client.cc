@@ -88,12 +88,18 @@ Status Client::ErrorFromFrame(const Frame& frame) {
   return StatusFromWire(error.wire_code, std::move(error.message));
 }
 
-Status Client::SendFrame(FrameWriter frame) {
+Status Client::SendFrame(FrameWriter frame,
+                         std::span<const ByteSpan> trailing) {
   if (broken_) {
     return Status::Unavailable("connection is broken; Reconnect() first");
   }
-  const std::vector<std::uint8_t> bytes = std::move(frame).Finish(max_payload_);
-  Status sent = stream_->Send(bytes.data(), bytes.size());
+  std::size_t trailing_bytes = 0;
+  for (ByteSpan part : trailing) trailing_bytes += part.size();
+  const std::vector<std::uint8_t> head =
+      std::move(frame).Finish(max_payload_, trailing_bytes);
+  std::vector<ByteSpan> parts = {head};
+  parts.insert(parts.end(), trailing.begin(), trailing.end());
+  Status sent = stream_->Send(parts);
   if (!sent.ok()) return MarkBroken(std::move(sent));
   return Status::Ok();
 }
@@ -183,11 +189,20 @@ StatusOr<Frame> Client::ReadReply(std::uint64_t expect_job) {
 }
 
 StatusOr<std::uint64_t> Client::Submit(const SubmitRequest& request) {
-  // EncodeSubmit sizes the frame from the request before its first write,
-  // so the dataset is encoded once, into the buffer that goes to the socket.
+  // Refused before any byte goes out, so the connection stays usable.
+  const std::size_t payload_bytes = EncodedSubmitBytes(request);
+  if (payload_bytes > max_payload_) {
+    return Status::InvalidProblem(
+        "SUBMIT payload of " + std::to_string(payload_bytes) +
+        " bytes exceeds the frame limit of " + std::to_string(max_payload_) +
+        " bytes (send a smaller dataset)");
+  }
+  // Only the head is encoded; the dataset goes out of the request's own
+  // storage in the same gather write.
   FrameWriter frame(FrameType::kSubmit);
-  EncodeSubmit(frame.payload(), request);
-  HTDP_RETURN_IF_ERROR(SendFrame(std::move(frame)));
+  EncodeSubmitHead(frame.payload(), request);
+  HTDP_RETURN_IF_ERROR(
+      SendFrame(std::move(frame), WireDatasetBlocks(request.problem.data)));
 
   StatusOr<Frame> reply = ReadReply(0);
   HTDP_RETURN_IF_ERROR(reply.status());

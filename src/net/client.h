@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,7 +87,10 @@ class Client {
   Client& operator=(const Client&) = delete;
 
   /// SUBMIT -> job id, or the typed rejection (kBudgetExhausted for an
-  /// over-budget tenant, kUnknownSolver, kInvalidProblem, ...).
+  /// over-budget tenant, kUnknownSolver, kInvalidProblem, ...). A request
+  /// whose payload would exceed this client's max_payload is refused with
+  /// kInvalidProblem before any byte is sent. The dataset is sent straight
+  /// from request.problem.data; no copy of it is made.
   StatusOr<std::uint64_t> Submit(const SubmitRequest& request);
 
   /// POLL -> the job's state. With deliver=true a done-ok job's result
@@ -155,8 +159,10 @@ class Client {
         max_payload_(max_payload),
         decoder_(max_payload) {}
 
-  /// Finishes `frame` and writes it to the stream.
-  Status SendFrame(FrameWriter frame);
+  /// Finishes `frame` and writes it, followed by the `trailing` payload
+  /// bytes it does not hold, to the stream in one gather write.
+  Status SendFrame(FrameWriter frame,
+                   std::span<const ByteSpan> trailing = {});
   /// Blocks for the next frame (pushes included).
   StatusOr<Frame> ReadFrame();
   /// Blocks for the reply to the outstanding request, absorbing pushed

@@ -138,6 +138,11 @@ Status WireReader::Need(std::size_t n, const char* what) {
   if (size_ - offset_ < n) {
     return Status::InvalidProblem(TruncatedMessage(what));
   }
+  if (available_ - offset_ < n) {
+    needed_ = offset_ + n;
+    return Status::Unavailable(std::string("payload still arriving at ") +
+                               what);
+  }
   return Status::Ok();
 }
 
@@ -220,6 +225,8 @@ Status WireReader::F64Vec(std::vector<double>* out, const char* what) {
   if (count > remaining() / 8) {
     return Status::InvalidProblem(TruncatedMessage(what));
   }
+  // Present, not just declared, before the resize touches any memory.
+  HTDP_RETURN_IF_ERROR(Need(static_cast<std::size_t>(count) * 8, what));
   out->resize(static_cast<std::size_t>(count));
   return F64Array(out->data(), out->size(), what);
 }
@@ -238,6 +245,7 @@ Status WireReader::U64Vec(std::vector<std::uint64_t>* out, const char* what) {
   if (count > remaining() / 8) {
     return Status::InvalidProblem(TruncatedMessage(what));
   }
+  HTDP_RETURN_IF_ERROR(Need(static_cast<std::size_t>(count) * 8, what));
   out->resize(static_cast<std::size_t>(count));
   for (std::uint64_t& x : *out) HTDP_RETURN_IF_ERROR(U64(&x, what));
   return Status::Ok();
@@ -261,9 +269,11 @@ FrameWriter::FrameWriter(FrameType type) {
   writer_.U32(0);  // payload length, patched by Finish
 }
 
-std::vector<std::uint8_t> FrameWriter::Finish(std::size_t max_payload) && {
+std::vector<std::uint8_t> FrameWriter::Finish(std::size_t max_payload,
+                                              std::size_t trailing_bytes) && {
   std::vector<std::uint8_t> frame = writer_.Take();
-  const std::size_t payload_size = frame.size() - kFrameHeaderBytes;
+  const std::size_t payload_size =
+      frame.size() - kFrameHeaderBytes + trailing_bytes;
   HTDP_CHECK(payload_size <= max_payload)
       << "frame payload of " << payload_size
       << " bytes exceeds the limit of " << max_payload
@@ -295,15 +305,20 @@ void FrameDecoder::Feed(const std::uint8_t* data, std::size_t n) {
       poisoned_ = StartFrame();
       if (!poisoned_.ok()) return;
     }
-    // Reserved to the declared length by StartFrame, so appending never
-    // reallocates.
-    std::vector<std::uint8_t>& payload = partial_->payload;
-    const std::size_t take = std::min(n, payload_size_ - payload.size());
-    payload.insert(payload.end(), data, data + take);
+    const std::size_t take = std::min(n, payload_size_ - payload_received_);
+    if (partial_->sink != nullptr) {
+      if (take > 0) partial_->sink->Append(data, take);
+    } else {
+      // Reserved to the declared length by StartFrame, so appending never
+      // reallocates.
+      partial_->payload.insert(partial_->payload.end(), data, data + take);
+    }
+    payload_received_ += take;
     data += take;
     n -= take;
-    if (payload.size() == payload_size_) {
-      ready_.push_back(std::move(*partial_));
+    if (payload_received_ == payload_size_) {
+      ready_.push_back(
+          Ready{std::move(*partial_), kFrameHeaderBytes + payload_size_});
       partial_.reset();
     }
   }
@@ -341,27 +356,25 @@ Status FrameDecoder::StartFrame() {
   }
   partial_.emplace();
   partial_->type = static_cast<FrameType>(h[5]);
-  partial_->payload.reserve(length);
+  if (sinks_) partial_->sink = sinks_(partial_->type, length);
+  if (partial_->sink == nullptr) partial_->payload.reserve(length);
   payload_size_ = length;
+  payload_received_ = 0;
   return Status::Ok();
 }
 
 Status FrameDecoder::Next(std::optional<Frame>* frame) {
   frame->reset();
   if (ready_.empty()) return poisoned_;
-  frame->emplace(std::move(ready_.front()));
+  frame->emplace(std::move(ready_.front().frame));
   ready_.pop_front();
   return Status::Ok();
 }
 
 std::size_t FrameDecoder::buffered_bytes() const {
   std::size_t bytes = header_size_;
-  if (partial_.has_value()) {
-    bytes += kFrameHeaderBytes + partial_->payload.size();
-  }
-  for (const Frame& frame : ready_) {
-    bytes += kFrameHeaderBytes + frame.payload.size();
-  }
+  if (partial_.has_value()) bytes += kFrameHeaderBytes + payload_received_;
+  for (const Ready& ready : ready_) bytes += ready.bytes;
   return bytes;
 }
 

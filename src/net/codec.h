@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -33,11 +35,13 @@ namespace net {
 /// to the same bits as the in-process original.
 ///
 /// Double ARRAYS (F64Array, F64Vec, a dataset's x and y blocks) are the one
-/// exception to the shifts: they move with a single memcpy after the bounds
-/// check. On a little-endian host -- the only kind this codec builds for, by
-/// static_assert -- a double's in-memory bytes ARE its little-endian u64
-/// encoding, so the bulk copy puts the same bytes on the wire as the
-/// per-element shifts would (tests/codec_test.cc pins them by checksum).
+/// exception to the shifts: they move as raw bytes after the bounds check
+/// -- one memcpy, or, for a SUBMIT's dataset, straight from and into the
+/// Matrix storage at each end. On a little-endian host -- the only kind
+/// this codec builds for, by static_assert -- a double's in-memory bytes
+/// ARE its little-endian u64 encoding, so the bulk copy puts the same bytes
+/// on the wire as the per-element shifts would (tests/codec_test.cc pins
+/// them by checksum).
 ///
 /// This is the daemon's trust boundary, so the decoding contract is strict:
 /// a malformed, truncated, corrupted-length or oversized frame surfaces as a
@@ -87,10 +91,30 @@ bool KnownFrameType(std::uint8_t value);
 /// Stable lower-case frame-type name for diagnostics, e.g. "submit".
 const char* FrameTypeName(FrameType type);
 
+/// Takes one frame's payload as it arrives, in place of Frame::payload --
+/// how the daemon receives a SUBMIT's dataset straight into the job's
+/// storage (OpenSubmitSink in net/serialize.h) instead of into a byte
+/// buffer it would then have to decode.
+class PayloadSink {
+ public:
+  virtual ~PayloadSink() = default;
+  /// The frame's next `n` payload bytes. Over all calls, exactly the
+  /// length the frame's header declared; none when that length is 0.
+  virtual void Append(const std::uint8_t* data, std::size_t n) = 0;
+};
+
+/// Opens the sink for a frame of `type` whose header declares `length`
+/// payload bytes, or returns null to keep that frame's bytes in
+/// Frame::payload.
+using PayloadSinkFactory = std::function<std::unique_ptr<PayloadSink>(
+    FrameType type, std::size_t length)>;
+
 /// One decoded frame.
 struct Frame {
   FrameType type = FrameType::kError;
+  /// The payload bytes, unless a PayloadSinkFactory took them into `sink`.
   std::vector<std::uint8_t> payload;
+  std::unique_ptr<PayloadSink> sink;
 };
 
 /// Appends primitive values to a byte buffer in the wire encoding. All
@@ -142,9 +166,18 @@ class WireWriter {
 class WireReader {
  public:
   WireReader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
+      : WireReader(data, size, size) {}
   explicit WireReader(const std::vector<std::uint8_t>& payload)
       : WireReader(payload.data(), payload.size()) {}
+
+  /// Reads the first `available` bytes of a payload whose full length is
+  /// `size` (>= available), the rest still to arrive. Reads are checked
+  /// against `size`, so a field that does not fit the payload fails with
+  /// the same error it would with every byte present. A read that fits
+  /// but reaches past `available` instead fails with kUnavailable and
+  /// records in needed() how many payload bytes it takes.
+  WireReader(const std::uint8_t* data, std::size_t available, std::size_t size)
+      : data_(data), size_(size), available_(available) {}
 
   Status U8(std::uint8_t* out, const char* what);
   Status U16(std::uint16_t* out, const char* what);
@@ -164,21 +197,30 @@ class WireReader {
 
   std::size_t remaining() const { return size_ - offset_; }
   std::size_t offset() const { return offset_; }
+  /// 0, or the payload length the last read that ran past `available`
+  /// needed to succeed.
+  std::size_t needed() const { return needed_; }
 
  private:
   Status Need(std::size_t n, const char* what);
 
   const std::uint8_t* data_;
   std::size_t size_;
+  std::size_t available_;
   std::size_t offset_ = 0;
+  std::size_t needed_ = 0;
 };
 
 /// Builds one frame in one buffer: the constructor writes the header with a
 /// zero length, the payload encoders append behind it through payload(),
 /// and Finish() patches the length in place, so the payload is never copied
-/// into a second buffer. A payload encoder that knows its size up front
-/// (EncodeSubmit does) reserves it before its first write, so a
-/// many-megabyte SUBMIT is written into one allocation.
+/// into a second buffer.
+///
+/// A frame may also end in bytes the writer never holds: Client::Submit
+/// encodes only a SUBMIT's head here, tells Finish how many dataset bytes
+/// follow, and sends the head and the caller's Matrix storage in one gather
+/// write (ByteStream::Send). The wire bytes are the same as when the whole
+/// payload is encoded into the writer.
 class FrameWriter {
  public:
   explicit FrameWriter(FrameType type);
@@ -186,11 +228,14 @@ class FrameWriter {
   /// Where the payload goes; it already holds the header.
   WireWriter& payload() { return writer_; }
 
-  /// The finished frame. Aborts via HTDP_CHECK if the payload exceeds
-  /// `max_payload` -- oversized frames are a programming error on the
-  /// sending side (results are chunked; nothing else grows unbounded).
+  /// The finished frame -- or its head, when `trailing_bytes` more payload
+  /// bytes will be sent right behind it: the length field counts them.
+  /// Aborts via HTDP_CHECK if the payload exceeds `max_payload` -- oversized
+  /// frames are a programming error on the sending side (results are
+  /// chunked, and Client::Submit refuses an oversized SUBMIT up front).
   std::vector<std::uint8_t> Finish(
-      std::size_t max_payload = kDefaultMaxPayloadBytes) &&;
+      std::size_t max_payload = kDefaultMaxPayloadBytes,
+      std::size_t trailing_bytes = 0) &&;
 
  private:
   WireWriter writer_;
@@ -206,11 +251,14 @@ std::vector<std::uint8_t> EncodeFrame(
 /// socket produced, then pull complete frames out. Unlike the payload
 /// readers it is stateful, because TCP has no message boundaries.
 ///
-/// Each frame's payload is written once: Feed validates a header as soon as
-/// its last byte arrives, and only a header that passes sizes the frame's
-/// payload storage from its length. Payload bytes are then copied straight
-/// from the socket chunk into that storage, and Next hands the finished
-/// payload out by move.
+/// Each frame's payload is written once. Feed validates a header as soon as
+/// its last byte arrives; only a header that passes opens the frame. Its
+/// payload bytes are then copied straight from the socket chunk either into
+/// Frame::payload, reserved from the declared length, or -- for a type the
+/// PayloadSinkFactory claims -- into the sink it opened, which decodes them
+/// as they arrive. Next hands the finished frame out by move. The daemon
+/// streams SUBMIT this way, so a dataset block is written once, into the
+/// job's own Matrix, and never sits in a payload buffer.
 ///
 /// Error contract: Next() returning a non-ok Status means the STREAM is
 /// poisoned (bad magic, unsupported version, reserved flag bits, unknown
@@ -221,12 +269,13 @@ std::vector<std::uint8_t> EncodeFrame(
 /// an error: Next() just reports no-frame-yet until more bytes arrive.
 class FrameDecoder {
  public:
-  explicit FrameDecoder(std::size_t max_payload = kDefaultMaxPayloadBytes)
-      : max_payload_(max_payload) {}
+  explicit FrameDecoder(std::size_t max_payload = kDefaultMaxPayloadBytes,
+                        PayloadSinkFactory sinks = nullptr)
+      : max_payload_(max_payload), sinks_(std::move(sinks)) {}
 
   /// Consumes raw socket bytes: validates each header once complete and
-  /// copies payload bytes into their frame. After a corrupt header the rest
-  /// of the stream is dropped.
+  /// hands payload bytes to their frame. After a corrupt header the rest of
+  /// the stream is dropped.
   void Feed(const std::uint8_t* data, std::size_t n);
 
   /// Extracts the next complete frame:
@@ -237,19 +286,28 @@ class FrameDecoder {
   Status Next(std::optional<Frame>* frame);
 
   /// Bytes fed but not yet handed out by Next (complete frames waiting plus
-  /// the frame still arriving).
+  /// the frame still arriving, whether its payload sits in Frame::payload
+  /// or has gone to a sink). Nonzero between frames means the peer owes
+  /// bytes: the daemon arms its read deadline on it.
   std::size_t buffered_bytes() const;
 
  private:
+  struct Ready {
+    Frame frame;
+    std::size_t bytes = 0;  // header plus payload, as received
+  };
+
   /// Validates the complete header_ and opens partial_ for its payload.
   Status StartFrame();
 
   std::size_t max_payload_;
+  PayloadSinkFactory sinks_;      // null: every payload stays in bytes
   std::uint8_t header_[kFrameHeaderBytes] = {};
   std::size_t header_size_ = 0;   // bytes of header_ received so far
   std::optional<Frame> partial_;  // header accepted, payload still arriving
   std::size_t payload_size_ = 0;  // partial_'s declared payload length
-  std::deque<Frame> ready_;       // complete frames Next has not handed out
+  std::size_t payload_received_ = 0;  // partial_'s payload bytes so far
+  std::deque<Ready> ready_;       // complete frames Next has not handed out
   Status poisoned_ = Status::Ok();
 };
 

@@ -1,7 +1,10 @@
 #include "net/serialize.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "losses/biweight_loss.h"
@@ -24,12 +27,18 @@ Status DecodeEnumByte(WireReader& r, std::uint8_t max_value, std::uint8_t* out,
   return Status::Ok();
 }
 
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // WireProblem
 
-void EncodeWireProblem(WireWriter& w, const WireProblem& problem) {
+// Dataset geometry as a SUBMIT head declares it: the x block holds
+// rows * cols doubles and the y block rows doubles.
+struct DatasetShape {
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+};
+
+// Every WireProblem field before the dataset's x and y blocks.
+void EncodeWireProblemHead(WireWriter& w, const WireProblem& problem) {
   w.Str(problem.loss);
   w.F64(problem.loss_param);
   w.U8(static_cast<std::uint8_t>(problem.constraint));
@@ -37,16 +46,22 @@ void EncodeWireProblem(WireWriter& w, const WireProblem& problem) {
   w.U64(problem.prefix);
   w.U64(problem.target_sparsity);
   w.F64Vec(problem.w0);
-  // Dataset: dimensions first, then the row-major feature block and the
-  // labels as raw doubles (the counts are implied by n and d; repeating them
-  // would just create a second length field that could disagree).
+  // Dataset: dimensions first, then (WireDatasetBlocks) the row-major
+  // feature block and the labels as raw doubles (the counts are implied by
+  // n and d; repeating them would just create a second length field that
+  // could disagree).
   w.U64(static_cast<std::uint64_t>(problem.data.size()));
   w.U64(static_cast<std::uint64_t>(problem.data.dim()));
-  w.F64Array(problem.data.x.data().data(), problem.data.x.data().size());
-  w.F64Array(problem.data.y.data(), problem.data.y.size());
 }
 
-Status DecodeWireProblem(WireReader& r, WireProblem* out) {
+void EncodeDatasetBlocks(WireWriter& w, const Dataset& data) {
+  for (std::span<const std::uint8_t> block : WireDatasetBlocks(data)) {
+    w.Raw(block.data(), block.size());
+  }
+}
+
+Status DecodeWireProblemHead(WireReader& r, WireProblem* out,
+                             DatasetShape* shape) {
   HTDP_RETURN_IF_ERROR(r.Str(&out->loss, "problem.loss"));
   HTDP_RETURN_IF_ERROR(r.F64(&out->loss_param, "problem.loss_param"));
   std::uint8_t constraint = 0;
@@ -63,20 +78,51 @@ Status DecodeWireProblem(WireReader& r, WireProblem* out) {
   std::uint64_t d = 0;
   HTDP_RETURN_IF_ERROR(r.U64(&n, "dataset.n"));
   HTDP_RETURN_IF_ERROR(r.U64(&d, "dataset.d"));
-  // Validate the declared geometry against the bytes actually present
-  // BEFORE allocating n*d doubles: a corrupted length cannot force a huge
+  // Validate the declared geometry against the payload's length BEFORE
+  // allocating n*d doubles: a corrupted length cannot force a huge
   // allocation or an integer-overflowed one.
   const std::uint64_t budget = r.remaining() / 8;
   if (n > budget || d > budget || (n != 0 && d > budget / n) ||
       n * d + n > budget) {
     return Status::InvalidProblem("truncated payload reading dataset values");
   }
-  out->data.x = Matrix(static_cast<std::size_t>(n),
-                       static_cast<std::size_t>(d));
-  HTDP_RETURN_IF_ERROR(r.F64Array(out->data.x.data().data(),
-                                  out->data.x.data().size(), "dataset.x"));
-  out->data.y.resize(static_cast<std::size_t>(n));
-  return r.F64Array(out->data.y.data(), out->data.y.size(), "dataset.y");
+  shape->rows = static_cast<std::size_t>(n);
+  shape->cols = static_cast<std::size_t>(d);
+  return Status::Ok();
+}
+
+// The flat reader's x and y blocks, which DecodeWireProblemHead checked fit
+// in the payload.
+Status DecodeDatasetBlocks(WireReader& r, const DatasetShape& shape,
+                           Dataset* out) {
+  out->x = Matrix(shape.rows, shape.cols);
+  HTDP_RETURN_IF_ERROR(r.F64Array(out->x.data().data(),
+                                  out->x.data().size(), "dataset.x"));
+  out->y.resize(shape.rows);
+  return r.F64Array(out->y.data(), out->y.size(), "dataset.y");
+}
+
+}  // namespace
+
+std::array<std::span<const std::uint8_t>, 2> WireDatasetBlocks(
+    const Dataset& data) {
+  const auto bytes = [](const std::vector<double>& values) {
+    return std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(values.data()),
+        values.size() * sizeof(double));
+  };
+  return {bytes(data.x.data()), bytes(data.y)};
+}
+
+void EncodeWireProblem(WireWriter& w, const WireProblem& problem) {
+  EncodeWireProblemHead(w, problem);
+  EncodeDatasetBlocks(w, problem.data);
+}
+
+Status DecodeWireProblem(WireReader& r, WireProblem* out) {
+  DatasetShape shape;
+  HTDP_RETURN_IF_ERROR(DecodeWireProblemHead(r, out, &shape));
+  return DecodeDatasetBlocks(r, shape, &out->data);
 }
 
 StatusOr<std::unique_ptr<ProblemHolder>> ProblemHolder::Materialize(
@@ -284,8 +330,7 @@ std::size_t EncodedSubmitBytes(const SubmitRequest& request) {
   return strings + scalars + spec_bytes + 8 * doubles;
 }
 
-void EncodeSubmit(WireWriter& w, const SubmitRequest& request) {
-  w.Reserve(EncodedSubmitBytes(request));
+void EncodeSubmitHead(WireWriter& w, const SubmitRequest& request) {
   w.Str(request.tenant);
   w.Str(request.solver);
   w.Str(request.tag);
@@ -293,10 +338,22 @@ void EncodeSubmit(WireWriter& w, const SubmitRequest& request) {
   w.F64(request.deadline_seconds);
   w.Bool(request.stream);
   EncodeSpec(w, request.spec);
-  EncodeWireProblem(w, request.problem);
+  EncodeWireProblemHead(w, request.problem);
 }
 
-Status DecodeSubmit(WireReader& r, SubmitRequest* out) {
+void EncodeSubmit(WireWriter& w, const SubmitRequest& request) {
+  w.Reserve(EncodedSubmitBytes(request));
+  EncodeSubmitHead(w, request);
+  EncodeDatasetBlocks(w, request.problem.data);
+}
+
+namespace {
+
+// Every SUBMIT field before the dataset's x and y blocks, the geometry check
+// included: the one SUBMIT parser, shared by DecodeSubmit and the streaming
+// SubmitAssembler.
+Status DecodeSubmitHead(WireReader& r, SubmitRequest* out,
+                        DatasetShape* shape) {
   HTDP_RETURN_IF_ERROR(r.Str(&out->tenant, "submit.tenant"));
   HTDP_RETURN_IF_ERROR(r.Str(&out->solver, "submit.solver"));
   HTDP_RETURN_IF_ERROR(r.Str(&out->tag, "submit.tag"));
@@ -304,8 +361,185 @@ Status DecodeSubmit(WireReader& r, SubmitRequest* out) {
   HTDP_RETURN_IF_ERROR(r.F64(&out->deadline_seconds, "submit.deadline"));
   HTDP_RETURN_IF_ERROR(r.Bool(&out->stream, "submit.stream"));
   HTDP_RETURN_IF_ERROR(DecodeSpec(r, &out->spec));
-  HTDP_RETURN_IF_ERROR(DecodeWireProblem(r, &out->problem));
-  return Status::Ok();
+  return DecodeWireProblemHead(r, &out->problem, shape);
+}
+
+// Reads doubles out of unaligned wire bytes (a double's bytes are its wire
+// encoding; see net/codec.h), so vector::insert can append them to reserved
+// storage in one pass, with no zero-fill first.
+class WireDoubleIterator {
+ public:
+  using iterator_category = std::forward_iterator_tag;
+  using value_type = double;
+  using difference_type = std::ptrdiff_t;
+  using pointer = const double*;
+  using reference = double;
+
+  WireDoubleIterator() = default;
+  explicit WireDoubleIterator(const std::uint8_t* at) : at_(at) {}
+
+  double operator*() const {
+    double value = 0.0;
+    std::memcpy(&value, at_, sizeof(double));
+    return value;
+  }
+  WireDoubleIterator& operator++() {
+    at_ += sizeof(double);
+    return *this;
+  }
+  WireDoubleIterator operator++(int) {
+    WireDoubleIterator was = *this;
+    ++*this;
+    return was;
+  }
+  bool operator==(const WireDoubleIterator&) const = default;
+
+ private:
+  const std::uint8_t* at_ = nullptr;
+};
+
+// Decodes one SUBMIT payload as it arrives (OpenSubmitSink). The head is
+// buffered until DecodeSubmitHead accepts it; the x and y blocks then go
+// straight into storage reserved from the declared shape, which becomes the
+// request's Matrix and labels by move. Trailing bytes (the codec's
+// forward-compatibility rule) are dropped, and so is everything after a
+// decode error, which Take reports once the whole frame is in -- the same
+// error DecodeSubmit gives for the same payload.
+class SubmitAssembler final : public PayloadSink {
+ public:
+  explicit SubmitAssembler(std::size_t length) : length_(length) {
+    ParseHead();
+  }
+
+  void Append(const std::uint8_t* data, std::size_t n) override;
+  StatusOr<SubmitRequest> Take();
+
+ private:
+  // Parses head_ and either finishes the head, records the error, or sets
+  // the next head_goal_.
+  void ParseHead();
+  void AppendDataset(const std::uint8_t* data, std::size_t n);
+  // Moves whole doubles from the front of (data, n) into `out` until it
+  // holds `count`; a double split across Appends waits in carry_.
+  void Fill(std::vector<double>& out, std::size_t count,
+            const std::uint8_t*& data, std::size_t& n);
+
+  const std::size_t length_;  // the frame's declared payload length
+  std::size_t received_ = 0;
+  std::vector<std::uint8_t> head_;  // payload bytes until the head parses
+  std::size_t head_goal_ = 0;       // parse again once head_ is this long
+  bool head_done_ = false;
+  Status status_ = Status::Ok();  // the first decode error
+  SubmitRequest request_;
+  DatasetShape shape_;
+  std::vector<double> x_;  // reserved to rows * cols, filled as bytes arrive
+  std::vector<double> y_;
+  std::uint8_t carry_[sizeof(double)] = {};
+  std::size_t carry_size_ = 0;
+};
+
+void SubmitAssembler::Append(const std::uint8_t* data, std::size_t n) {
+  received_ += n;
+  while (n > 0 && status_.ok() && !head_done_) {
+    const std::size_t take = std::min(n, head_goal_ - head_.size());
+    head_.insert(head_.end(), data, data + take);
+    data += take;
+    n -= take;
+    if (head_.size() == head_goal_) ParseHead();
+  }
+  if (status_.ok() && n > 0) AppendDataset(data, n);
+}
+
+void SubmitAssembler::ParseHead() {
+  WireReader reader(head_.data(), head_.size(), length_);
+  SubmitRequest request;
+  DatasetShape shape;
+  Status status = DecodeSubmitHead(reader, &request, &shape);
+  if (!status.ok() && reader.needed() > 0) {
+    // Parse again once the field that ran short is here, and not before
+    // head_ has doubled: a head that arrives a byte at a time is parsed
+    // O(log length) times, for linear work in all.
+    head_goal_ = std::min(length_, std::max(reader.needed(), 2 * head_.size()));
+    return;
+  }
+  const std::vector<std::uint8_t> head = std::move(head_);
+  head_ = {};
+  if (!status.ok()) {
+    status_ = std::move(status);
+    return;
+  }
+  head_done_ = true;
+  request_ = std::move(request);
+  shape_ = shape;
+  x_.reserve(shape.rows * shape.cols);
+  y_.reserve(shape.rows);
+  // Doubling the goal may have buffered the first dataset bytes.
+  AppendDataset(head.data() + reader.offset(), head.size() - reader.offset());
+}
+
+void SubmitAssembler::AppendDataset(const std::uint8_t* data, std::size_t n) {
+  Fill(x_, shape_.rows * shape_.cols, data, n);
+  Fill(y_, shape_.rows, data, n);
+  // Whatever is left are trailing bytes from a newer peer.
+}
+
+void SubmitAssembler::Fill(std::vector<double>& out, std::size_t count,
+                           const std::uint8_t*& data, std::size_t& n) {
+  if (n == 0 || out.size() == count) return;
+  if (carry_size_ > 0) {
+    const std::size_t take = std::min(n, sizeof(double) - carry_size_);
+    std::memcpy(carry_ + carry_size_, data, take);
+    carry_size_ += take;
+    data += take;
+    n -= take;
+    if (carry_size_ < sizeof(double)) return;
+    out.insert(out.end(), WireDoubleIterator(carry_),
+               WireDoubleIterator(carry_ + sizeof(double)));
+    carry_size_ = 0;
+  }
+  const std::size_t whole = std::min(count - out.size(), n / sizeof(double));
+  out.insert(out.end(), WireDoubleIterator(data),
+             WireDoubleIterator(data + whole * sizeof(double)));
+  data += whole * sizeof(double);
+  n -= whole * sizeof(double);
+  if (out.size() < count) {  // fewer than 8 bytes are left
+    std::memcpy(carry_, data, n);
+    carry_size_ = n;
+    data += n;
+    n = 0;
+  }
+}
+
+StatusOr<SubmitRequest> SubmitAssembler::Take() {
+  HTDP_CHECK_EQ(received_, length_);
+  if (!status_.ok()) return status_;
+  HTDP_CHECK(head_done_);
+  request_.problem.data.x = Matrix(shape_.rows, shape_.cols, std::move(x_));
+  request_.problem.data.y = std::move(y_);
+  return std::move(request_);
+}
+
+}  // namespace
+
+Status DecodeSubmit(WireReader& r, SubmitRequest* out) {
+  DatasetShape shape;
+  HTDP_RETURN_IF_ERROR(DecodeSubmitHead(r, out, &shape));
+  return DecodeDatasetBlocks(r, shape, &out->problem.data);
+}
+
+std::unique_ptr<PayloadSink> OpenSubmitSink(FrameType type,
+                                            std::size_t length) {
+  if (type != FrameType::kSubmit) return nullptr;
+  return std::make_unique<SubmitAssembler>(length);
+}
+
+StatusOr<SubmitRequest> TakeSubmit(Frame& frame) {
+  auto* assembler = dynamic_cast<SubmitAssembler*>(frame.sink.get());
+  HTDP_CHECK(frame.type == FrameType::kSubmit && assembler != nullptr)
+      << "TakeSubmit wants a SUBMIT frame decoded through OpenSubmitSink";
+  StatusOr<SubmitRequest> request = assembler->Take();
+  frame.sink.reset();
+  return request;
 }
 
 void EncodeSubmitOk(WireWriter& w, const SubmitOk& msg) { w.U64(msg.job_id); }

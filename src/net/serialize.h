@@ -1,9 +1,11 @@
 #ifndef HTDP_NET_SERIALIZE_H_
 #define HTDP_NET_SERIALIZE_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,6 +70,12 @@ struct WireProblem {
 void EncodeWireProblem(WireWriter& w, const WireProblem& problem);
 Status DecodeWireProblem(WireReader& r, WireProblem* out);
 
+/// A dataset's two blocks as they go on the wire, last in a WireProblem:
+/// the row-major feature storage, then the labels, as raw little-endian
+/// doubles. Views into `data`, valid while it lives unchanged.
+std::array<std::span<const std::uint8_t>, 2> WireDatasetBlocks(
+    const Dataset& data);
+
 /// Owns the Loss/Polytope/Dataset materialized from a WireProblem and the
 /// Problem view pointing into them. Heap-pinned (no copies or moves) because
 /// the Problem's non-owning pointers alias the members.
@@ -122,8 +130,32 @@ struct SubmitRequest {
 /// Exact payload size of `request`'s SUBMIT. EncodeSubmit reserves it
 /// before its first write, so the dataset is encoded into one allocation.
 std::size_t EncodedSubmitBytes(const SubmitRequest& request);
+
+/// Every SUBMIT field before the dataset blocks. A SUBMIT payload is this
+/// head followed by WireDatasetBlocks(request.problem.data); Client::Submit
+/// sends those blocks straight from the request's storage.
+void EncodeSubmitHead(WireWriter& w, const SubmitRequest& request);
+
+/// The whole payload in one buffer, and its flat decode. Neither runs on
+/// the serve path (Client::Submit gathers, htdpd streams through
+/// OpenSubmitSink); they stay as the reference the serve path is tested
+/// against, built on the same head encoder and parser.
 void EncodeSubmit(WireWriter& w, const SubmitRequest& request);
 Status DecodeSubmit(WireReader& r, SubmitRequest* out);
+
+/// A PayloadSinkFactory for the daemon's FrameDecoder: each SUBMIT frame is
+/// decoded as its bytes arrive. The head is buffered until it parses; the
+/// x and y blocks are then written straight into storage reserved from the
+/// declared shape -- touched only as bytes arrive -- which becomes the
+/// request's Matrix and labels without a second copy. Other frame types
+/// keep their bytes in Frame::payload.
+std::unique_ptr<PayloadSink> OpenSubmitSink(FrameType type,
+                                            std::size_t length);
+
+/// The request of a complete SUBMIT frame decoded through OpenSubmitSink,
+/// or the typed error DecodeSubmit gives for the same payload. Aborts via
+/// HTDP_CHECK on any other frame: that is a programming error, not input.
+StatusOr<SubmitRequest> TakeSubmit(Frame& frame);
 
 /// SUBMIT_OK payload.
 struct SubmitOk {

@@ -9,6 +9,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -41,6 +42,20 @@ StatusOr<in_addr> ParseHost(const std::string& host) {
     return Status::InvalidProblem("unparseable IPv4 host \"" + host + "\"");
   }
   return addr;
+}
+
+// Bytes [begin, end) of the concatenation of `parts`, as spans into them.
+std::vector<ByteSpan> SliceSpans(std::span<const ByteSpan> parts,
+                                 std::size_t begin, std::size_t end) {
+  std::vector<ByteSpan> slice;
+  std::size_t at = 0;  // offset of `part` in the concatenation
+  for (ByteSpan part : parts) {
+    const std::size_t lo = std::max(begin, at);
+    const std::size_t hi = std::min(end, at + part.size());
+    if (lo < hi) slice.push_back(part.subspan(lo - at, hi - lo));
+    at += part.size();
+  }
+  return slice;
 }
 
 }  // namespace
@@ -113,15 +128,35 @@ Status SetNonBlocking(int fd) {
   return Status::Ok();
 }
 
-Status SendAll(int fd, const std::uint8_t* data, std::size_t n) {
-  std::size_t sent = 0;
-  while (sent < n) {
-    ssize_t rc = ::send(fd, data + sent, n - sent, MSG_NOSIGNAL);
+Status SendAll(int fd, std::span<const ByteSpan> parts) {
+  std::vector<iovec> iov;
+  iov.reserve(parts.size());
+  for (ByteSpan part : parts) {
+    if (part.empty()) continue;
+    iov.push_back(iovec{const_cast<std::uint8_t*>(part.data()), part.size()});
+  }
+  std::size_t next = 0;  // first iovec with bytes still to send
+  while (next < iov.size()) {
+    msghdr msg{};
+    msg.msg_iov = iov.data() + next;
+    msg.msg_iovlen = iov.size() - next;
+    const ssize_t rc = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (rc < 0) {
       if (errno == EINTR) continue;
-      return Errno("send");
+      return Errno("sendmsg");
     }
-    sent += static_cast<std::size_t>(rc);
+    // A short write: skip the iovecs that went out whole, then advance into
+    // the one that went out in part.
+    std::size_t sent = static_cast<std::size_t>(rc);
+    while (next < iov.size() && sent >= iov[next].iov_len) {
+      sent -= iov[next].iov_len;
+      ++next;
+    }
+    if (sent > 0) {
+      iovec& rest = iov[next];
+      rest.iov_base = static_cast<std::uint8_t*>(rest.iov_base) + sent;
+      rest.iov_len -= sent;
+    }
   }
   return Status::Ok();
 }
@@ -154,13 +189,15 @@ StatusOr<std::unique_ptr<ByteStream>> DialStream(const std::string& host,
 // ---------------------------------------------------------------------------
 // FaultInjectingStream
 
-Status FaultInjectingStream::Send(const std::uint8_t* data, std::size_t n) {
+Status FaultInjectingStream::Send(std::span<const ByteSpan> parts) {
   if (severed_) {
     return Status::Unavailable("fault injection: connection already severed");
   }
+  std::size_t total = 0;
+  for (ByteSpan part : parts) total += part.size();
   switch (DrawFault(plan_, rng_)) {
     case FaultAction::kNone:
-      return inner_->Send(data, n);
+      return inner_->Send(parts);
     case FaultAction::kDrop:
       ++counters_.drops;
       severed_ = true;
@@ -171,18 +208,18 @@ Status FaultInjectingStream::Send(const std::uint8_t* data, std::size_t n) {
       severed_ = true;
       // Deliver a strict prefix, then cut -- the server sees a mid-frame
       // half-open peer (exactly what its read deadline exists to reap).
-      const std::size_t prefix = n > 1 ? n / 2 : 0;
-      if (prefix > 0) (void)inner_->Send(data, prefix);
+      const std::size_t prefix = total > 1 ? total / 2 : 0;
+      if (prefix > 0) (void)inner_->Send(SliceSpans(parts, 0, prefix));
       inner_->Close();
       return Status::Unavailable("fault injection: write truncated mid-frame");
     }
     case FaultAction::kPartial: {
       ++counters_.partials;
       // Two separate sends exercise the reassembly path; no data is lost.
-      const std::size_t prefix = n > 1 ? n / 2 : n;
-      HTDP_RETURN_IF_ERROR(inner_->Send(data, prefix));
-      if (prefix < n) {
-        return inner_->Send(data + prefix, n - prefix);
+      const std::size_t prefix = total > 1 ? total / 2 : total;
+      HTDP_RETURN_IF_ERROR(inner_->Send(SliceSpans(parts, 0, prefix)));
+      if (prefix < total) {
+        return inner_->Send(SliceSpans(parts, prefix, total));
       }
       return Status::Ok();
     }
@@ -190,10 +227,10 @@ Status FaultInjectingStream::Send(const std::uint8_t* data, std::size_t n) {
       ++counters_.delays;
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(plan_.delay_ms));
-      return inner_->Send(data, n);
+      return inner_->Send(parts);
     }
   }
-  return inner_->Send(data, n);
+  return inner_->Send(parts);
 }
 
 StatusOr<std::size_t> FaultInjectingStream::Recv(std::uint8_t* out,

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -72,9 +73,14 @@ StatusOr<std::uint16_t> LocalPort(int fd);
 
 Status SetNonBlocking(int fd);
 
-/// Blocking write of the whole buffer (client side). Returns a typed error
-/// on a broken connection; never raises SIGPIPE.
-Status SendAll(int fd, const std::uint8_t* data, std::size_t n);
+/// A read-only run of bytes to send.
+using ByteSpan = std::span<const std::uint8_t>;
+
+/// Blocking gather write (client side): sends `parts` back to back, as one
+/// byte stream, through sendmsg(2) until every byte is out. Meant for a
+/// short list (a frame head plus the buffers it points at). Returns a typed
+/// error on a broken connection; never raises SIGPIPE.
+Status SendAll(int fd, std::span<const ByteSpan> parts);
 
 /// One blocking read. Returns the byte count, 0 on orderly peer shutdown,
 /// or a typed error. EINTR is retried internally.
@@ -93,8 +99,10 @@ class ByteStream {
  public:
   virtual ~ByteStream() = default;
 
-  /// Writes the whole buffer or returns a typed error.
-  virtual Status Send(const std::uint8_t* data, std::size_t n) = 0;
+  /// Writes every byte of `parts`, in order, as one contiguous stream --
+  /// so a frame can go out from several buffers without being copied into
+  /// one -- or returns a typed error.
+  virtual Status Send(std::span<const ByteSpan> parts) = 0;
 
   /// One blocking read: the byte count, 0 on orderly peer shutdown, or a
   /// typed error.
@@ -108,8 +116,8 @@ class SocketStream : public ByteStream {
  public:
   explicit SocketStream(UniqueFd fd) : fd_(std::move(fd)) {}
 
-  Status Send(const std::uint8_t* data, std::size_t n) override {
-    return SendAll(fd_.get(), data, n);
+  Status Send(std::span<const ByteSpan> parts) override {
+    return SendAll(fd_.get(), parts);
   }
   StatusOr<std::size_t> Recv(std::uint8_t* out, std::size_t n) override {
     return RecvSome(fd_.get(), out, n);
@@ -128,13 +136,15 @@ StatusOr<std::unique_ptr<ByteStream>> DialStream(const std::string& host,
 /// Deterministic: all decisions come from the plan's seeded stream. A
 /// kDrop or kTruncate closes the underlying stream, after which every
 /// operation fails with kUnavailable -- exactly what the retry loop sees
-/// from a real half-open connection.
+/// from a real half-open connection. One decision covers a whole Send, and
+/// kTruncate/kPartial cut the concatenated parts at half their total, so a
+/// frame sent from several buffers is faulted exactly like one sent flat.
 class FaultInjectingStream : public ByteStream {
  public:
   FaultInjectingStream(std::unique_ptr<ByteStream> inner, FaultPlan plan)
       : inner_(std::move(inner)), plan_(plan), rng_(plan.seed) {}
 
-  Status Send(const std::uint8_t* data, std::size_t n) override;
+  Status Send(std::span<const ByteSpan> parts) override;
   StatusOr<std::size_t> Recv(std::uint8_t* out, std::size_t n) override;
   void Close() override { inner_->Close(); }
 

@@ -1,22 +1,39 @@
-// Zero-allocation guards for the hot loops: after the first (warm-up)
-// iterations, the alg1 fit loop and the workspace-backed robust gradient
-// estimate must perform no heap allocation at all. Counted by overriding the
-// global allocation functions for this test binary.
+// Allocation guards: after the first (warm-up) iterations, the alg1 fit
+// loop and the workspace-backed robust gradient estimate must perform no
+// heap allocation at all, and a large SUBMIT must cost exactly one
+// dataset-sized allocation end to end. Counted by overriding the global
+// allocation functions for this test binary.
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
+#include <span>
 
 #include "core/htdp.h"
 #include "gtest/gtest.h"
+#include "net/client.h"
+#include "net/serialize.h"
+#include "net/transport.h"
 
 namespace {
 
 std::atomic<std::size_t> g_allocations{0};
+// Allocations of at least g_large_bytes bytes are also counted here.
+std::atomic<std::size_t> g_large_bytes{std::numeric_limits<std::size_t>::max()};
+std::atomic<std::size_t> g_large_allocations{0};
+
+void CountAllocation(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (size >= g_large_bytes.load(std::memory_order_relaxed)) {
+    g_large_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+}
 
 void* CountedAllocate(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  CountAllocation(size);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -26,11 +43,11 @@ void* CountedAllocate(std::size_t size) {
 void* operator new(std::size_t size) { return CountedAllocate(size); }
 void* operator new[](std::size_t size) { return CountedAllocate(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  CountAllocation(size);
   return std::malloc(size == 0 ? 1 : size);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  CountAllocation(size);
   return std::malloc(size == 0 ? 1 : size);
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -150,6 +167,65 @@ TEST(ZeroAllocationTest, WorkspaceEstimateAllocatesNothingWhenWarm) {
   }
   const std::size_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u) << "warm Estimate allocated";
+}
+
+// A client stream that takes the bytes and keeps none of them; the peer
+// never answers.
+class DiscardingStream : public net::ByteStream {
+ public:
+  Status Send(std::span<const net::ByteSpan>) override { return Status::Ok(); }
+  StatusOr<std::size_t> Recv(std::uint8_t*, std::size_t) override {
+    return std::size_t{0};
+  }
+  void Close() override {}
+};
+
+TEST(ZeroAllocationTest, LargeSubmitAllocatesOneDatasetBuffer) {
+  // No n x d buffer on the client (the dataset is sent from the request's
+  // own Matrix) and exactly one on the daemon (the job's Matrix storage,
+  // filled as the bytes arrive).
+  Rng data_rng(31);
+  net::SubmitRequest request;
+  request.solver = kSolverAlg1DpFw;
+  request.problem.loss = net::kWireLossSquared;
+  request.problem.data = MakeData(1024, 128, data_rng);  // a 1 MB x block
+  const std::size_t x_bytes = 1024 * 128 * sizeof(double);
+  net::WireWriter payload;
+  net::EncodeSubmit(payload, request);
+  const std::vector<std::uint8_t> wire =
+      net::EncodeFrame(net::FrameType::kSubmit, payload.bytes());
+  auto client = net::Client::ConnectWith(
+      []() -> StatusOr<std::unique_ptr<net::ByteStream>> {
+        return std::unique_ptr<net::ByteStream>(
+            std::make_unique<DiscardingStream>());
+      });
+  ASSERT_TRUE(client.ok());
+
+  g_large_allocations.store(0);
+  g_large_bytes.store(x_bytes);
+  // Fails as a closed connection, once the frame has gone out.
+  const StatusOr<std::uint64_t> sent = client.value()->Submit(request);
+  const std::size_t client_large = g_large_allocations.exchange(0);
+
+  net::FrameDecoder decoder(net::kDefaultMaxPayloadBytes, net::OpenSubmitSink);
+  for (std::size_t at = 0; at < wire.size(); at += 64 << 10) {
+    decoder.Feed(wire.data() + at, std::min<std::size_t>(64 << 10,
+                                                         wire.size() - at));
+  }
+  std::optional<net::Frame> frame;
+  ASSERT_TRUE(decoder.Next(&frame).ok());
+  ASSERT_TRUE(frame.has_value());
+  const StatusOr<net::SubmitRequest> received = net::TakeSubmit(*frame);
+  const std::size_t daemon_large = g_large_allocations.load();
+  g_large_bytes.store(std::numeric_limits<std::size_t>::max());
+
+  EXPECT_EQ(sent.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(client_large, 0u) << "the client copied the dataset";
+  ASSERT_TRUE(received.ok()) << received.status().message();
+  EXPECT_EQ(daemon_large, 1u) << "the daemon buffered the dataset";
+  EXPECT_EQ(received.value().problem.data.x.data(),
+            request.problem.data.x.data());
+  EXPECT_EQ(received.value().problem.data.y, request.problem.data.y);
 }
 
 }  // namespace

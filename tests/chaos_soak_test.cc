@@ -23,6 +23,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -342,11 +343,47 @@ TEST(OverloadLoopback, MidFrameStallIsReapedByReadDeadline) {
       0x00, 0x00,               // flags
       0x00, 0x01, 0x00, 0x00,   // length = 256, little-endian
   };
-  ASSERT_TRUE(net::SendAll(raw.value().get(), partial, sizeof(partial)).ok());
+  ASSERT_TRUE(
+      net::SendAll(raw.value().get(), std::array{net::ByteSpan(partial)})
+          .ok());
   std::uint8_t buffer[64];
   auto got = net::RecvSome(raw.value().get(), buffer, sizeof(buffer));
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value(), 0u);  // daemon closed us
+
+  // The daemon is unharmed.
+  auto client = net::Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  EXPECT_TRUE(client.value()->ListSolvers().ok());
+}
+
+TEST(OverloadLoopback, MidDatasetStallIsReapedByReadDeadline) {
+  daemon::ServerOptions options;
+  options.read_deadline_seconds = 0.15;
+  options.idle_timeout_seconds = 3600.0;  // the idle sweep must NOT be why
+  TestServer server(std::move(options));
+
+  // A valid SUBMIT whose head declares 64 x 8 doubles, cut 100 bytes into
+  // the x block: the head has parsed, and the daemon is writing the dataset
+  // into the job's storage when the peer goes quiet.
+  net::SubmitRequest request = SoakSubmit(7);
+  request.problem = SoakProblem(64, 8);
+  net::WireWriter payload;
+  net::EncodeSubmit(payload, request);
+  const std::vector<std::uint8_t> frame =
+      net::EncodeFrame(net::FrameType::kSubmit, payload.bytes());
+  const std::size_t dataset_bytes = 8 * (64 * 8 + 64);
+  const std::size_t cut = frame.size() - dataset_bytes + 100;
+
+  auto raw = net::DialTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(raw.ok());
+  ASSERT_TRUE(net::SendAll(raw.value().get(),
+                           std::array{net::ByteSpan(frame.data(), cut)})
+                  .ok());
+  std::uint8_t buffer[64];
+  auto got = net::RecvSome(raw.value().get(), buffer, sizeof(buffer));
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value(), 0u);  // daemon closed us, with no reply
 
   // The daemon is unharmed.
   auto client = net::Client::Connect("127.0.0.1", server.port());

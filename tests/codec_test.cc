@@ -13,11 +13,17 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "dp/budget_store.h"
+#include "net/client.h"
 #include "net/serialize.h"
+#include "net/transport.h"
 #include "net/wire_status.h"
 #include "rng/rng.h"
 #include "util/status.h"
@@ -231,6 +237,87 @@ TEST(WireBytePin, InPlaceSubmitFrameMatchesTheCopiedOne) {
   const std::vector<std::uint8_t> bytes = std::move(frame).Finish();
   ASSERT_EQ(bytes.size(), kFrameHeaderBytes + 439u);
   EXPECT_EQ(dp::Crc32(bytes.data(), bytes.size()), 0x6df14e29u);
+}
+
+// What a client handed its stream: each Send's parts (views into the
+// sender's buffers) and a copy of all the bytes.
+struct Sent {
+  std::vector<std::vector<ByteSpan>> sends;
+  std::vector<std::uint8_t> bytes;
+};
+
+// A ByteStream that records every Send and never answers: Recv reports an
+// orderly close.
+class RecordingStream : public ByteStream {
+ public:
+  explicit RecordingStream(Sent* sent) : sent_(sent) {}
+  Status Send(std::span<const ByteSpan> parts) override {
+    sent_->sends.emplace_back(parts.begin(), parts.end());
+    for (ByteSpan part : parts) {
+      sent_->bytes.insert(sent_->bytes.end(), part.begin(), part.end());
+    }
+    return Status::Ok();
+  }
+  StatusOr<std::size_t> Recv(std::uint8_t*, std::size_t) override {
+    return std::size_t{0};
+  }
+  void Close() override {}
+
+ private:
+  Sent* sent_;
+};
+
+// What Client::Submit sends for `request`. Only the parts that point into
+// `request` may be dereferenced afterwards.
+Sent SentBySubmit(const SubmitRequest& request) {
+  Sent sent;
+  auto client = Client::ConnectWith(
+      [&sent]() -> StatusOr<std::unique_ptr<ByteStream>> {
+        return std::unique_ptr<ByteStream>(
+            std::make_unique<RecordingStream>(&sent));
+      });
+  EXPECT_TRUE(client.ok());
+  // No reply ever comes, so the submit fails as a closed connection -- after
+  // its frame went out.
+  EXPECT_EQ(client.value()->Submit(request).status().code(),
+            StatusCode::kUnavailable);
+  return sent;
+}
+
+TEST(WireBytePin, GatheredSubmitSendsThePinnedFrame) {
+  // Client::Submit encodes only the head and gathers the dataset blocks out
+  // of the request: what reaches the stream must still be the pinned frame.
+  const SubmitRequest request = PinnedSubmit();
+  const Sent sent = SentBySubmit(request);
+  ASSERT_EQ(sent.bytes.size(), kFrameHeaderBytes + 439u);
+  EXPECT_EQ(dp::Crc32(sent.bytes.data(), sent.bytes.size()), 0x6df14e29u);
+  // One gather write: the head, then x and y straight from the request.
+  ASSERT_EQ(sent.sends.size(), 1u);
+  ASSERT_EQ(sent.sends[0].size(), 3u);
+  const auto blocks = WireDatasetBlocks(request.problem.data);
+  EXPECT_EQ(sent.sends[0][1].data(), blocks[0].data());
+  EXPECT_EQ(sent.sends[0][1].size(), 12u * 8u);
+  EXPECT_EQ(sent.sends[0][2].data(), blocks[1].data());
+  EXPECT_EQ(sent.sends[0][2].size(), 4u * 8u);
+}
+
+TEST(WireBytePin, GatheredMultiMegabyteSubmitEqualsTheEncodedFrame) {
+  SubmitRequest request = PinnedSubmit();
+  Rng rng(5);
+  request.problem.data.x = Matrix(3000, 130);  // ~3 MB
+  for (double& v : request.problem.data.x.data()) {
+    v = rng.UniformUnit() * 2.0 - 1.0;
+  }
+  request.problem.data.y.assign(3000, 0.0);
+  for (double& v : request.problem.data.y) v = rng.UniformUnit();
+  request.problem.w0.assign(130, 0.25);
+  WireWriter payload;
+  EncodeSubmit(payload, request);
+  const std::vector<std::uint8_t> expected =
+      EncodeFrame(FrameType::kSubmit, payload.bytes());
+  const Sent sent = SentBySubmit(request);
+  EXPECT_EQ(sent.sends.size(), 1u);
+  EXPECT_TRUE(sent.bytes == expected);
 }
 
 TEST(WireCodec, BulkDoubleArrayTruncationIsATypedError) {
@@ -557,11 +644,9 @@ TEST(FrameCodec, EveryTruncationPrefixIsJustIncomplete) {
   }
 }
 
-TEST(FrameCodec, RandomSingleByteFlipsNeverCrash) {
-  // Deterministic fuzz sweep: flip one byte anywhere in a frame carrying a
-  // real SUBMIT payload and decode. Any outcome is fine except a crash or a
-  // sanitizer report; if a frame comes out, its payload decode must also
-  // only ever produce typed errors.
+// A frame carrying a real SUBMIT payload, with one byte flipped -- at every
+// offset, twice, by a fixed seeded stream.
+std::vector<std::vector<std::uint8_t>> SingleByteFlipCorpus() {
   Rng rng(20260807);
   SubmitRequest request;
   request.tenant = "acme";
@@ -577,21 +662,243 @@ TEST(FrameCodec, RandomSingleByteFlipsNeverCrash) {
   const std::vector<std::uint8_t> wire =
       EncodeFrame(FrameType::kSubmit, writer.bytes());
 
+  std::vector<std::vector<std::uint8_t>> corpus;
   for (std::size_t pos = 0; pos < wire.size(); ++pos) {
     for (int trial = 0; trial < 2; ++trial) {
       std::vector<std::uint8_t> corrupt = wire;
       corrupt[pos] ^= static_cast<std::uint8_t>(1 + rng.Next() % 255);
-      FrameDecoder decoder;
-      decoder.Feed(corrupt.data(), corrupt.size());
-      while (true) {
-        std::optional<Frame> frame;
-        if (!decoder.Next(&frame).ok() || !frame.has_value()) break;
-        WireReader reader(frame->payload);
-        SubmitRequest out;
-        (void)DecodeSubmit(reader, &out);  // typed error or success; no crash
+      corpus.push_back(std::move(corrupt));
+    }
+  }
+  return corpus;
+}
+
+TEST(FrameCodec, RandomSingleByteFlipsNeverCrash) {
+  // Deterministic fuzz sweep: flip one byte anywhere in a frame carrying a
+  // real SUBMIT payload and decode. Any outcome is fine except a crash or a
+  // sanitizer report; if a frame comes out, its payload decode must also
+  // only ever produce typed errors.
+  for (const std::vector<std::uint8_t>& corrupt : SingleByteFlipCorpus()) {
+    FrameDecoder decoder;
+    decoder.Feed(corrupt.data(), corrupt.size());
+    while (true) {
+      std::optional<Frame> frame;
+      if (!decoder.Next(&frame).ok() || !frame.has_value()) break;
+      WireReader reader(frame->payload);
+      SubmitRequest out;
+      (void)DecodeSubmit(reader, &out);  // typed error or success; no crash
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Streamed SUBMIT decode: the daemon's FrameDecoder hands SUBMIT payloads to
+// OpenSubmitSink's assembler as they arrive. However the bytes are split, it
+// must agree with DecodeSubmit on the whole payload: the same typed error,
+// or the same bits.
+
+// One decoded frame in comparable form: its type and, for a SUBMIT, the
+// decode status or the request re-encoded (bit-exact for every field). A
+// poisoned stream ends the list with its status under type kError.
+struct Decoded {
+  FrameType type = FrameType::kError;
+  StatusCode code = StatusCode::kOk;
+  std::string message;
+  std::vector<std::uint8_t> bytes;
+  bool operator==(const Decoded&) const = default;
+};
+
+Decoded SubmitOutcome(const Status& status, const SubmitRequest& request) {
+  Decoded out;
+  out.type = FrameType::kSubmit;
+  out.code = status.code();
+  out.message = std::string(status.message());
+  if (status.ok()) {
+    WireWriter writer;
+    EncodeSubmit(writer, request);
+    out.bytes = writer.Take();
+  }
+  return out;
+}
+
+Decoded PoisonOutcome(const Status& status) {
+  Decoded out;
+  out.code = status.code();
+  out.message = std::string(status.message());
+  return out;
+}
+
+// The reference: whole frames out of a plain decoder, each SUBMIT payload
+// through DecodeSubmit.
+std::vector<Decoded> DecodeFlat(const std::vector<std::uint8_t>& wire) {
+  FrameDecoder decoder;
+  decoder.Feed(wire.data(), wire.size());
+  std::vector<Decoded> decoded;
+  while (true) {
+    std::optional<Frame> frame;
+    const Status status = decoder.Next(&frame);
+    if (!status.ok()) {
+      decoded.push_back(PoisonOutcome(status));
+      break;
+    }
+    if (!frame.has_value()) break;
+    if (frame->type == FrameType::kSubmit) {
+      WireReader reader(frame->payload);
+      SubmitRequest request;
+      const Status submit = DecodeSubmit(reader, &request);
+      decoded.push_back(SubmitOutcome(submit, request));
+    } else {
+      decoded.push_back(Decoded{frame->type, StatusCode::kOk, "",
+                                frame->payload});
+    }
+  }
+  return decoded;
+}
+
+// The daemon's path: a decoder streaming SUBMITs through OpenSubmitSink,
+// fed in chunks of next_chunk(bytes left) bytes and drained after each.
+std::vector<Decoded> DecodeStreamed(
+    const std::vector<std::uint8_t>& wire,
+    const std::function<std::size_t(std::size_t)>& next_chunk) {
+  FrameDecoder decoder(kDefaultMaxPayloadBytes, OpenSubmitSink);
+  std::vector<Decoded> decoded;
+  std::size_t offset = 0;
+  while (offset < wire.size()) {
+    const std::size_t take =
+        std::min(next_chunk(wire.size() - offset), wire.size() - offset);
+    decoder.Feed(wire.data() + offset, take);
+    offset += take;
+    while (true) {
+      std::optional<Frame> frame;
+      const Status status = decoder.Next(&frame);
+      if (!status.ok()) {
+        decoded.push_back(PoisonOutcome(status));
+        return decoded;
+      }
+      if (!frame.has_value()) break;
+      if (frame->type == FrameType::kSubmit) {
+        EXPECT_TRUE(frame->payload.empty());
+        StatusOr<SubmitRequest> request = TakeSubmit(*frame);
+        decoded.push_back(request.ok()
+                              ? SubmitOutcome(Status::Ok(), request.value())
+                              : SubmitOutcome(request.status(), {}));
+      } else {
+        decoded.push_back(Decoded{frame->type, StatusCode::kOk, "",
+                                  frame->payload});
       }
     }
   }
+  return decoded;
+}
+
+// Whole, a byte at a time (unless the input is large), and in seeded random
+// chunks of 1..max_chunk bytes: every way must match DecodeFlat.
+void ExpectStreamedMatchesFlat(const std::vector<std::uint8_t>& wire,
+                               std::uint64_t seed, std::size_t max_chunk) {
+  const std::vector<Decoded> expected = DecodeFlat(wire);
+  EXPECT_TRUE(DecodeStreamed(wire, [](std::size_t left) { return left; }) ==
+              expected)
+      << "fed whole";
+  if (wire.size() <= 4096) {
+    EXPECT_TRUE(DecodeStreamed(wire, [](std::size_t) { return 1; }) ==
+                expected)
+        << "fed a byte at a time";
+  }
+  Rng rng(seed);
+  EXPECT_TRUE(DecodeStreamed(wire,
+                             [&rng, max_chunk](std::size_t) {
+                               return 1 + rng.Next() % max_chunk;
+                             }) == expected)
+      << "fed in random chunks";
+}
+
+TEST(StreamedSubmit, PinnedSubmitDecodesLikeDecodeSubmit) {
+  WireWriter payload;
+  EncodeSubmit(payload, PinnedSubmit());
+  const std::vector<std::uint8_t> wire =
+      EncodeFrame(FrameType::kSubmit, payload.bytes());
+  const std::vector<Decoded> expected = DecodeFlat(wire);
+  ASSERT_EQ(expected.size(), 1u);
+  EXPECT_EQ(expected[0].code, StatusCode::kOk);
+  EXPECT_TRUE(expected[0].bytes == payload.bytes());  // specials included
+  ExpectStreamedMatchesFlat(wire, 1, 16);
+}
+
+TEST(StreamedSubmit, TrailingBytesAreIgnoredLikeDecodeSubmit) {
+  // A newer peer's appended fields (the codec's forward-compatibility rule)
+  // are dropped after the y block, and frames behind them still decode.
+  WireWriter payload;
+  EncodeSubmit(payload, PinnedSubmit());
+  payload.Str("future-field");
+  payload.U64(7);
+  std::vector<std::uint8_t> wire =
+      EncodeFrame(FrameType::kSubmit, payload.bytes());
+  const std::vector<std::uint8_t> poll = EncodeFrame(FrameType::kPoll, {5});
+  wire.insert(wire.end(), poll.begin(), poll.end());
+  const std::vector<Decoded> expected = DecodeFlat(wire);
+  ASSERT_EQ(expected.size(), 2u);
+  EXPECT_EQ(expected[0].code, StatusCode::kOk);
+  EXPECT_EQ(expected[1].type, FrameType::kPoll);
+  ExpectStreamedMatchesFlat(wire, 2, 16);
+}
+
+TEST(StreamedSubmit, SingleByteFlipsDecodeLikeDecodeSubmit) {
+  std::size_t seed = 100;
+  std::size_t submit_errors = 0;
+  for (const std::vector<std::uint8_t>& corrupt : SingleByteFlipCorpus()) {
+    SCOPED_TRACE("corpus input " + std::to_string(seed - 100));
+    ExpectStreamedMatchesFlat(corrupt, seed++, 24);
+    for (const Decoded& d : DecodeFlat(corrupt)) {
+      if (d.type == FrameType::kSubmit && d.code != StatusCode::kOk) {
+        ++submit_errors;
+      }
+    }
+  }
+  // The corpus must reach the payload parser's error paths, not just the
+  // frame header's.
+  EXPECT_GT(submit_errors, 50u);
+}
+
+TEST(StreamedSubmit, MultiMegabyteSubmitInSocketSizedChunks) {
+  SubmitRequest request = PinnedSubmit();
+  Rng rng(11);
+  request.problem.data.x = Matrix(2500, 160);  // ~3 MB
+  for (double& v : request.problem.data.x.data()) v = rng.UniformUnit();
+  request.problem.data.y.assign(2500, 0.0);
+  for (double& v : request.problem.data.y) v = -rng.UniformUnit();
+  WireWriter payload;
+  EncodeSubmit(payload, request);
+  const std::vector<std::uint8_t> wire =
+      EncodeFrame(FrameType::kSubmit, payload.bytes());
+  const std::vector<Decoded> expected = DecodeFlat(wire);
+  ASSERT_EQ(expected.size(), 1u);
+  EXPECT_EQ(expected[0].code, StatusCode::kOk);
+  ExpectStreamedMatchesFlat(wire, 3, 64u << 10);
+  // An odd fixed chunk splits doubles at every byte offset along the way.
+  EXPECT_TRUE(DecodeStreamed(wire, [](std::size_t) { return 4093; }) ==
+              expected);
+}
+
+TEST(StreamedSubmit, BufferedBytesCountTheDatasetBlock) {
+  // A SUBMIT stalled inside its dataset block still counts as buffered, so
+  // the daemon's read deadline stays armed.
+  WireWriter payload;
+  EncodeSubmit(payload, PinnedSubmit());
+  const std::vector<std::uint8_t> wire =
+      EncodeFrame(FrameType::kSubmit, payload.bytes());
+  FrameDecoder decoder(kDefaultMaxPayloadBytes, OpenSubmitSink);
+  const std::size_t cut = wire.size() - 40;  // inside the x block
+  decoder.Feed(wire.data(), cut);
+  std::optional<Frame> frame;
+  ASSERT_TRUE(decoder.Next(&frame).ok());
+  EXPECT_FALSE(frame.has_value());
+  EXPECT_EQ(decoder.buffered_bytes(), cut);
+  decoder.Feed(wire.data() + cut, wire.size() - cut);
+  EXPECT_EQ(decoder.buffered_bytes(), wire.size());
+  ASSERT_TRUE(decoder.Next(&frame).ok());
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(decoder.buffered_bytes(), 0u);
+  EXPECT_TRUE(TakeSubmit(*frame).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 // Tests for the deterministic wire-fault layer (net/fault.h) and the
 // client's retry/backoff schedule (net/client.h): spec-string round-trips
 // with typed validation errors, the HTDP_FAULT_PLAN env knob, exact
-// determinism of the decision stream, and the backoff law -- exponential,
-// capped, raised to the server's retry_after_ms hint, deterministically
-// jittered. Everything here must be exactly reproducible: a failing chaos
-// seed is only debuggable if the same seed replays the same faults.
+// determinism of the decision stream, where FaultInjectingStream cuts a
+// gathered send, and the backoff law -- exponential, capped, raised to the
+// server's retry_after_ms hint, deterministically jittered. Everything here
+// must be exactly reproducible: a failing chaos seed is only debuggable if
+// the same seed replays the same faults.
 
 #include "net/fault.h"
 
@@ -12,10 +13,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "net/client.h"
+#include "net/transport.h"
 
 namespace htdp {
 namespace net {
@@ -145,6 +150,76 @@ TEST(DrawFaultTest, ReplaysExactlyAndRespectsProbabilities) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(DrawFault(off, rng), FaultAction::kNone);
   }
+}
+
+// Records each Send's parts and whether the stream was closed.
+struct StreamLog {
+  std::vector<std::vector<ByteSpan>> sends;
+  bool closed = false;
+};
+
+class LoggingStream : public ByteStream {
+ public:
+  explicit LoggingStream(StreamLog* log) : log_(log) {}
+  Status Send(std::span<const ByteSpan> parts) override {
+    log_->sends.emplace_back(parts.begin(), parts.end());
+    return Status::Ok();
+  }
+  StatusOr<std::size_t> Recv(std::uint8_t*, std::size_t) override {
+    return std::size_t{0};
+  }
+  void Close() override { log_->closed = true; }
+
+ private:
+  StreamLog* log_;
+};
+
+TEST(FaultInjectingStreamTest, GatheredSendIsCutAtHalfItsTotal) {
+  // A frame head and two dataset blocks, 5 + 8 + 4 = 17 bytes: half the
+  // total is byte 8, three bytes into the second part.
+  const std::uint8_t head[5] = {1, 2, 3, 4, 5};
+  const std::uint8_t x[8] = {6, 7, 8, 9, 10, 11, 12, 13};
+  const std::uint8_t y[4] = {14, 15, 16, 17};
+  const ByteSpan parts[] = {ByteSpan(head), ByteSpan(x), ByteSpan(y)};
+
+  FaultPlan truncate;
+  truncate.truncate_prob = 1.0;
+  StreamLog cut;
+  FaultInjectingStream truncating(std::make_unique<LoggingStream>(&cut),
+                                  truncate);
+  EXPECT_EQ(truncating.Send(parts).code(), StatusCode::kUnavailable);
+  ASSERT_EQ(cut.sends.size(), 1u);
+  ASSERT_EQ(cut.sends[0].size(), 2u);
+  EXPECT_EQ(cut.sends[0][0].data(), head);  // slices, not copies
+  EXPECT_EQ(cut.sends[0][0].size(), 5u);
+  EXPECT_EQ(cut.sends[0][1].data(), x);
+  EXPECT_EQ(cut.sends[0][1].size(), 3u);
+  EXPECT_TRUE(cut.closed);
+  EXPECT_EQ(truncating.counters().truncates, 1u);
+
+  FaultPlan partial;
+  partial.partial_prob = 1.0;
+  StreamLog split;
+  FaultInjectingStream splitting(std::make_unique<LoggingStream>(&split),
+                                 partial);
+  EXPECT_TRUE(splitting.Send(parts).ok());
+  ASSERT_EQ(split.sends.size(), 2u);
+  ASSERT_EQ(split.sends[1].size(), 2u);
+  EXPECT_EQ(split.sends[1][0].data(), x + 3);
+  EXPECT_EQ(split.sends[1][0].size(), 5u);
+  EXPECT_EQ(split.sends[1][1].data(), y);
+  EXPECT_EQ(split.sends[1][1].size(), 4u);
+  std::vector<std::uint8_t> sent;
+  for (const auto& send : split.sends) {
+    for (ByteSpan part : send) {
+      sent.insert(sent.end(), part.begin(), part.end());
+    }
+  }
+  std::vector<std::uint8_t> all(head, head + 5);
+  all.insert(all.end(), x, x + 8);
+  all.insert(all.end(), y, y + 4);
+  EXPECT_EQ(sent, all);  // nothing lost, nothing repeated
+  EXPECT_FALSE(split.closed);
 }
 
 TEST(RetryBackoffTest, ExponentialCappedAndDeterministicallyJittered) {

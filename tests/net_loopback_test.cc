@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
+#include <array>
 #include <filesystem>
 #include <limits>
 #include <memory>
@@ -317,6 +318,34 @@ TEST(NetLoopback, UnknownSolverAndUnknownJobAreTypedErrors) {
   EXPECT_EQ(poll.status().code(), StatusCode::kInvalidProblem);
 }
 
+TEST(NetLoopback, OversizedSubmitIsRefusedBeforeSendingAndTheClientStaysUp) {
+  TestServer server;
+  // 200 x 8 doubles plus labels is ~14 KB, over this client's 4 KB frames.
+  auto client = net::Client::Connect("127.0.0.1", server.port(),
+                                     /*max_payload=*/4096);
+  ASSERT_TRUE(client.ok()) << client.status().message();
+  net::SubmitRequest request = TestSubmit(3);
+  request.problem = TestProblem(200, 8);
+  const std::size_t bytes = net::EncodedSubmitBytes(request);
+  ASSERT_GT(bytes, 4096u);
+
+  auto job = client.value()->Submit(request);
+  ASSERT_FALSE(job.ok());
+  EXPECT_EQ(job.status().code(), StatusCode::kInvalidProblem);
+  EXPECT_NE(job.status().message().find(std::to_string(bytes)),
+            std::string::npos);
+  EXPECT_NE(job.status().message().find("4096"), std::string::npos);
+  EXPECT_FALSE(client.value()->connection_broken());
+
+  // Nothing reached the daemon, and the connection still serves.
+  auto solvers = client.value()->ListSolvers();
+  ASSERT_TRUE(solvers.ok()) << solvers.status().message();
+  EXPECT_GE(solvers.value().solvers.size(), 6u);
+  auto stats = client.value()->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().message();
+  EXPECT_EQ(stats.value().engine.submitted, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Cancellation
 
@@ -407,10 +436,10 @@ TEST(NetLoopback, MalformedBytesGetTypedErrorAndClose) {
   auto raw = net::DialTcp("127.0.0.1", server.port());
   ASSERT_TRUE(raw.ok());
   const char garbage[] = "GET / HTTP/1.1\r\nHost: nope\r\n\r\n";
-  ASSERT_TRUE(net::SendAll(raw.value().get(),
-                           reinterpret_cast<const std::uint8_t*>(garbage),
-                           sizeof(garbage) - 1)
-                  .ok());
+  const net::ByteSpan garbage_bytes(
+      reinterpret_cast<const std::uint8_t*>(garbage), sizeof(garbage) - 1);
+  ASSERT_TRUE(
+      net::SendAll(raw.value().get(), std::array{garbage_bytes}).ok());
 
   // The daemon answers with one typed ERROR frame, then hangs up.
   net::FrameDecoder decoder;
