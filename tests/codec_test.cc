@@ -859,6 +859,30 @@ TEST(StreamedSubmit, SingleByteFlipsDecodeLikeDecodeSubmit) {
   EXPECT_GT(submit_errors, 50u);
 }
 
+TEST(StreamedSubmit, DoublesSplitAtEveryByteOffsetAreCarried) {
+  // A dataset block several times the head's size, fed in fixed chunks of
+  // 1..17 bytes: after the head parses, x and y bytes arrive with doubles
+  // split at every offset, including across the x/y boundary.
+  SubmitRequest request = PinnedSubmit();
+  Rng rng(13);
+  request.problem.data.x = Matrix(64, 9);
+  for (double& v : request.problem.data.x.data()) v = rng.UniformUnit() - 0.5;
+  request.problem.data.y.assign(64, 0.0);
+  for (double& v : request.problem.data.y) v = rng.UniformUnit();
+  WireWriter payload;
+  EncodeSubmit(payload, request);
+  const std::vector<std::uint8_t> wire =
+      EncodeFrame(FrameType::kSubmit, payload.bytes());
+  const std::vector<Decoded> expected = DecodeFlat(wire);
+  ASSERT_EQ(expected.size(), 1u);
+  ASSERT_EQ(expected[0].code, StatusCode::kOk);
+  for (std::size_t chunk = 1; chunk <= 17; ++chunk) {
+    EXPECT_TRUE(DecodeStreamed(wire, [chunk](std::size_t) { return chunk; }) ==
+                expected)
+        << "chunks of " << chunk << " bytes";
+  }
+}
+
 TEST(StreamedSubmit, MultiMegabyteSubmitInSocketSizedChunks) {
   SubmitRequest request = PinnedSubmit();
   Rng rng(11);
