@@ -45,6 +45,11 @@ void PublishOpenGauge(std::size_t open) {
       ->Set(static_cast<double>(open));
 }
 
+Status NotOpen(BudgetManager::ReservationId id) {
+  return Status::InvalidProblem("reservation " + std::to_string(id) +
+                                " is not open (already committed/aborted?)");
+}
+
 }  // namespace
 
 Status BudgetManager::AttachStore(dp::BudgetStore* store) {
@@ -55,73 +60,52 @@ Status BudgetManager::AttachStore(dp::BudgetStore* store) {
   if (store_ != nullptr) {
     return Status::InvalidProblem("BudgetManager already has a store");
   }
-  if (!tenants_.empty() || !open_.empty()) {
+  if (!state_.tenants.empty() || !state_.open.empty()) {
     return Status::InvalidProblem(
         "AttachStore must run before any tenant is registered");
   }
   store_ = store;
-  // Adopt what recovery reconstructed. Spend (dangling reserves included)
-  // is the ledger of record; totals are re-assertable by RegisterTenant --
-  // the daemon's --tenant flags stay authoritative for funding levels.
-  const dp::RecoveredLedger& recovered = store->recovered();
-  next_reservation_ = recovered.next_reservation_id;
-  for (const auto& [name, from] : recovered.tenants) {
-    Tenant tenant;
-    tenant.total = PrivacyBudget{from.total_epsilon, from.total_delta};
-    tenant.spent_epsilon = from.spent_epsilon;
-    tenant.spent_delta = from.spent_delta;
-    tenant.admitted = from.admitted;
-    tenant.rejected = from.rejected;
-    tenant.refunded = from.refunded;
-    tenant.recovered_reserves = from.recovered_reserves;
-    tenant.recovered_epsilon = from.recovered_epsilon;
-    tenant.recovered_delta = from.recovered_delta;
-    tenant.recovered_only = true;
-    PublishTenantGauges(name, tenant.total.epsilon, tenant.spent_epsilon);
-    tenants_.emplace(name, std::move(tenant));
+  // Adopt what recovery rebuilt. Spend (dangling reserves included) is the
+  // ledger of record; totals are re-assertable by RegisterTenant -- the
+  // daemon's --tenant flags stay authoritative for funding levels.
+  state_ = std::exchange(store->recovered(), dp::LedgerState{});
+  for (const auto& [name, tenant] : state_.tenants) {
+    PublishTenantGauges(name, tenant.total_epsilon, tenant.spent_epsilon);
   }
   PublishOpenGauge(0);
   return Status::Ok();
 }
 
-Status BudgetManager::JournalLocked(const dp::LedgerRecord& record) {
-  if (store_ == nullptr) return Status::Ok();
-  return store_->Append(record);
-}
-
-void BudgetManager::MaybeCompactLocked() {
-  if (store_ == nullptr || !store_->ShouldCompact()) return;
-  dp::BudgetStore::SnapshotState state;
-  state.next_reservation_id = next_reservation_;
-  state.tenants.reserve(tenants_.size());
-  for (const auto& [name, tenant] : tenants_) {
-    dp::BudgetStore::SnapshotTenant snap;
-    snap.name = name;
-    snap.total_epsilon = tenant.total.epsilon;
-    snap.total_delta = tenant.total.delta;
-    snap.spent_epsilon = tenant.spent_epsilon;
-    snap.spent_delta = tenant.spent_delta;
-    snap.admitted = tenant.admitted;
-    snap.rejected = tenant.rejected;
-    snap.refunded = tenant.refunded;
-    snap.recovered_reserves = tenant.recovered_reserves;
-    snap.recovered_epsilon = tenant.recovered_epsilon;
-    snap.recovered_delta = tenant.recovered_delta;
-    state.tenants.push_back(std::move(snap));
+Status BudgetManager::MutateLocked(const dp::LedgerRecord& record) {
+  // COMMIT/ABORT name only the reservation; its tenant's gauges move.
+  const bool closes = record.type == dp::LedgerRecordType::kCommit ||
+                      record.type == dp::LedgerRecordType::kAbort;
+  const std::string tenant =
+      closes ? state_.open.at(record.id).tenant : record.tenant;
+  if (store_ != nullptr) HTDP_RETURN_IF_ERROR(store_->Append(record));
+  dp::ApplyRecord(state_, record);
+  switch (record.type) {
+    case dp::LedgerRecordType::kReserve:
+      ++reserves_;
+      break;
+    case dp::LedgerRecordType::kCommit:
+      ++commits_;
+      break;
+    case dp::LedgerRecordType::kAbort:
+      ++aborts_;
+      break;
+    default:
+      break;
   }
-  state.open_reservations.reserve(open_.size());
-  for (const auto& [id, reservation] : open_) {
-    dp::LedgerRecord record;
-    record.type = dp::LedgerRecordType::kReserve;
-    record.id = id;
-    record.tenant = reservation.tenant;
-    record.epsilon = reservation.cost.epsilon;
-    record.delta = reservation.cost.delta;
-    state.open_reservations.push_back(std::move(record));
-  }
+  const dp::LedgerState::Tenant& row = state_.tenants.at(tenant);
+  PublishTenantGauges(tenant, row.total_epsilon, row.spent_epsilon);
+  PublishOpenGauge(state_.open.size());
   // A failed compaction is not fatal: the journal stays authoritative and
   // simply keeps growing until a later attempt succeeds.
-  (void)store_->Compact(state);
+  if (store_ != nullptr && store_->ShouldCompact()) {
+    (void)store_->Compact(state_);
+  }
+  return Status::Ok();
 }
 
 Status BudgetManager::RegisterTenant(const std::string& name,
@@ -131,30 +115,15 @@ Status BudgetManager::RegisterTenant(const std::string& name,
                             "tenant \"" + name + "\": " + s.message());
   }
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = tenants_.find(name);
-  if (it != tenants_.end() && !it->second.recovered_only) {
+  const auto it = state_.tenants.find(name);
+  // A tenant known only from recovery is re-funded; its spend stands -- a
+  // restart must never resurrect budget.
+  if (it != state_.tenants.end() && !it->second.recovered_only) {
     return Status::InvalidProblem("tenant \"" + name +
                                   "\" is already registered");
   }
-  dp::LedgerRecord record;
-  record.type = dp::LedgerRecordType::kRegister;
-  record.tenant = name;
-  record.epsilon = total.epsilon;
-  record.delta = total.delta;
-  HTDP_RETURN_IF_ERROR(JournalLocked(record));
-  if (it != tenants_.end()) {
-    // Recovery created the shell; this registration (re)funds it. The
-    // recovered spend stands -- a restart must never resurrect budget.
-    it->second.total = total;
-    it->second.recovered_only = false;
-    PublishTenantGauges(name, total.epsilon, it->second.spent_epsilon);
-  } else {
-    const auto [inserted, _] = tenants_.emplace(name, Tenant{total});
-    PublishTenantGauges(name, inserted->second.total.epsilon,
-                        inserted->second.spent_epsilon);
-  }
-  MaybeCompactLocked();
-  return Status::Ok();
+  return MutateLocked({dp::LedgerRecordType::kRegister, 0, name,
+                       total.epsilon, total.delta});
 }
 
 StatusOr<BudgetManager::ReservationId> BudgetManager::Reserve(
@@ -164,15 +133,15 @@ StatusOr<BudgetManager::ReservationId> BudgetManager::Reserve(
                             "tenant \"" + name + "\": " + s.message());
   }
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = tenants_.find(name);
-  if (it == tenants_.end()) {
+  const auto it = state_.tenants.find(name);
+  if (it == state_.tenants.end()) {
     return Status::InvalidProblem("unknown tenant \"" + name +
                                   "\"; register it with "
                                   "BudgetManager::RegisterTenant first");
   }
-  Tenant& tenant = it->second;
-  const double remaining_epsilon = tenant.total.epsilon - tenant.spent_epsilon;
-  const double remaining_delta = tenant.total.delta - tenant.spent_delta;
+  dp::LedgerState::Tenant& tenant = it->second;
+  const double remaining_epsilon = tenant.total_epsilon - tenant.spent_epsilon;
+  const double remaining_delta = tenant.total_delta - tenant.spent_delta;
   if (cost.epsilon > remaining_epsilon || cost.delta > remaining_delta) {
     ++tenant.rejected;
     return Status::BudgetExhausted(
@@ -181,177 +150,54 @@ StatusOr<BudgetManager::ReservationId> BudgetManager::Reserve(
                      std::max(remaining_delta, 0.0)) +
         ", requested " + FormatBudget(cost.epsilon, cost.delta));
   }
-  const ReservationId id = next_reservation_;
-  dp::LedgerRecord record;
-  record.type = dp::LedgerRecordType::kReserve;
-  record.id = id;
-  record.tenant = name;
-  record.epsilon = cost.epsilon;
-  record.delta = cost.delta;
-  HTDP_RETURN_IF_ERROR(JournalLocked(record));
-  ++next_reservation_;
-  tenant.spent_epsilon += cost.epsilon;
-  tenant.spent_delta += cost.delta;
-  ++tenant.admitted;
-  open_.emplace(id, OpenReservation{name, cost});
-  ++reserves_;
-  PublishTenantGauges(name, tenant.total.epsilon, tenant.spent_epsilon);
-  PublishOpenGauge(open_.size());
-  MaybeCompactLocked();
+  const ReservationId id = state_.next_reservation_id;
+  HTDP_RETURN_IF_ERROR(MutateLocked(
+      {dp::LedgerRecordType::kReserve, id, name, cost.epsilon, cost.delta}));
   return id;
 }
 
 Status BudgetManager::Commit(ReservationId id) {
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = open_.find(id);
-  if (it == open_.end()) {
-    return Status::InvalidProblem("reservation " + std::to_string(id) +
-                                  " is not open (already committed/aborted?)");
-  }
-  dp::LedgerRecord record;
-  record.type = dp::LedgerRecordType::kCommit;
-  record.id = id;
-  HTDP_RETURN_IF_ERROR(JournalLocked(record));
-  open_.erase(it);
-  ++commits_;
-  PublishOpenGauge(open_.size());
-  MaybeCompactLocked();
-  return Status::Ok();
+  if (state_.open.count(id) == 0) return NotOpen(id);
+  return MutateLocked({dp::LedgerRecordType::kCommit, id, "", 0.0, 0.0});
 }
 
 Status BudgetManager::Abort(ReservationId id) {
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = open_.find(id);
-  if (it == open_.end()) {
-    return Status::InvalidProblem("reservation " + std::to_string(id) +
-                                  " is not open (already committed/aborted?)");
-  }
-  dp::LedgerRecord record;
-  record.type = dp::LedgerRecordType::kAbort;
-  record.id = id;
-  HTDP_RETURN_IF_ERROR(JournalLocked(record));
-  const auto tenant_it = tenants_.find(it->second.tenant);
-  if (tenant_it != tenants_.end()) {
-    Tenant& tenant = tenant_it->second;
-    tenant.spent_epsilon =
-        std::max(tenant.spent_epsilon - it->second.cost.epsilon, 0.0);
-    tenant.spent_delta =
-        std::max(tenant.spent_delta - it->second.cost.delta, 0.0);
-    ++tenant.refunded;
-    PublishTenantGauges(it->second.tenant, tenant.total.epsilon,
-                        tenant.spent_epsilon);
-  }
-  open_.erase(it);
-  ++aborts_;
-  PublishOpenGauge(open_.size());
-  MaybeCompactLocked();
-  return Status::Ok();
-}
-
-Status BudgetManager::TryReserve(const std::string& name,
-                                 const PrivacyBudget& cost) {
-  if (Status s = cost.Check(); !s.ok()) {
-    return Status::WithCode(s.code(),
-                            "tenant \"" + name + "\": " + s.message());
-  }
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = tenants_.find(name);
-  if (it == tenants_.end()) {
-    return Status::InvalidProblem("unknown tenant \"" + name +
-                                  "\"; register it with "
-                                  "BudgetManager::RegisterTenant first");
-  }
-  Tenant& tenant = it->second;
-  const double remaining_epsilon = tenant.total.epsilon - tenant.spent_epsilon;
-  const double remaining_delta = tenant.total.delta - tenant.spent_delta;
-  if (cost.epsilon > remaining_epsilon || cost.delta > remaining_delta) {
-    ++tenant.rejected;
-    return Status::BudgetExhausted(
-        "tenant \"" + name + "\" budget exhausted: remaining " +
-        FormatBudget(std::max(remaining_epsilon, 0.0),
-                     std::max(remaining_delta, 0.0)) +
-        ", requested " + FormatBudget(cost.epsilon, cost.delta));
-  }
-  // One-shot = reserve immediately followed by commit, journaled as such,
-  // so replay applies the identical arithmetic and the conservation
-  // counters still balance.
-  const ReservationId id = next_reservation_;
-  dp::LedgerRecord reserve;
-  reserve.type = dp::LedgerRecordType::kReserve;
-  reserve.id = id;
-  reserve.tenant = name;
-  reserve.epsilon = cost.epsilon;
-  reserve.delta = cost.delta;
-  HTDP_RETURN_IF_ERROR(JournalLocked(reserve));
-  dp::LedgerRecord commit;
-  commit.type = dp::LedgerRecordType::kCommit;
-  commit.id = id;
-  HTDP_RETURN_IF_ERROR(JournalLocked(commit));
-  ++next_reservation_;
-  tenant.spent_epsilon += cost.epsilon;
-  tenant.spent_delta += cost.delta;
-  ++tenant.admitted;
-  ++reserves_;
-  ++commits_;
-  PublishTenantGauges(name, tenant.total.epsilon, tenant.spent_epsilon);
-  MaybeCompactLocked();
-  return Status::Ok();
-}
-
-Status BudgetManager::Refund(const std::string& name,
-                             const PrivacyBudget& cost) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = tenants_.find(name);
-  if (it == tenants_.end()) {
-    return Status::InvalidProblem(
-        "cannot refund unknown tenant \"" + name +
-        "\": the ledger has no spend to return it to");
-  }
-  dp::LedgerRecord record;
-  record.type = dp::LedgerRecordType::kRefund;
-  record.tenant = name;
-  record.epsilon = cost.epsilon;
-  record.delta = cost.delta;
-  HTDP_RETURN_IF_ERROR(JournalLocked(record));
-  Tenant& tenant = it->second;
-  tenant.spent_epsilon = std::max(tenant.spent_epsilon - cost.epsilon, 0.0);
-  tenant.spent_delta = std::max(tenant.spent_delta - cost.delta, 0.0);
-  ++tenant.refunded;
-  PublishTenantGauges(name, tenant.total.epsilon, tenant.spent_epsilon);
-  MaybeCompactLocked();
-  return Status::Ok();
+  if (state_.open.count(id) == 0) return NotOpen(id);
+  return MutateLocked({dp::LedgerRecordType::kAbort, id, "", 0.0, 0.0});
 }
 
 StatusOr<PrivacyBudget> BudgetManager::Remaining(
     const std::string& name) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = tenants_.find(name);
-  if (it == tenants_.end()) {
+  const auto it = state_.tenants.find(name);
+  if (it == state_.tenants.end()) {
     return Status::InvalidProblem("unknown tenant \"" + name + "\"");
   }
-  const Tenant& tenant = it->second;
+  const dp::LedgerState::Tenant& tenant = it->second;
   return PrivacyBudget{
-      std::max(tenant.total.epsilon - tenant.spent_epsilon, 0.0),
-      std::max(tenant.total.delta - tenant.spent_delta, 0.0)};
+      std::max(tenant.total_epsilon - tenant.spent_epsilon, 0.0),
+      std::max(tenant.total_delta - tenant.spent_delta, 0.0)};
 }
 
 StatusOr<BudgetManager::TenantStats> BudgetManager::Stats(
     const std::string& name) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = tenants_.find(name);
-  if (it == tenants_.end()) {
+  const auto it = state_.tenants.find(name);
+  if (it == state_.tenants.end()) {
     return Status::InvalidProblem("unknown tenant \"" + name + "\"");
   }
-  const Tenant& tenant = it->second;
+  const dp::LedgerState::Tenant& tenant = it->second;
   TenantStats stats;
-  stats.total = tenant.total;
+  stats.total = {tenant.total_epsilon, tenant.total_delta};
   stats.spent = {tenant.spent_epsilon, tenant.spent_delta};
   stats.admitted = tenant.admitted;
   stats.rejected = tenant.rejected;
   stats.refunded = tenant.refunded;
   stats.recovered = {tenant.recovered_epsilon, tenant.recovered_delta};
   stats.recovered_reserves = tenant.recovered_reserves;
-  for (const auto& [id, reservation] : open_) {
+  for (const auto& [id, reservation] : state_.open) {
     (void)id;
     if (reservation.tenant == name) ++stats.open;
   }
@@ -361,8 +207,8 @@ StatusOr<BudgetManager::TenantStats> BudgetManager::Stats(
 std::vector<std::string> BudgetManager::TenantNames() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
-  names.reserve(tenants_.size());
-  for (const auto& [name, tenant] : tenants_) {
+  names.reserve(state_.tenants.size());
+  for (const auto& [name, tenant] : state_.tenants) {
     (void)tenant;
     names.push_back(name);
   }
@@ -371,12 +217,12 @@ std::vector<std::string> BudgetManager::TenantNames() const {
 
 BudgetManager::LedgerTotals BudgetManager::Totals() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return LedgerTotals{reserves_, commits_, aborts_, open_.size()};
+  return LedgerTotals{reserves_, commits_, aborts_, state_.open.size()};
 }
 
 std::size_t BudgetManager::OpenReservations() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return open_.size();
+  return state_.open.size();
 }
 
 }  // namespace htdp

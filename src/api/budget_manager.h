@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -45,13 +44,17 @@ namespace htdp {
 /// the Engine does -- is exported as the `htdp_budget_reservations_open`
 /// gauge and asserted in engine_test.
 ///
-/// ### Durability
+/// ### One state machine
 ///
-/// Attach a dp::BudgetStore (AttachStore, before registering tenants) and
-/// every ledger mutation is journaled write-ahead; on restart the manager
-/// adopts the recovered spend, counting reserves whose fate died with the
-/// process as COMMITTED -- spend conservatively, never under-count. Without
-/// a store the manager is purely in-memory, exactly as before.
+/// The manager holds a dp::LedgerState and changes it only by building a
+/// dp::LedgerRecord and running it through dp::ApplyRecord -- the same
+/// function recovery replays the journal with. Attach a dp::BudgetStore
+/// (AttachStore, before registering tenants) and every record is journaled
+/// before it is applied; on restart the manager adopts the state recovery
+/// rebuilt, reserves whose fate died with the process counted as COMMITTED
+/// -- spend conservatively, never under-count. Without a store the manager
+/// is purely in-memory. Only admission rejections and the conservation
+/// counters (Totals) bypass the journal.
 ///
 /// Thread-safe; one manager may serve several Engines. The manager must
 /// outlive every Engine configured with it.
@@ -65,7 +68,8 @@ class BudgetManager {
   BudgetManager& operator=(const BudgetManager&) = delete;
 
   /// Makes the ledger durable: journals every mutation to `store` and
-  /// adopts the spend `store` recovered at open. Call BEFORE registering
+  /// adopts, by move, the ledger `store` recovered at Open (its
+  /// recovered() state is left empty). Call BEFORE registering
   /// tenants (kInvalidProblem otherwise). The store must outlive the
   /// manager; the manager does not own it.
   Status AttachStore(dp::BudgetStore* store);
@@ -94,17 +98,6 @@ class BudgetManager {
   /// that is not open.
   Status Abort(ReservationId id);
 
-  /// One-shot reserve-and-commit: debits `cost` with no open reservation
-  /// left behind. The pre-two-phase surface, kept for callers that have no
-  /// completion edge to commit on.
-  Status TryReserve(const std::string& name, const PrivacyBudget& cost);
-
-  /// Directly returns previously committed spend (the TryReserve
-  /// counterpart). Clamps at zero spend. kInvalidProblem for an unknown
-  /// tenant -- a refund the ledger cannot attribute is an accounting bug
-  /// the caller must hear about, not silence.
-  Status Refund(const std::string& name, const PrivacyBudget& cost);
-
   /// The tenant's remaining (total - reserved) budget, clamped at zero.
   /// kInvalidProblem for an unknown tenant.
   StatusOr<PrivacyBudget> Remaining(const std::string& name) const;
@@ -112,10 +105,10 @@ class BudgetManager {
   /// Aggregate per-tenant accounting for dashboards.
   struct TenantStats {
     PrivacyBudget total;
-    PrivacyBudget spent;       // reserved-or-committed (refunds subtracted)
-    std::size_t admitted = 0;  // successful Reserve/TryReserve calls
+    PrivacyBudget spent;       // reserved-or-committed (aborts subtracted)
+    std::size_t admitted = 0;  // successful Reserve calls
     std::size_t rejected = 0;  // reservations that did not fit
-    std::size_t refunded = 0;  // Abort + Refund calls
+    std::size_t refunded = 0;  // Abort calls (and replayed legacy refunds)
     std::size_t open = 0;      // reservations awaiting Commit/Abort
     /// Spend inherited from dangling reserves at recovery (included in
     /// `spent`), cumulative over the ledger's crash history.
@@ -142,38 +135,16 @@ class BudgetManager {
   std::size_t OpenReservations() const;
 
  private:
-  struct Tenant {
-    PrivacyBudget total;
-    double spent_epsilon = 0.0;
-    double spent_delta = 0.0;
-    std::size_t admitted = 0;
-    std::size_t rejected = 0;
-    std::size_t refunded = 0;
-    std::size_t recovered_reserves = 0;
-    double recovered_epsilon = 0.0;
-    double recovered_delta = 0.0;
-    /// True until the first RegisterTenant: the tenant exists only because
-    /// recovery saw it, so registration completes it instead of colliding.
-    bool recovered_only = false;
-  };
-
-  struct OpenReservation {
-    std::string tenant;
-    PrivacyBudget cost;
-  };
-
-  /// Journals to the attached store; a plain Ok no-op without one. Called
-  /// under mu_.
-  Status JournalLocked(const dp::LedgerRecord& record);
-  /// Snapshot + journal truncation once the store says so. Called under
-  /// mu_.
-  void MaybeCompactLocked();
+  /// The one mutation path, called under mu_ once the caller has validated
+  /// `record`: journals it write-ahead, applies it through dp::ApplyRecord,
+  /// bumps the conservation counters, publishes gauges and compacts when
+  /// the store asks.
+  Status MutateLocked(const dp::LedgerRecord& record);
 
   mutable std::mutex mu_;
   dp::BudgetStore* store_ = nullptr;
-  std::map<std::string, Tenant> tenants_;
-  std::map<ReservationId, OpenReservation> open_;
-  ReservationId next_reservation_ = 1;
+  dp::LedgerState state_;
+  /// Live operations only; replayed records are not counted.
   std::size_t reserves_ = 0;
   std::size_t commits_ = 0;
   std::size_t aborts_ = 0;

@@ -233,7 +233,6 @@ void Server::OnConnClosed(int fd, const Status& reason) {
   (void)reason;
   conns_.erase(fd);
   for (auto& [id, job] : jobs_) {
-    if (job.origin_fd == fd) job.origin_fd = -1;
     job.parked.erase(std::remove(job.parked.begin(), job.parked.end(), fd),
                      job.parked.end());
   }
@@ -345,10 +344,13 @@ void Server::HandleSubmit(int fd, StatusOr<net::SubmitRequest> decoded) {
   Job& job = jobs_[id];
   job.handle = handle;
   job.holder = std::move(holder).value();
-  job.origin_fd = fd;
-  job.stream = request.stream;
   ++inflight_;
-  if (job.stream) loop_->MarkBusy(fd, true);
+  if (request.stream) {
+    // A streamed job is a deliver-poll parked at SUBMIT: parked first, so
+    // the submitting connection is served first.
+    job.parked.push_back(fd);
+    loop_->MarkBusy(fd, true);
+  }
 
   net::FrameWriter out(net::FrameType::kSubmitOk);
   EncodeSubmitOk(out.payload(), net::SubmitOk{id});
@@ -524,7 +526,7 @@ void Server::HandleBudget(int fd) {
     reply.journal_bytes = store_->journal_bytes();
     reply.journal_lag_records = store_->lag_records();
     reply.snapshots = store_->snapshots_written();
-    const dp::RecoveredLedger& recovered = store_->recovered();
+    const dp::RecoveryStats& recovered = store_->recovery();
     reply.recovered_records = recovered.journal_records;
     reply.recovered_reserves = recovered.dangling_reserves;
     reply.torn_bytes_discarded = recovered.torn_bytes_discarded;
@@ -546,11 +548,6 @@ void Server::FinishJob(std::uint64_t id) {
   job.completed = true;
   --inflight_;
 
-  if (job.stream && job.origin_fd >= 0) {
-    SendJobState(job.origin_fd, id, job);
-    if (job.handle.Wait().ok()) SendResultFrames(job.origin_fd, id, job);
-    loop_->MarkBusy(job.origin_fd, false);
-  }
   // Iterate a detached copy: sending can trip the slow-client guard whose
   // deferred close mutates jobs_ bookkeeping via on_close at the iteration
   // boundary; detaching keeps this loop's footing either way.

@@ -140,10 +140,10 @@ class Server {
     /// Owns the materialized dataset/loss/constraint for the job's
     /// lifetime (the Engine copies the Problem but not the data).
     std::unique_ptr<net::ProblemHolder> holder;
-    int origin_fd = -1;  // -1 once the submitting connection is gone
-    bool stream = false;
     bool completed = false;
-    std::vector<int> parked;  // fds whose deliver-POLL awaits completion
+    /// fds awaiting completion: deliver-POLLs, and a streamed job's
+    /// submitting connection.
+    std::vector<int> parked;
   };
 
   explicit Server(ServerOptions options);
@@ -162,8 +162,8 @@ class Server {
   void HandleMetrics(int fd, const net::Frame& frame);
   void HandleBudget(int fd);
 
-  /// Completion processing: sends the JOB_STATE (+ result frames) to the
-  /// streamed origin and every parked poller, then applies retention.
+  /// Completion processing: sends the JOB_STATE (+ result frames) to every
+  /// parked connection, then applies retention.
   void FinishJob(std::uint64_t id);
   void SendFrame(int fd, net::FrameWriter frame);
   void SendError(int fd, const Status& status, std::uint64_t job_id);

@@ -230,66 +230,8 @@ Status DecodeLedgerPayload(const ParsedFrame& frame, LedgerRecord* out) {
   return Status::Ok();
 }
 
-/// An open reservation awaiting COMMIT/ABORT during replay.
-struct OpenReservation {
-  std::string tenant;
-  double epsilon = 0.0;
-  double delta = 0.0;
-};
-
-/// Applies one ledger record to the recovery state -- the same arithmetic,
-/// in the same order, as the live BudgetManager, so recovered spend is
-/// bit-identical to what the process had computed before dying.
-void ApplyRecord(const LedgerRecord& record,
-                 std::map<std::string, RecoveredTenant>* tenants,
-                 std::map<std::uint64_t, OpenReservation>* open,
-                 std::uint64_t* next_id) {
-  switch (record.type) {
-    case LedgerRecordType::kRegister: {
-      RecoveredTenant& tenant = (*tenants)[record.tenant];
-      tenant.total_epsilon = record.epsilon;
-      tenant.total_delta = record.delta;
-      break;
-    }
-    case LedgerRecordType::kReserve: {
-      RecoveredTenant& tenant = (*tenants)[record.tenant];
-      tenant.spent_epsilon += record.epsilon;
-      tenant.spent_delta += record.delta;
-      ++tenant.admitted;
-      (*open)[record.id] = {record.tenant, record.epsilon, record.delta};
-      if (record.id >= *next_id) *next_id = record.id + 1;
-      break;
-    }
-    case LedgerRecordType::kCommit:
-      // Spend was added at RESERVE; COMMIT just closes the reservation.
-      open->erase(record.id);
-      break;
-    case LedgerRecordType::kAbort: {
-      const auto it = open->find(record.id);
-      if (it == open->end()) break;  // replay of an already-resolved id
-      RecoveredTenant& tenant = (*tenants)[it->second.tenant];
-      tenant.spent_epsilon =
-          std::max(tenant.spent_epsilon - it->second.epsilon, 0.0);
-      tenant.spent_delta =
-          std::max(tenant.spent_delta - it->second.delta, 0.0);
-      ++tenant.refunded;
-      open->erase(it);
-      break;
-    }
-    case LedgerRecordType::kRefund: {
-      RecoveredTenant& tenant = (*tenants)[record.tenant];
-      tenant.spent_epsilon =
-          std::max(tenant.spent_epsilon - record.epsilon, 0.0);
-      tenant.spent_delta = std::max(tenant.spent_delta - record.delta, 0.0);
-      ++tenant.refunded;
-      break;
-    }
-  }
-}
-
 Status DecodeSnapshot(const std::vector<ParsedFrame>& frames,
-                      RecoveredLedger* ledger,
-                      std::map<std::uint64_t, OpenReservation>* open) {
+                      LedgerState* state, RecoveryStats* stats) {
   if (frames.empty() || frames.front().type != kSnapHeader) {
     return Status::InvalidProblem("budget snapshot: missing header record");
   }
@@ -312,13 +254,13 @@ Status DecodeSnapshot(const std::vector<ParsedFrame>& frames,
     return Status::InvalidProblem(
         "budget snapshot: record count does not match the header");
   }
-  ledger->next_reservation_id = next_id;
+  state->next_reservation_id = next_id;
   for (std::size_t i = 1; i + 1 < frames.size(); ++i) {
     const ParsedFrame& frame = frames[i];
     if (frame.type == kSnapTenant) {
       net::WireReader r(frame.payload);
       std::string name;
-      RecoveredTenant tenant;
+      LedgerState::Tenant tenant;
       HTDP_RETURN_IF_ERROR(r.Str(&name, "snapshot.tenant.name"));
       HTDP_RETURN_IF_ERROR(r.F64(&tenant.total_epsilon, "snapshot.total_e"));
       HTDP_RETURN_IF_ERROR(r.F64(&tenant.total_delta, "snapshot.total_d"));
@@ -333,15 +275,15 @@ Status DecodeSnapshot(const std::vector<ParsedFrame>& frames,
           r.F64(&tenant.recovered_epsilon, "snapshot.recovered_e"));
       HTDP_RETURN_IF_ERROR(
           r.F64(&tenant.recovered_delta, "snapshot.recovered_d"));
-      ledger->tenants[name] = tenant;
-      ++ledger->snapshot_tenants;
+      state->tenants[name] = tenant;
+      ++stats->snapshot_tenants;
     } else if (frame.type ==
                static_cast<std::uint8_t>(LedgerRecordType::kReserve)) {
       LedgerRecord record;
       HTDP_RETURN_IF_ERROR(DecodeLedgerPayload(frame, &record));
       // Snapshot spend already includes open reservations; only the open
       // map entry is restored so a post-snapshot COMMIT/ABORT resolves.
-      (*open)[record.id] = {record.tenant, record.epsilon, record.delta};
+      state->open[record.id] = std::move(record);
     } else {
       return Status::InvalidProblem("budget snapshot: unexpected record type " +
                                     std::to_string(frame.type));
@@ -456,6 +398,57 @@ std::vector<std::uint8_t> EncodeLedgerFrame(const LedgerRecord& record) {
 }
 
 // ---------------------------------------------------------------------------
+// The transition function
+
+void ApplyRecord(LedgerState& state, const LedgerRecord& record) {
+  switch (record.type) {
+    case LedgerRecordType::kRegister: {
+      LedgerState::Tenant& tenant = state.tenants[record.tenant];
+      tenant.total_epsilon = record.epsilon;
+      tenant.total_delta = record.delta;
+      tenant.recovered_only = false;
+      break;
+    }
+    case LedgerRecordType::kReserve: {
+      LedgerState::Tenant& tenant = state.tenants[record.tenant];
+      tenant.spent_epsilon += record.epsilon;
+      tenant.spent_delta += record.delta;
+      ++tenant.admitted;
+      state.open[record.id] = record;
+      if (record.id >= state.next_reservation_id) {
+        state.next_reservation_id = record.id + 1;
+      }
+      break;
+    }
+    case LedgerRecordType::kCommit:
+      // Spend was added at RESERVE; COMMIT just closes the reservation.
+      state.open.erase(record.id);
+      break;
+    case LedgerRecordType::kAbort: {
+      const auto it = state.open.find(record.id);
+      if (it == state.open.end()) break;
+      LedgerState::Tenant& tenant = state.tenants[it->second.tenant];
+      tenant.spent_epsilon =
+          std::max(tenant.spent_epsilon - it->second.epsilon, 0.0);
+      tenant.spent_delta =
+          std::max(tenant.spent_delta - it->second.delta, 0.0);
+      ++tenant.refunded;
+      state.open.erase(it);
+      break;
+    }
+    case LedgerRecordType::kRefund: {
+      // No longer written; journals from older builds still replay it.
+      LedgerState::Tenant& tenant = state.tenants[record.tenant];
+      tenant.spent_epsilon =
+          std::max(tenant.spent_epsilon - record.epsilon, 0.0);
+      tenant.spent_delta = std::max(tenant.spent_delta - record.delta, 0.0);
+      ++tenant.refunded;
+      break;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // BudgetStore
 
 BudgetStore::BudgetStore(Options options) : options_(std::move(options)) {}
@@ -486,7 +479,8 @@ StatusOr<std::unique_ptr<BudgetStore>> BudgetStore::Open(Options options) {
   const auto started = std::chrono::steady_clock::now();
 
   // --- recovery: snapshot first, then the journal ------------------------
-  std::map<std::uint64_t, OpenReservation> open;
+  LedgerState& state = store->recovered_;
+  RecoveryStats& stats = store->recovery_;
   bool exists = false;
   StatusOr<std::vector<std::uint8_t>> snapshot_bytes =
       ReadFile(PathJoin(store->options_.dir, kSnapshotName), &exists);
@@ -503,7 +497,7 @@ StatusOr<std::unique_ptr<BudgetStore>> BudgetStore::Open(Options options) {
           "a corrupt ledger (inspect " +
           PathJoin(store->options_.dir, kSnapshotName) + ")");
     }
-    HTDP_RETURN_IF_ERROR(DecodeSnapshot(frames, &store->recovered_, &open));
+    HTDP_RETURN_IF_ERROR(DecodeSnapshot(frames, &state, &stats));
   }
 
   StatusOr<std::vector<std::uint8_t>> journal_bytes =
@@ -514,8 +508,8 @@ StatusOr<std::unique_ptr<BudgetStore>> BudgetStore::Open(Options options) {
     std::size_t discarded = 0;
     const ParseStop stop =
         ParseFrames(journal_bytes.value(), &frames, &discarded);
-    store->recovered_.torn_bytes_discarded = discarded;
-    store->recovered_.corruption_detected = stop == ParseStop::kCorruption;
+    stats.torn_bytes_discarded = discarded;
+    stats.corruption_detected = stop == ParseStop::kCorruption;
     for (const ParsedFrame& frame : frames) {
       LedgerRecord record;
       const Status decoded = DecodeLedgerPayload(frame, &record);
@@ -523,30 +517,34 @@ StatusOr<std::unique_ptr<BudgetStore>> BudgetStore::Open(Options options) {
         // A CRC-valid frame that does not decode is a format breach, not a
         // torn write: stop replay conservatively (everything already
         // applied stays applied; spend only ever over-counts from here).
-        store->recovered_.corruption_detected = true;
+        stats.corruption_detected = true;
         break;
       }
-      ApplyRecord(record, &store->recovered_.tenants, &open,
-                  &store->recovered_.next_reservation_id);
-      ++store->recovered_.journal_records;
+      ApplyRecord(state, record);
+      ++stats.journal_records;
     }
     // Usable journal prefix in bytes: everything after it is discarded by
     // truncating at reopen so fresh appends never interleave with garbage.
     store->journal_file_bytes_ = journal_bytes.value().size() - discarded;
-    store->journal_record_count_ = store->recovered_.journal_records;
+    store->journal_record_count_ = stats.journal_records;
   }
 
   // The conservative fold: a reserve with no COMMIT/ABORT belonged to a job
   // whose fate died with the process. Its spend (already added at RESERVE)
   // STAYS spent -- a mechanism may have released output in the lost window,
   // and privacy accounting must never under-count.
-  for (const auto& [id, reservation] : open) {
+  for (const auto& [id, reservation] : state.open) {
     (void)id;
-    RecoveredTenant& tenant = store->recovered_.tenants[reservation.tenant];
+    LedgerState::Tenant& tenant = state.tenants[reservation.tenant];
     ++tenant.recovered_reserves;
     tenant.recovered_epsilon += reservation.epsilon;
     tenant.recovered_delta += reservation.delta;
-    ++store->recovered_.dangling_reserves;
+    ++stats.dangling_reserves;
+  }
+  state.open.clear();
+  for (auto& [name, tenant] : state.tenants) {
+    (void)name;
+    tenant.recovered_only = true;
   }
 
   // Reopen the journal for appends, truncated to the verified prefix.
@@ -556,15 +554,13 @@ StatusOr<std::unique_ptr<BudgetStore>> BudgetStore::Open(Options options) {
     store->crash_countdown_ = store->options_.crash.nth_append;
   }
 
-  store->recovered_.recovery_seconds =
+  stats.recovery_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     started)
           .count();
-  Met().recovery_seconds->Set(store->recovered_.recovery_seconds);
-  Met().recovered_reserves->Set(
-      static_cast<double>(store->recovered_.dangling_reserves));
-  Met().replayed_records->Set(
-      static_cast<double>(store->recovered_.journal_records));
+  Met().recovery_seconds->Set(stats.recovery_seconds);
+  Met().recovered_reserves->Set(static_cast<double>(stats.dangling_reserves));
+  Met().replayed_records->Set(static_cast<double>(stats.journal_records));
   Met().lag->Set(0.0);
   return store;
 }
@@ -673,26 +669,26 @@ bool BudgetStore::ShouldCompact() const {
   return journal_record_count_ >= options_.compact_every;
 }
 
-Status BudgetStore::Compact(const SnapshotState& state) {
+Status BudgetStore::Compact(const LedgerState& state) {
   // Serialize the whole snapshot first -- no file is touched on an
   // encoding problem.
   std::vector<std::uint8_t> bytes;
-  {
-    net::WireWriter header;
-    header.U32(kSnapshotVersion);
-    header.U64(state.next_reservation_id);
-    header.U64(static_cast<std::uint64_t>(state.tenants.size()));
-    header.U64(static_cast<std::uint64_t>(state.open_reservations.size()));
-    net::WireWriter header_payload;
-    header_payload.U8(kSnapHeader);
-    header_payload.Raw(header.bytes().data(), header.bytes().size());
-    const std::vector<std::uint8_t> frame = FrameBytes(header_payload.bytes());
+  const auto append = [&bytes](const std::vector<std::uint8_t>& frame) {
     bytes.insert(bytes.end(), frame.begin(), frame.end());
+  };
+  {
+    net::WireWriter payload;
+    payload.U8(kSnapHeader);
+    payload.U32(kSnapshotVersion);
+    payload.U64(state.next_reservation_id);
+    payload.U64(static_cast<std::uint64_t>(state.tenants.size()));
+    payload.U64(static_cast<std::uint64_t>(state.open.size()));
+    append(FrameBytes(payload.bytes()));
   }
-  for (const SnapshotTenant& tenant : state.tenants) {
+  for (const auto& [name, tenant] : state.tenants) {
     net::WireWriter payload;
     payload.U8(kSnapTenant);
-    payload.Str(tenant.name);
+    payload.Str(name);
     payload.F64(tenant.total_epsilon);
     payload.F64(tenant.total_delta);
     payload.F64(tenant.spent_epsilon);
@@ -703,20 +699,18 @@ Status BudgetStore::Compact(const SnapshotState& state) {
     payload.U64(tenant.recovered_reserves);
     payload.F64(tenant.recovered_epsilon);
     payload.F64(tenant.recovered_delta);
-    const std::vector<std::uint8_t> frame = FrameBytes(payload.bytes());
-    bytes.insert(bytes.end(), frame.begin(), frame.end());
+    append(FrameBytes(payload.bytes()));
   }
-  for (const LedgerRecord& reservation : state.open_reservations) {
-    const std::vector<std::uint8_t> frame = EncodeLedgerFrame(reservation);
-    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  for (const auto& [id, reservation] : state.open) {
+    (void)id;
+    append(EncodeLedgerFrame(reservation));
   }
   {
     net::WireWriter payload;
     payload.U8(kSnapFooter);
     payload.U64(static_cast<std::uint64_t>(2 + state.tenants.size() +
-                                           state.open_reservations.size()));
-    const std::vector<std::uint8_t> frame = FrameBytes(payload.bytes());
-    bytes.insert(bytes.end(), frame.begin(), frame.end());
+                                           state.open.size()));
+    append(FrameBytes(payload.bytes()));
   }
 
   const std::lock_guard<std::mutex> lock(mu_);

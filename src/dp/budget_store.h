@@ -32,10 +32,15 @@ namespace dp {
 ///     atomically (tmp + fsync + rename) every `compact_every` journal
 ///     records, after which the journal is truncated. Recovery cost is
 ///     thus bounded by snapshot size + one compaction interval.
-///   * RECOVERY replay: load the snapshot, replay the journal in order,
-///     stop cleanly at a torn tail (a partial final record from a crash
-///     mid-write -- its CRC cannot match), and fold whatever reserves are
-///     still open into committed spend.
+///   * RECOVERY replay: load the snapshot, replay the journal in order
+///     through ApplyRecord -- the transition function the live manager
+///     applies every record with -- stop cleanly at a torn tail (a partial
+///     final record from a crash mid-write -- its CRC cannot match), and
+///     fold whatever reserves are still open into committed spend.
+///
+/// The store keeps only the durable log. The ledger itself is one
+/// LedgerState: the store rebuilds it at Open, the owning BudgetManager
+/// adopts and mutates it, and Compact writes it back out.
 ///
 /// Record frame (all integers little-endian by byte shifts, doubles as
 /// IEEE-754 bits in a u64 -- the net/codec.h discipline, so replayed spend
@@ -79,7 +84,7 @@ enum class LedgerRecordType : std::uint8_t {
   kReserve = 2,   // two-phase open: id + tenant + cost (eps, delta)
   kCommit = 3,    // reservation id's spend is now permanent
   kAbort = 4,     // reservation id's spend is returned
-  kRefund = 5,    // direct spend return outside a reservation (legacy path)
+  kRefund = 5,    // direct spend return; replayed, no longer written
 };
 
 /// One journal record. Unused fields encode as zero/empty and are ignored
@@ -95,27 +100,47 @@ struct LedgerRecord {
 /// Encodes one record as a complete CRC-framed byte sequence.
 std::vector<std::uint8_t> EncodeLedgerFrame(const LedgerRecord& record);
 
-/// Per-tenant state reconstructed by recovery.
-struct RecoveredTenant {
-  double total_epsilon = 0.0;
-  double total_delta = 0.0;
-  /// Committed spend, dangling reserves included (the conservative fold).
-  double spent_epsilon = 0.0;
-  double spent_delta = 0.0;
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t refunded = 0;
-  /// Dangling reserves this tenant inherited as spend at recovery, summed
-  /// across every recovery this ledger has lived through.
-  std::uint64_t recovered_reserves = 0;
-  double recovered_epsilon = 0.0;
-  double recovered_delta = 0.0;
+/// The whole ledger: what BudgetManager serves from, what recovery
+/// rebuilds and what a snapshot holds. Only ApplyRecord (and recovery's
+/// dangling-reserve fold) changes a tenant's spend, so the live manager and
+/// a replay of its journal cannot drift apart.
+struct LedgerState {
+  struct Tenant {
+    double total_epsilon = 0.0;
+    double total_delta = 0.0;
+    /// Reserved-or-committed spend, aborts and refunds subtracted (clamped
+    /// at zero). After recovery it includes the dangling reserves.
+    double spent_epsilon = 0.0;
+    double spent_delta = 0.0;
+    std::uint64_t admitted = 0;
+    /// Admission rejections. Not journaled: only a snapshot carries them.
+    std::uint64_t rejected = 0;
+    std::uint64_t refunded = 0;
+    /// Dangling reserves this tenant inherited as spend at recovery, summed
+    /// across every recovery this ledger has lived through.
+    std::uint64_t recovered_reserves = 0;
+    double recovered_epsilon = 0.0;
+    double recovered_delta = 0.0;
+    /// Set by BudgetStore::Open on every tenant it rebuilds and cleared by
+    /// the next REGISTER, so registering a recovered tenant again sets its
+    /// total instead of colliding. Not persisted.
+    bool recovered_only = false;
+  };
+  std::map<std::string, Tenant> tenants;
+  /// Open reservations: the kReserve record that opened each, by id.
+  std::map<std::uint64_t, LedgerRecord> open;
+  std::uint64_t next_reservation_id = 1;
 };
 
-/// Everything recovery learned from the state directory.
-struct RecoveredLedger {
-  std::map<std::string, RecoveredTenant> tenants;
-  std::uint64_t next_reservation_id = 1;
+/// The ledger's one transition function: applies `record` to `state`. The
+/// live BudgetManager and recovery replay both run every record through
+/// it, so recovered spend is bit-identical to the live arithmetic. A
+/// COMMIT/ABORT for an id that is not open is a no-op; the manager rejects
+/// those before journaling.
+void ApplyRecord(LedgerState& state, const LedgerRecord& record);
+
+/// What recovery did at BudgetStore::Open.
+struct RecoveryStats {
   std::size_t snapshot_tenants = 0;    // tenants loaded from the snapshot
   std::size_t journal_records = 0;     // journal records replayed
   std::size_t dangling_reserves = 0;   // reserves folded into spend THIS run
@@ -174,8 +199,13 @@ class BudgetStore {
   BudgetStore(const BudgetStore&) = delete;
   BudgetStore& operator=(const BudgetStore&) = delete;
 
-  /// What recovery reconstructed at Open() time.
-  const RecoveredLedger& recovered() const { return recovered_; }
+  /// How recovery went at Open() time.
+  const RecoveryStats& recovery() const { return recovery_; }
+
+  /// The ledger recovery rebuilt: snapshot plus journal replay, dangling
+  /// reserves folded into spend, so no reservation is open. The owning
+  /// BudgetManager moves it out at AttachStore.
+  LedgerState& recovered() { return recovered_; }
 
   /// Appends one record to the journal under the configured fsync policy.
   /// The record is on its way to disk when this returns Ok; under
@@ -186,31 +216,16 @@ class BudgetStore {
   Status Sync();
 
   /// True once the journal has grown past compact_every records since the
-  /// last snapshot; the owner should assemble a SnapshotState and Compact().
+  /// last snapshot; the owner should Compact() its current state.
   bool ShouldCompact() const;
 
-  /// Full-ledger state for a snapshot, assembled by the owning manager
-  /// under its lock so the snapshot is a consistent cut.
-  struct SnapshotTenant {
-    std::string name;
-    double total_epsilon = 0.0, total_delta = 0.0;
-    double spent_epsilon = 0.0, spent_delta = 0.0;
-    std::uint64_t admitted = 0, rejected = 0, refunded = 0;
-    std::uint64_t recovered_reserves = 0;
-    double recovered_epsilon = 0.0, recovered_delta = 0.0;
-  };
-  struct SnapshotState {
-    std::vector<SnapshotTenant> tenants;
-    /// Reservations still open at the cut (kReserve records: id, tenant,
-    /// cost); they stay replayable so a later COMMIT/ABORT still resolves.
-    std::vector<LedgerRecord> open_reservations;
-    std::uint64_t next_reservation_id = 1;
-  };
-
   /// Writes `state` as the new snapshot (tmp + fsync + rename, atomic) and
-  /// truncates the journal. On any error the old snapshot + journal remain
-  /// the source of truth (the tmp file is simply abandoned).
-  Status Compact(const SnapshotState& state);
+  /// truncates the journal. The owner passes its state under its own lock,
+  /// so the snapshot is a consistent cut; open reservations are written as
+  /// their kReserve records, so a later COMMIT/ABORT still resolves. On any
+  /// error the old snapshot + journal remain the source of truth (the tmp
+  /// file is simply abandoned).
+  Status Compact(const LedgerState& state);
 
   // --- telemetry (also exported via obs metrics) -------------------------
   std::size_t journal_records() const;  // appended since Open (post-recovery)
@@ -227,7 +242,8 @@ class BudgetStore {
   Status SyncLocked();
 
   Options options_;
-  RecoveredLedger recovered_;
+  RecoveryStats recovery_;
+  LedgerState recovered_;
 
   mutable std::mutex mu_;
   int journal_fd_ = -1;

@@ -19,6 +19,17 @@ Status UnexpectedFrame(const Frame& frame) {
                                 " frame from the server");
 }
 
+/// Decodes a unary reply's payload, passing its error through.
+template <typename Reply>
+StatusOr<Reply> DecodeReply(StatusOr<Frame> frame,
+                            Status (*decode)(WireReader&, Reply*)) {
+  HTDP_RETURN_IF_ERROR(frame.status());
+  WireReader reader(frame.value().payload);
+  Reply reply;
+  HTDP_RETURN_IF_ERROR(decode(reader, &reply));
+  return reply;
+}
+
 }  // namespace
 
 double RetryBackoffMs(const RetryPolicy& policy, int attempt,
@@ -188,6 +199,18 @@ StatusOr<Frame> Client::ReadReply(std::uint64_t expect_job) {
   }
 }
 
+StatusOr<Frame> Client::Unary(FrameWriter request, FrameType want,
+                              std::uint64_t expect_job) {
+  HTDP_RETURN_IF_ERROR(SendFrame(std::move(request)));
+  StatusOr<Frame> reply = ReadReply(expect_job);
+  HTDP_RETURN_IF_ERROR(reply.status());
+  if (reply.value().type == FrameType::kError) {
+    return ErrorFromFrame(reply.value());
+  }
+  if (reply.value().type != want) return UnexpectedFrame(reply.value());
+  return reply;
+}
+
 StatusOr<std::uint64_t> Client::Submit(const SubmitRequest& request) {
   // Refused before any byte goes out, so the connection stays usable.
   const std::size_t payload_bytes = EncodedSubmitBytes(request);
@@ -223,20 +246,8 @@ StatusOr<std::uint64_t> Client::Submit(const SubmitRequest& request) {
 StatusOr<JobStateMsg> Client::Poll(std::uint64_t job_id, bool deliver) {
   FrameWriter frame(FrameType::kPoll);
   EncodePoll(frame.payload(), PollRequest{job_id, deliver});
-  HTDP_RETURN_IF_ERROR(SendFrame(std::move(frame)));
-
-  StatusOr<Frame> reply = ReadReply(job_id);
-  HTDP_RETURN_IF_ERROR(reply.status());
-  WireReader reader(reply.value().payload);
-  if (reply.value().type == FrameType::kError) {
-    return ErrorFromFrame(reply.value());
-  }
-  if (reply.value().type != FrameType::kJobState) {
-    return UnexpectedFrame(reply.value());
-  }
-  JobStateMsg msg;
-  HTDP_RETURN_IF_ERROR(DecodeJobState(reader, &msg));
-  return msg;
+  return DecodeReply(Unary(std::move(frame), FrameType::kJobState, job_id),
+                     DecodeJobState);
 }
 
 StatusOr<FitResult> Client::CollectResult(std::uint64_t job_id) {
@@ -293,52 +304,19 @@ StatusOr<FitResult> Client::AwaitStreamed(std::uint64_t job_id) {
 StatusOr<JobStateMsg> Client::Cancel(std::uint64_t job_id) {
   FrameWriter frame(FrameType::kCancel);
   EncodeCancel(frame.payload(), CancelRequest{job_id});
-  HTDP_RETURN_IF_ERROR(SendFrame(std::move(frame)));
-
-  StatusOr<Frame> reply = ReadReply(job_id);
-  HTDP_RETURN_IF_ERROR(reply.status());
-  WireReader reader(reply.value().payload);
-  if (reply.value().type == FrameType::kError) {
-    return ErrorFromFrame(reply.value());
-  }
-  if (reply.value().type != FrameType::kJobState) {
-    return UnexpectedFrame(reply.value());
-  }
-  JobStateMsg msg;
-  HTDP_RETURN_IF_ERROR(DecodeJobState(reader, &msg));
-  return msg;
+  return DecodeReply(Unary(std::move(frame), FrameType::kJobState, job_id),
+                     DecodeJobState);
 }
 
 StatusOr<StatsReply> Client::Stats() {
-  HTDP_RETURN_IF_ERROR(SendFrame(FrameWriter(FrameType::kStats)));
-  StatusOr<Frame> reply = ReadReply(0);
-  HTDP_RETURN_IF_ERROR(reply.status());
-  WireReader reader(reply.value().payload);
-  if (reply.value().type == FrameType::kError) {
-    return ErrorFromFrame(reply.value());
-  }
-  if (reply.value().type != FrameType::kStatsOk) {
-    return UnexpectedFrame(reply.value());
-  }
-  StatsReply stats;
-  HTDP_RETURN_IF_ERROR(DecodeStats(reader, &stats));
-  return stats;
+  return DecodeReply(Unary(FrameWriter(FrameType::kStats), FrameType::kStatsOk),
+                     DecodeStats);
 }
 
 StatusOr<BudgetReply> Client::Budget() {
-  HTDP_RETURN_IF_ERROR(SendFrame(FrameWriter(FrameType::kBudget)));
-  StatusOr<Frame> reply = ReadReply(0);
-  HTDP_RETURN_IF_ERROR(reply.status());
-  WireReader reader(reply.value().payload);
-  if (reply.value().type == FrameType::kError) {
-    return ErrorFromFrame(reply.value());
-  }
-  if (reply.value().type != FrameType::kBudgetOk) {
-    return UnexpectedFrame(reply.value());
-  }
-  BudgetReply budget;
-  HTDP_RETURN_IF_ERROR(DecodeBudgetReply(reader, &budget));
-  return budget;
+  return DecodeReply(
+      Unary(FrameWriter(FrameType::kBudget), FrameType::kBudgetOk),
+      DecodeBudgetReply);
 }
 
 StatusOr<MetricsReply> Client::Metrics(MetricsFormat format) {
@@ -346,19 +324,8 @@ StatusOr<MetricsReply> Client::Metrics(MetricsFormat format) {
   MetricsRequest request;
   request.format = format;
   EncodeMetrics(frame.payload(), request);
-  HTDP_RETURN_IF_ERROR(SendFrame(std::move(frame)));
-  StatusOr<Frame> reply = ReadReply(0);
-  HTDP_RETURN_IF_ERROR(reply.status());
-  WireReader reader(reply.value().payload);
-  if (reply.value().type == FrameType::kError) {
-    return ErrorFromFrame(reply.value());
-  }
-  if (reply.value().type != FrameType::kMetricsOk) {
-    return UnexpectedFrame(reply.value());
-  }
-  MetricsReply metrics;
-  HTDP_RETURN_IF_ERROR(DecodeMetricsReply(reader, &metrics));
-  return metrics;
+  return DecodeReply(Unary(std::move(frame), FrameType::kMetricsOk),
+                     DecodeMetricsReply);
 }
 
 StatusOr<FitResult> Client::SubmitAndWaitWithRetry(
@@ -411,19 +378,9 @@ StatusOr<FitResult> Client::SubmitAndWaitWithRetry(
 }
 
 StatusOr<SolverListReply> Client::ListSolvers() {
-  HTDP_RETURN_IF_ERROR(SendFrame(FrameWriter(FrameType::kListSolvers)));
-  StatusOr<Frame> reply = ReadReply(0);
-  HTDP_RETURN_IF_ERROR(reply.status());
-  WireReader reader(reply.value().payload);
-  if (reply.value().type == FrameType::kError) {
-    return ErrorFromFrame(reply.value());
-  }
-  if (reply.value().type != FrameType::kSolverList) {
-    return UnexpectedFrame(reply.value());
-  }
-  SolverListReply list;
-  HTDP_RETURN_IF_ERROR(DecodeSolverList(reader, &list));
-  return list;
+  return DecodeReply(
+      Unary(FrameWriter(FrameType::kListSolvers), FrameType::kSolverList),
+      DecodeSolverList);
 }
 
 }  // namespace net

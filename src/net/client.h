@@ -169,6 +169,11 @@ class Client {
   /// frames. `expect_job` disambiguates a JOB_STATE reply from a pushed
   /// JOB_STATE of some other streamed job (0 = no job-scoped reply).
   StatusOr<Frame> ReadReply(std::uint64_t expect_job);
+  /// One request/reply exchange: sends `request` and reads its reply.
+  /// Returns the reply frame when its type is `want`, the typed Status an
+  /// ERROR reply carries, or kInvalidProblem for any other frame type.
+  StatusOr<Frame> Unary(FrameWriter request, FrameType want,
+                        std::uint64_t expect_job = 0);
   /// Files a pushed frame into the assembly/completion maps. Returns the
   /// decode error for a malformed push.
   Status AbsorbPush(const Frame& frame);

@@ -280,13 +280,6 @@ EventLoop::EventLoop(Callbacks callbacks, Options options)
   }
 }
 
-EventLoop::EventLoop(Callbacks callbacks, double idle_timeout_seconds)
-    : EventLoop(std::move(callbacks), [idle_timeout_seconds] {
-        Options options;
-        options.idle_timeout_seconds = idle_timeout_seconds;
-        return options;
-      }()) {}
-
 EventLoop::~EventLoop() = default;
 
 Status EventLoop::Init() {

@@ -197,9 +197,6 @@ class EventLoop {
 
   EventLoop(Callbacks callbacks, Options options);
 
-  /// Back-compat convenience: only the idle timeout configured.
-  EventLoop(Callbacks callbacks, double idle_timeout_seconds);
-
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;

@@ -1,10 +1,12 @@
 // Tests for the crash-safe budget ledger (dp/budget_store.h): CRC framing,
-// journal replay, torn-tail recovery cut at EVERY byte offset of the final
-// record, mid-journal corruption detection, snapshot compaction round-trips,
-// the BudgetManager's two-phase typed errors, and -- the core durability
-// claim -- a 32-seed SIGKILL sweep proving the recovered ledger equals the
-// surviving record stream's replay bit for bit, for crashes injected before
-// the write, after the write but before fsync, and mid-record (torn write).
+// CRC pins on the journal and snapshot bytes, journal replay, torn-tail
+// recovery cut at EVERY byte offset of the final record, mid-journal
+// corruption detection, snapshot compaction round-trips, the
+// BudgetManager's two-phase typed errors, live-vs-recovered equality of
+// tenant stats, and -- the core durability claim -- a 32-seed SIGKILL sweep
+// proving the recovered ledger equals the surviving record stream's replay
+// bit for bit, for crashes injected before the write, after the write but
+// before fsync, and mid-record (torn write).
 //
 // The fork+SIGKILL tests are skipped under TSan (fork after threads exist
 // trips die_after_fork); the byte-level recovery tests still run there.
@@ -18,9 +20,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -86,15 +90,17 @@ StatusOr<std::unique_ptr<BudgetStore>> OpenDir(
 /// Exact (bit-for-bit) equality of two recovered ledgers. Doubles compare
 /// with ==: replay applies the identical arithmetic in the identical order,
 /// so even accumulated floating-point error must reproduce exactly.
-void ExpectRecoveredEqual(const RecoveredLedger& got,
-                          const RecoveredLedger& want) {
-  EXPECT_EQ(got.next_reservation_id, want.next_reservation_id);
-  EXPECT_EQ(got.dangling_reserves, want.dangling_reserves);
-  ASSERT_EQ(got.tenants.size(), want.tenants.size());
-  for (const auto& [name, expect] : want.tenants) {
-    const auto it = got.tenants.find(name);
-    ASSERT_NE(it, got.tenants.end()) << "missing tenant " << name;
-    const RecoveredTenant& tenant = it->second;
+void ExpectRecoveredEqual(BudgetStore& got, BudgetStore& want) {
+  EXPECT_EQ(got.recovered().next_reservation_id,
+            want.recovered().next_reservation_id);
+  EXPECT_EQ(got.recovery().dangling_reserves,
+            want.recovery().dangling_reserves);
+  const auto& got_tenants = got.recovered().tenants;
+  ASSERT_EQ(got_tenants.size(), want.recovered().tenants.size());
+  for (const auto& [name, expect] : want.recovered().tenants) {
+    const auto it = got_tenants.find(name);
+    ASSERT_NE(it, got_tenants.end()) << "missing tenant " << name;
+    const LedgerState::Tenant& tenant = it->second;
     EXPECT_EQ(tenant.total_epsilon, expect.total_epsilon) << name;
     EXPECT_EQ(tenant.total_delta, expect.total_delta) << name;
     EXPECT_EQ(tenant.spent_epsilon, expect.spent_epsilon) << name;
@@ -152,6 +158,83 @@ TEST(CrashPlanTest, ParsesSpecsAndRejectsGarbage) {
 }
 
 // ---------------------------------------------------------------------------
+// On-disk byte pins: CRC-32 of the exact bytes older builds wrote, so a
+// refactor of the ledger cannot silently change what lands on disk.
+
+TEST(LedgerBytesTest, RecordFramesArePinned) {
+  struct Pin {
+    LedgerRecord record;
+    std::size_t size;
+    std::uint32_t crc;
+  };
+  const Pin pins[] = {
+      {{LedgerRecordType::kRegister, 0, "acme", 10.0, 1e-4}, 41, 0x812ABF51u},
+      {{LedgerRecordType::kReserve, 7, "acme", 1.5, 1e-6}, 41, 0x38A7BE8Fu},
+      {{LedgerRecordType::kCommit, 7, "", 0.0, 0.0}, 37, 0x0B26489Fu},
+      {{LedgerRecordType::kAbort, 8, "", 0.0, 0.0}, 37, 0x3E0A2D03u},
+      {{LedgerRecordType::kRefund, 0, "acme", 0.5, 0.0}, 41, 0x962ACBDBu},
+  };
+  for (const Pin& pin : pins) {
+    const std::vector<std::uint8_t> frame = EncodeLedgerFrame(pin.record);
+    SCOPED_TRACE("type=" + std::to_string(static_cast<int>(pin.record.type)));
+    EXPECT_EQ(frame.size(), pin.size);
+    EXPECT_EQ(Crc32(frame.data(), frame.size()), pin.crc);
+  }
+}
+
+TEST(LedgerBytesTest, SnapshotBytesArePinned) {
+  // Every field holds a distinct value, so swapping two of them on disk
+  // moves the CRC.
+  LedgerState state;
+  LedgerState::Tenant& acme = state.tenants["acme"];
+  acme.total_epsilon = 5.0;
+  acme.total_delta = 1e-4;
+  acme.spent_epsilon = 2.5;
+  acme.spent_delta = 3e-6;
+  acme.admitted = 3;
+  acme.rejected = 4;
+  acme.refunded = 2;
+  acme.recovered_reserves = 1;
+  acme.recovered_epsilon = 0.75;
+  acme.recovered_delta = 1e-6;
+  LedgerState::Tenant& beta = state.tenants["beta"];
+  beta.total_epsilon = 1.0;
+  beta.total_delta = 2e-5;
+  beta.spent_epsilon = 0.25;
+  beta.spent_delta = 5e-6;
+  beta.admitted = 1;
+  state.open[7] = {LedgerRecordType::kReserve, 7, "acme", 0.5, 2e-6};
+  state.next_reservation_id = 9;
+
+  const std::string dir = MakeTempDir("snappin");
+  {
+    const StatusOr<std::unique_ptr<BudgetStore>> store = OpenDir(dir);
+    ASSERT_TRUE(store.ok()) << store.status().message();
+    ASSERT_TRUE(store.value()->Compact(state).ok());
+  }
+  const std::vector<std::uint8_t> bytes =
+      ReadFileBytes(dir + "/budget.snapshot");
+  EXPECT_EQ(bytes.size(), 289u);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0xE3D34F59u);
+
+  // It reads back as written, the open reservation folded into spend.
+  const StatusOr<std::unique_ptr<BudgetStore>> reopened = OpenDir(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  EXPECT_EQ(reopened.value()->recovery().snapshot_tenants, 2u);
+  EXPECT_EQ(reopened.value()->recovery().dangling_reserves, 1u);
+  const LedgerState& got = reopened.value()->recovered();
+  EXPECT_EQ(got.next_reservation_id, 9u);
+  EXPECT_TRUE(got.open.empty());
+  const LedgerState::Tenant& back = got.tenants.at("acme");
+  EXPECT_EQ(back.spent_epsilon, 2.5);
+  EXPECT_EQ(back.rejected, 4u);
+  EXPECT_EQ(back.refunded, 2u);
+  EXPECT_EQ(back.recovered_reserves, 2u);
+  EXPECT_EQ(back.recovered_epsilon, 0.75 + 0.5);
+  EXPECT_TRUE(back.recovered_only);
+}
+
+// ---------------------------------------------------------------------------
 // Journal replay
 
 TEST(BudgetStoreTest, JournalRoundTripsThroughReopen) {
@@ -176,13 +259,16 @@ TEST(BudgetStoreTest, JournalRoundTripsThroughReopen) {
         journal.Append({LedgerRecordType::kRefund, 0, "acme", 0.5, 0.0}).ok());
     EXPECT_EQ(journal.journal_records(), 6u);
   }
+  // The REFUND record is no longer written, but journals from older builds
+  // that hold one must still replay.
   const StatusOr<std::unique_ptr<BudgetStore>> reopened = OpenDir(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().message();
-  const RecoveredLedger& recovered = reopened.value()->recovered();
-  EXPECT_EQ(recovered.journal_records, 6u);
-  EXPECT_EQ(recovered.dangling_reserves, 0u);
-  EXPECT_EQ(recovered.torn_bytes_discarded, 0u);
-  EXPECT_FALSE(recovered.corruption_detected);
+  const RecoveryStats& stats = reopened.value()->recovery();
+  EXPECT_EQ(stats.journal_records, 6u);
+  EXPECT_EQ(stats.dangling_reserves, 0u);
+  EXPECT_EQ(stats.torn_bytes_discarded, 0u);
+  EXPECT_FALSE(stats.corruption_detected);
+  const LedgerState& recovered = reopened.value()->recovered();
   EXPECT_EQ(recovered.next_reservation_id, 3u);
   const auto it = recovered.tenants.find("acme");
   ASSERT_NE(it, recovered.tenants.end());
@@ -211,8 +297,8 @@ TEST(BudgetStoreTest, DanglingReserveFoldsIntoCommittedSpend) {
   }
   const StatusOr<std::unique_ptr<BudgetStore>> reopened = OpenDir(dir);
   ASSERT_TRUE(reopened.ok());
-  const RecoveredLedger& recovered = reopened.value()->recovered();
-  EXPECT_EQ(recovered.dangling_reserves, 1u);
+  EXPECT_EQ(reopened.value()->recovery().dangling_reserves, 1u);
+  const LedgerState& recovered = reopened.value()->recovered();
   const auto it = recovered.tenants.find("acme");
   ASSERT_NE(it, recovered.tenants.end());
   // Conservative fold: the spend added at RESERVE stays spent.
@@ -265,16 +351,17 @@ TEST(BudgetStoreTest, TornTailRecoveryAtEveryByteOffsetOfTheFinalRecord) {
     const StatusOr<std::unique_ptr<BudgetStore>> store = OpenDir(dir);
     ASSERT_TRUE(store.ok()) << "cut=" << cut << ": "
                             << store.status().message();
-    const RecoveredLedger& recovered = store.value()->recovered();
-    EXPECT_EQ(recovered.journal_records, 2u) << "cut=" << cut;
-    EXPECT_EQ(recovered.torn_bytes_discarded, cut) << "cut=" << cut;
-    EXPECT_FALSE(recovered.corruption_detected) << "cut=" << cut;
+    const RecoveryStats& stats = store.value()->recovery();
+    EXPECT_EQ(stats.journal_records, 2u) << "cut=" << cut;
+    EXPECT_EQ(stats.torn_bytes_discarded, cut) << "cut=" << cut;
+    EXPECT_FALSE(stats.corruption_detected) << "cut=" << cut;
     // Both reserves replayed; the second is gone with the tail, the first
     // is dangling and folds into spend.
+    const LedgerState& recovered = store.value()->recovered();
     const auto it = recovered.tenants.find("acme");
     ASSERT_NE(it, recovered.tenants.end());
     EXPECT_EQ(it->second.spent_epsilon, 1.0) << "cut=" << cut;
-    EXPECT_EQ(recovered.dangling_reserves, 1u) << "cut=" << cut;
+    EXPECT_EQ(stats.dangling_reserves, 1u) << "cut=" << cut;
     // The journal is truncated back to the verified prefix, so appends
     // never interleave with garbage.
     EXPECT_EQ(store.value()->journal_bytes(), prefix_bytes) << "cut=" << cut;
@@ -302,10 +389,10 @@ TEST(BudgetStoreTest, MidJournalCorruptionHaltsReplayConservatively) {
 
   const StatusOr<std::unique_ptr<BudgetStore>> store = OpenDir(dir);
   ASSERT_TRUE(store.ok()) << store.status().message();
-  const RecoveredLedger& recovered = store.value()->recovered();
-  EXPECT_TRUE(recovered.corruption_detected);
+  EXPECT_TRUE(store.value()->recovery().corruption_detected);
   // Replay stopped at the unverifiable record; only the register survived.
-  EXPECT_EQ(recovered.journal_records, 1u);
+  EXPECT_EQ(store.value()->recovery().journal_records, 1u);
+  const LedgerState& recovered = store.value()->recovered();
   const auto it = recovered.tenants.find("acme");
   ASSERT_NE(it, recovered.tenants.end());
   EXPECT_EQ(it->second.spent_epsilon, 0.0);
@@ -316,12 +403,9 @@ TEST(BudgetStoreTest, CorruptSnapshotRefusesToServe) {
   {
     const StatusOr<std::unique_ptr<BudgetStore>> store = OpenDir(dir);
     ASSERT_TRUE(store.ok());
-    BudgetStore::SnapshotState state;
-    BudgetStore::SnapshotTenant tenant;
-    tenant.name = "acme";
-    tenant.total_epsilon = 5.0;
-    tenant.spent_epsilon = 2.0;
-    state.tenants.push_back(tenant);
+    LedgerState state;
+    state.tenants["acme"].total_epsilon = 5.0;
+    state.tenants["acme"].spent_epsilon = 2.0;
     state.next_reservation_id = 9;
     ASSERT_TRUE(store.value()->Compact(state).ok());
   }
@@ -402,16 +486,7 @@ TEST(BudgetStoreTest, CompactionTruncatesJournalAndSurvivesReopen) {
 }
 
 // ---------------------------------------------------------------------------
-// Manager typed errors (satellite: Refund on unknown tenant)
-
-TEST(BudgetManagerDurabilityTest, RefundUnknownTenantIsATypedError) {
-  BudgetManager budgets;
-  const Status refund =
-      budgets.Refund("never-registered", PrivacyBudget::Pure(0.5));
-  EXPECT_EQ(refund.code(), StatusCode::kInvalidProblem);
-  EXPECT_NE(refund.message().find("never-registered"), std::string::npos);
-  EXPECT_NE(refund.message().find("no spend"), std::string::npos);
-}
+// Manager typed errors
 
 TEST(BudgetManagerDurabilityTest, CommitAndAbortRequireAnOpenReservation) {
   BudgetManager budgets;
@@ -442,13 +517,14 @@ TEST(BudgetManagerDurabilityTest, CommitAndAbortRequireAnOpenReservation) {
 /// real BudgetManager + BudgetStore) and the parent (deriving the expected
 /// journal record stream) consume the same generated list.
 struct LedgerOp {
-  enum class Kind { kRegister, kReserve, kCommit, kAbort, kTryReserve,
-                    kRefund };
+  /// kReserveCommit / kReserveAbort: a Reserve closed at once.
+  enum class Kind { kRegister, kReserve, kCommit, kAbort, kReserveCommit,
+                    kReserveAbort };
   Kind kind = Kind::kRegister;
   std::string tenant;
   double epsilon = 0.0;
   double delta = 0.0;
-  std::uint64_t id = 0;  // reserve/try: id it must get; commit/abort: target
+  std::uint64_t id = 0;  // reserves: id it must get; commit/abort: target
 };
 
 std::vector<LedgerOp> GenerateOps(std::uint64_t seed) {
@@ -488,20 +564,19 @@ std::vector<LedgerOp> GenerateOps(std::uint64_t seed) {
         break;
       }
       case 4:
-        ops.push_back({LedgerOp::Kind::kTryReserve, tenant, eps, delta,
+        ops.push_back({LedgerOp::Kind::kReserveCommit, tenant, eps, delta,
                        next_id++});
         break;
       case 5:
-        ops.push_back({LedgerOp::Kind::kRefund, tenant, eps / 16.0,
-                       delta / 16.0, 0});
+        ops.push_back({LedgerOp::Kind::kReserveAbort, tenant, eps / 16.0,
+                       delta / 16.0, next_id++});
         break;
     }
   }
   return ops;
 }
 
-/// The exact journal records the BudgetManager appends for `ops`, in order
-/// (TryReserve journals a RESERVE immediately followed by a COMMIT).
+/// The exact journal records the BudgetManager appends for `ops`, in order.
 std::vector<LedgerRecord> ExpectedRecords(const std::vector<LedgerOp>& ops) {
   std::vector<LedgerRecord> records;
   for (const LedgerOp& op : ops) {
@@ -520,24 +595,61 @@ std::vector<LedgerRecord> ExpectedRecords(const std::vector<LedgerOp>& ops) {
       case LedgerOp::Kind::kAbort:
         records.push_back({LedgerRecordType::kAbort, op.id, "", 0.0, 0.0});
         break;
-      case LedgerOp::Kind::kTryReserve:
+      case LedgerOp::Kind::kReserveCommit:
+      case LedgerOp::Kind::kReserveAbort:
         records.push_back({LedgerRecordType::kReserve, op.id, op.tenant,
                            op.epsilon, op.delta});
-        records.push_back({LedgerRecordType::kCommit, op.id, "", 0.0, 0.0});
-        break;
-      case LedgerOp::Kind::kRefund:
-        records.push_back({LedgerRecordType::kRefund, 0, op.tenant,
-                           op.epsilon, op.delta});
+        records.push_back({op.kind == LedgerOp::Kind::kReserveCommit
+                               ? LedgerRecordType::kCommit
+                               : LedgerRecordType::kAbort,
+                           op.id, "", 0.0, 0.0});
         break;
     }
   }
   return records;
 }
 
+/// Runs `ops` against `budgets`. Returns 0 when every operation succeeded,
+/// 43 when a reservation id diverged from the generated one, 44 when an
+/// operation failed (the forked child's exit codes).
+int RunOps(BudgetManager& budgets, const std::vector<LedgerOp>& ops) {
+  for (const LedgerOp& op : ops) {
+    const PrivacyBudget cost{op.epsilon, op.delta};
+    switch (op.kind) {
+      case LedgerOp::Kind::kRegister:
+        if (!budgets.RegisterTenant(op.tenant, cost).ok()) return 44;
+        break;
+      case LedgerOp::Kind::kReserve:
+      case LedgerOp::Kind::kReserveCommit:
+      case LedgerOp::Kind::kReserveAbort: {
+        const StatusOr<BudgetManager::ReservationId> id =
+            budgets.Reserve(op.tenant, cost);
+        if (!id.ok()) return 44;
+        if (id.value() != op.id) return 43;
+        if (op.kind == LedgerOp::Kind::kReserveCommit &&
+            !budgets.Commit(op.id).ok()) {
+          return 44;
+        }
+        if (op.kind == LedgerOp::Kind::kReserveAbort &&
+            !budgets.Abort(op.id).ok()) {
+          return 44;
+        }
+        break;
+      }
+      case LedgerOp::Kind::kCommit:
+        if (!budgets.Commit(op.id).ok()) return 44;
+        break;
+      case LedgerOp::Kind::kAbort:
+        if (!budgets.Abort(op.id).ok()) return 44;
+        break;
+    }
+  }
+  return 0;
+}
+
 /// Runs `ops` against a durable manager in a forked child that the store
 /// SIGKILLs per `plan`. Exit codes (only reached when the crash never
-/// fires): 42 = sequence completed, 43 = a reservation id diverged,
-/// 44 = an operation failed.
+/// fires): 42 = sequence completed, else RunOps' failure code.
 void RunChildLedger(const std::string& dir, const CrashPlan& plan,
                     const std::vector<LedgerOp>& ops, FsyncPolicy fsync) {
   BudgetStore::Options options;
@@ -549,47 +661,8 @@ void RunChildLedger(const std::string& dir, const CrashPlan& plan,
   if (!store.ok()) ::_exit(44);
   BudgetManager budgets;
   if (!budgets.AttachStore(store.value().get()).ok()) ::_exit(44);
-  for (const LedgerOp& op : ops) {
-    switch (op.kind) {
-      case LedgerOp::Kind::kRegister: {
-        if (!budgets
-                 .RegisterTenant(op.tenant,
-                                 PrivacyBudget{op.epsilon, op.delta})
-                 .ok()) {
-          ::_exit(44);
-        }
-        break;
-      }
-      case LedgerOp::Kind::kReserve: {
-        const StatusOr<BudgetManager::ReservationId> id =
-            budgets.Reserve(op.tenant, PrivacyBudget{op.epsilon, op.delta});
-        if (!id.ok()) ::_exit(44);
-        if (id.value() != op.id) ::_exit(43);
-        break;
-      }
-      case LedgerOp::Kind::kCommit:
-        if (!budgets.Commit(op.id).ok()) ::_exit(44);
-        break;
-      case LedgerOp::Kind::kAbort:
-        if (!budgets.Abort(op.id).ok()) ::_exit(44);
-        break;
-      case LedgerOp::Kind::kTryReserve:
-        if (!budgets
-                 .TryReserve(op.tenant, PrivacyBudget{op.epsilon, op.delta})
-                 .ok()) {
-          ::_exit(44);
-        }
-        break;
-      case LedgerOp::Kind::kRefund:
-        if (!budgets
-                 .Refund(op.tenant, PrivacyBudget{op.epsilon, op.delta})
-                 .ok()) {
-          ::_exit(44);
-        }
-        break;
-    }
-  }
-  ::_exit(42);
+  const int failed = RunOps(budgets, ops);
+  ::_exit(failed == 0 ? 42 : failed);
 }
 
 TEST(BudgetCrashSweepTest, RecoveredSpendEqualsCommittedSpendAcross32Seeds) {
@@ -670,13 +743,77 @@ TEST(BudgetCrashSweepTest, RecoveredSpendEqualsCommittedSpendAcross32Seeds) {
         OpenDir(reference_dir);
     ASSERT_TRUE(reference.ok()) << reference.status().message();
 
-    const RecoveredLedger& got = crashed.value()->recovered();
+    const RecoveryStats& got = crashed.value()->recovery();
     EXPECT_EQ(got.journal_records, survived);
     EXPECT_EQ(got.torn_bytes_discarded, expected_torn);
     EXPECT_FALSE(got.corruption_detected);
-    ExpectRecoveredEqual(got, reference.value()->recovered());
+    ExpectRecoveredEqual(*crashed.value(), *reference.value());
   }
 #endif
+}
+
+// ---------------------------------------------------------------------------
+// Live state == recovered state
+
+TEST(BudgetLiveRecoveryTest, RecoveredStatsEqualLiveStatsBitForBit) {
+  ::unsetenv("HTDP_BUDGET_CRASH");
+  for (const std::size_t compact_every : {std::size_t{4096}, std::size_t{7}}) {
+    for (std::uint64_t seed = 0; seed < 32; ++seed) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " compact_every=" + std::to_string(compact_every));
+      const std::vector<LedgerOp> ops = GenerateOps(seed);
+      // Every reservation the ops leave open, committed before the restart
+      // so recovery has no dangling reserve to fold.
+      std::vector<std::uint64_t> open;
+      for (const LedgerOp& op : ops) {
+        if (op.kind == LedgerOp::Kind::kReserve) open.push_back(op.id);
+        if (op.kind == LedgerOp::Kind::kCommit ||
+            op.kind == LedgerOp::Kind::kAbort) {
+          open.erase(std::find(open.begin(), open.end(), op.id));
+        }
+      }
+      const std::string dir = MakeTempDir("live");
+      const auto open_store = [&dir, compact_every] {
+        BudgetStore::Options options;
+        options.dir = dir;
+        options.fsync = FsyncPolicy::kOff;
+        options.compact_every = compact_every;
+        return BudgetStore::Open(std::move(options));
+      };
+
+      std::map<std::string, BudgetManager::TenantStats> live;
+      {
+        const StatusOr<std::unique_ptr<BudgetStore>> store = open_store();
+        ASSERT_TRUE(store.ok()) << store.status().message();
+        BudgetManager budgets;
+        ASSERT_TRUE(budgets.AttachStore(store.value().get()).ok());
+        ASSERT_EQ(RunOps(budgets, ops), 0);
+        for (const std::uint64_t id : open) {
+          ASSERT_TRUE(budgets.Commit(id).ok());
+        }
+        for (const std::string& name : budgets.TenantNames()) {
+          live[name] = budgets.Stats(name).value();
+        }
+      }
+
+      const StatusOr<std::unique_ptr<BudgetStore>> store = open_store();
+      ASSERT_TRUE(store.ok()) << store.status().message();
+      BudgetManager budgets;
+      ASSERT_TRUE(budgets.AttachStore(store.value().get()).ok());
+      ASSERT_EQ(budgets.TenantNames().size(), live.size());
+      for (const auto& [name, want] : live) {
+        const StatusOr<BudgetManager::TenantStats> got = budgets.Stats(name);
+        ASSERT_TRUE(got.ok()) << name;
+        EXPECT_EQ(got->spent.epsilon, want.spent.epsilon) << name;
+        EXPECT_EQ(got->spent.delta, want.spent.delta) << name;
+        EXPECT_EQ(got->total.epsilon, want.total.epsilon) << name;
+        EXPECT_EQ(got->total.delta, want.total.delta) << name;
+        EXPECT_EQ(got->admitted, want.admitted) << name;
+        EXPECT_EQ(got->refunded, want.refunded) << name;
+        EXPECT_EQ(got->recovered_reserves, 0u) << name;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -716,7 +716,7 @@ TEST(EngineTest, TraceSpansNestCorrectlyUnderWorkerPool) {
 // BudgetManager (api/budget_manager.h).
 // ---------------------------------------------------------------------------
 
-TEST(BudgetManagerTest, RegisterReserveRefundLifecycle) {
+TEST(BudgetManagerTest, RegisterReserveAbortLifecycle) {
   BudgetManager budgets;
   ASSERT_TRUE(budgets.RegisterTenant("team-a", PrivacyBudget::Approx(2.0, 1e-4))
                   .ok());
@@ -726,25 +726,29 @@ TEST(BudgetManagerTest, RegisterReserveRefundLifecycle) {
       budgets.RegisterTenant("broke", PrivacyBudget::Approx(-1.0, 0.0)).code(),
       StatusCode::kBudgetExhausted);  // unfundable total
 
-  ASSERT_TRUE(
-      budgets.TryReserve("team-a", PrivacyBudget::Approx(1.5, 5e-5)).ok());
+  const StatusOr<BudgetManager::ReservationId> first =
+      budgets.Reserve("team-a", PrivacyBudget::Approx(1.5, 5e-5));
+  ASSERT_TRUE(first.ok());
   const StatusOr<PrivacyBudget> remaining = budgets.Remaining("team-a");
   ASSERT_TRUE(remaining.ok());
   EXPECT_NEAR(remaining->epsilon, 0.5, 1e-12);
   EXPECT_NEAR(remaining->delta, 5e-5, 1e-15);
 
   // Does not fit anymore -> typed kBudgetExhausted naming the remainder.
-  const Status rejected =
-      budgets.TryReserve("team-a", PrivacyBudget::Approx(1.0, 1e-5));
-  EXPECT_EQ(rejected.code(), StatusCode::kBudgetExhausted);
-  EXPECT_NE(rejected.message().find("remaining"), std::string::npos);
+  const StatusOr<BudgetManager::ReservationId> rejected =
+      budgets.Reserve("team-a", PrivacyBudget::Approx(1.0, 1e-5));
+  EXPECT_EQ(rejected.status().code(), StatusCode::kBudgetExhausted);
+  EXPECT_NE(rejected.status().message().find("remaining"), std::string::npos);
 
-  // Refund restores headroom.
-  budgets.Refund("team-a", PrivacyBudget::Approx(1.5, 5e-5));
-  EXPECT_TRUE(
-      budgets.TryReserve("team-a", PrivacyBudget::Approx(1.0, 1e-5)).ok());
+  // Aborting the open reservation restores headroom.
+  ASSERT_TRUE(budgets.Abort(first.value()).ok());
+  const StatusOr<BudgetManager::ReservationId> second =
+      budgets.Reserve("team-a", PrivacyBudget::Approx(1.0, 1e-5));
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(budgets.Commit(second.value()).ok());
 
-  EXPECT_EQ(budgets.TryReserve("never-registered", PrivacyBudget::Pure(0.1))
+  EXPECT_EQ(budgets.Reserve("never-registered", PrivacyBudget::Pure(0.1))
+                .status()
                 .code(),
             StatusCode::kInvalidProblem);
   const auto stats = budgets.Stats("team-a");
@@ -757,8 +761,12 @@ TEST(BudgetManagerTest, RegisterReserveRefundLifecycle) {
 TEST(BudgetManagerTest, PureTenantCannotFundApproxJobs) {
   BudgetManager budgets;
   ASSERT_TRUE(budgets.RegisterTenant("pure", PrivacyBudget::Pure(5.0)).ok());
-  EXPECT_TRUE(budgets.TryReserve("pure", PrivacyBudget::Pure(1.0)).ok());
-  EXPECT_EQ(budgets.TryReserve("pure", PrivacyBudget::Approx(1.0, 1e-6))
+  const StatusOr<BudgetManager::ReservationId> pure =
+      budgets.Reserve("pure", PrivacyBudget::Pure(1.0));
+  ASSERT_TRUE(pure.ok());
+  EXPECT_TRUE(budgets.Commit(pure.value()).ok());
+  EXPECT_EQ(budgets.Reserve("pure", PrivacyBudget::Approx(1.0, 1e-6))
+                .status()
                 .code(),
             StatusCode::kBudgetExhausted);
 }
