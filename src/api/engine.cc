@@ -85,6 +85,51 @@ void ObserveFitLatency(const std::string& tenant, double seconds) {
       ->Observe(seconds);
 }
 
+/// The Engine whose workers run the current thread's ParallelFor chunks:
+/// set for its lifetime by every Engine worker, null on other threads.
+thread_local EngineShared* t_engine = nullptr;
+
+/// True while the current thread runs a chunk; a ParallelFor called from
+/// inside one runs serially.
+thread_local bool t_in_chunk = false;
+
+struct InChunk {
+  InChunk() { t_in_chunk = true; }
+  ~InChunk() { t_in_chunk = false; }
+  InChunk(const InChunk&) = delete;
+  InChunk& operator=(const InChunk&) = delete;
+};
+
+/// One ParallelFor call, held on the calling thread's stack, so a dispatch
+/// allocates nothing. The constructor links it into its Engine's
+/// `dispatches` with chunk 0 already claimed by the caller; the destructor
+/// unlinks it and waits for the chunks other workers claimed.
+struct ChunkDispatch {
+  ChunkDispatch(EngineShared& engine, std::size_t tasks,
+                void (*task)(void*, std::size_t), void* ctx);
+  ~ChunkDispatch();
+
+  /// The next unclaimed chunk, or a value >= tasks when none is left.
+  std::size_t Claim() { return next.fetch_add(1); }
+
+  /// Claims and runs one chunk for a worker that is not the caller. Called
+  /// with `lock` (the engine mutex) held; unlocks around the chunk. False,
+  /// with the lock never released, when no chunk was left.
+  bool HelpLocked(std::unique_lock<std::mutex>& lock);
+
+  EngineShared& engine;
+  const std::size_t tasks;
+  void (*const task)(void*, std::size_t);
+  void* const ctx;
+  std::atomic<std::size_t> next{1};
+  /// Chunks other workers run now (guarded by the engine mutex). Workers
+  /// claim only under the mutex while the dispatch is linked, so once the
+  /// destructor has unlinked it this count can only fall.
+  std::size_t helping = 0;
+  std::condition_variable helpers_done;
+  ChunkDispatch* newer = nullptr;  // guarded by the engine mutex
+};
+
 /// The job queue, counters and coordination state shared by the Engine and
 /// every JobRecord. Held through shared_ptrs so a JobHandle's Cancel() can
 /// update the queue/counters directly -- and safely even after the Engine
@@ -102,14 +147,18 @@ void ObserveFitLatency(const std::string& tenant, double seconds) {
 ///   the unique path that finishes it, through FinishLocked. Inline
 ///   rejections at Submit never enter the queue and are finished there.
 ///   Either way every job is finished and counted exactly once.
+/// - `dispatches` lists the ParallelFor calls of this Engine's threads that
+///   other workers may still claim chunks of, oldest first. A worker that
+///   finds the queue empty claims from the oldest one with an open chunk.
 /// - Lock order: `mu` -> a record's mu, and `mu` -> the BudgetManager's
 ///   lock (FinishLocked closes reservations under `mu`). Never the reverse.
 struct EngineShared {
   std::mutex mu;
-  std::condition_variable work_cv;  // queue became non-empty / stopping
+  std::condition_variable work_cv;  // queue or chunk open / stopping
   std::condition_variable idle_cv;  // a job completed
   std::deque<std::shared_ptr<JobRecord>> queue;  // guarded by mu
   std::size_t running = 0;   // claimed by a worker, not finished (guarded by mu)
+  ChunkDispatch* dispatches = nullptr;  // guarded by mu
   bool stop = false;
 
   /// Tenant-budget ledger (Options::budgets). Not owned; set once at Engine
@@ -130,6 +179,61 @@ struct EngineShared {
 
   const double start_seconds = obs::MonotonicSeconds();
 };
+
+ChunkDispatch::ChunkDispatch(EngineShared& engine, std::size_t tasks,
+                             void (*task)(void*, std::size_t), void* ctx)
+    : engine(engine), tasks(tasks), task(task), ctx(ctx) {
+  {
+    const std::lock_guard<std::mutex> lock(engine.mu);
+    ChunkDispatch** tail = &engine.dispatches;
+    while (*tail != nullptr) tail = &(*tail)->newer;
+    *tail = this;
+  }
+  engine.work_cv.notify_all();
+}
+
+ChunkDispatch::~ChunkDispatch() {
+  std::unique_lock<std::mutex> lock(engine.mu);
+  ChunkDispatch** link = &engine.dispatches;
+  while (*link != this) link = &(*link)->newer;
+  *link = newer;
+  helpers_done.wait(lock, [&] { return helping == 0; });
+}
+
+bool ChunkDispatch::HelpLocked(std::unique_lock<std::mutex>& lock) {
+  const std::size_t chunk = Claim();
+  if (chunk >= tasks) return false;
+  ++helping;
+  lock.unlock();
+  {
+    const InChunk in_chunk;
+    task(ctx, chunk);
+  }
+  lock.lock();
+  if (--helping == 0) helpers_done.notify_one();
+  return true;
+}
+
+/// Runs one open chunk of the oldest dispatch that has one, for a worker
+/// that found the queue empty. A dispatch may be gone once its chunk ran,
+/// so the scan stops there. False when no chunk is open.
+bool HelpOldestLocked(EngineShared& engine,
+                      std::unique_lock<std::mutex>& lock) {
+  for (ChunkDispatch* dispatch = engine.dispatches; dispatch != nullptr;
+       dispatch = dispatch->newer) {
+    if (dispatch->HelpLocked(lock)) return true;
+  }
+  return false;
+}
+
+/// The Engine that runs the chunks of ParallelFor calls made outside any
+/// Engine worker (direct TryFit, data generation, benches): created on the
+/// first such call with NumWorkerThreads() - 1 workers, so the caller plus
+/// its workers make NumWorkerThreads() threads.
+EngineShared& ProcessWideEngine() {
+  static Engine engine(Engine::Options{NumWorkerThreads() - 1});
+  return *engine.state_;
+}
 
 /// Bumps one counter in both of its stores (see Bucket). Caller holds `mu`.
 void Count(EngineShared& engine, Bucket bucket) {
@@ -464,22 +568,19 @@ Status Engine::AdmitLocked(engine_internal::JobRecord& record) {
 }
 
 void Engine::WorkerMain() {
+  engine_internal::t_engine = state_.get();
+  std::unique_lock<std::mutex> lock(state_->mu);
   for (;;) {
-    std::shared_ptr<JobRecord> record;
-    bool claimed = false;
-    {
-      std::unique_lock<std::mutex> lock(state_->mu);
-      state_->work_cv.wait(
-          lock, [&] { return state_->stop || !state_->queue.empty(); });
-      if (state_->queue.empty()) return;  // stopping; Shutdown swept it
+    if (!state_->queue.empty()) {
       // Popping the front makes this worker the record's unique completion
       // owner (queue membership, see EngineShared). A job cancelled, or
       // whose deadline expired, while it sat queued is shed right here --
       // the worker moves on to the next job instead of spinning up a fit
       // that could only report kCancelled or kDeadlineExceeded. Otherwise
       // the worker claims it.
-      record = std::move(state_->queue.front());
+      std::shared_ptr<JobRecord> record = std::move(state_->queue.front());
       state_->queue.pop_front();
+      bool claimed = false;
       if (record->cancel.load(std::memory_order_acquire)) {
         FinishLocked(*state_, *record,
                      Status::Cancelled(record->Describe() +
@@ -497,9 +598,17 @@ void Engine::WorkerMain() {
         engine_internal::PublishGaugesLocked(*state_);
         claimed = true;
       }
+      lock.unlock();
+      if (claimed) RunJob(*record);
+      record.reset();
+      state_->idle_cv.notify_all();
+      lock.lock();
+      continue;
     }
-    if (claimed) RunJob(*record);
-    state_->idle_cv.notify_all();
+    // The queue is empty: run a chunk of a running job, or sleep.
+    if (engine_internal::HelpOldestLocked(*state_, lock)) continue;
+    if (state_->stop) return;  // Shutdown swept the queue
+    state_->work_cv.wait(lock);
   }
 }
 
@@ -627,5 +736,26 @@ std::uint32_t Engine::SuggestedRetryAfterMs() const {
   return RetryAfterHintMs(state_->queue.size() + state_->running,
                           worker_count_);
 }
+
+namespace parallel_internal {
+
+void RunChunks(std::size_t tasks, void (*task)(void*, std::size_t),
+               void* ctx) {
+  if (engine_internal::t_in_chunk || tasks < 2) {
+    for (std::size_t t = 0; t < tasks; ++t) task(ctx, t);
+    return;
+  }
+  engine_internal::EngineShared& engine =
+      engine_internal::t_engine != nullptr
+          ? *engine_internal::t_engine
+          : engine_internal::ProcessWideEngine();
+  // The caller runs chunk 0 and then claims the rest alongside the
+  // engine's idle workers; it waits only for chunks they already started.
+  engine_internal::ChunkDispatch dispatch(engine, tasks, task, ctx);
+  const engine_internal::InChunk in_chunk;
+  for (std::size_t t = 0; t < tasks; t = dispatch.Claim()) task(ctx, t);
+}
+
+}  // namespace parallel_internal
 
 }  // namespace htdp

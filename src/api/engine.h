@@ -28,11 +28,13 @@ namespace htdp {
 /// that fan-out natively: callers describe each fit as a FitJob, Submit()
 /// returns immediately with a JobHandle, and a fixed pool of job workers
 /// runs many TryFits concurrently with cancellation and per-job wall-clock
-/// deadlines. Data-level parallelism inside each fit still flows through
-/// ParallelFor's shared worker pool, which the Engine makes multi-tenant:
-/// one job's dispatch holds the pool at a time, and a job that finds it busy
-/// runs its chunks on its own worker thread instead of waiting. Chunking is
-/// fixed per dispatch, so results do not depend on which of the two ran.
+/// deadlines. The same workers run the data-level parallelism inside each
+/// fit: a ParallelFor called by a job publishes its chunks on the job's
+/// Engine, the job's worker runs them, and idle workers claim the rest. A
+/// worker always starts a queued job before it claims chunks, so a fit gets
+/// every idle core when it runs alone and its own core under a full batch.
+/// Chunking is fixed per dispatch, so results do not depend on which worker
+/// ran which chunk.
 ///
 /// Determinism contract: a job's result is bit-identical to a sequential
 /// `TryFit(problem, spec, rng)` with the same RNG state -- every job runs
@@ -131,14 +133,15 @@ struct FitJob {
   /// already see it. It runs on whichever thread finishes the job -- the
   /// Submit() caller for an inline rejection, the Cancel() caller for a
   /// queued job, a worker, or Shutdown() -- with the Engine's mutex held,
-  /// so it must not block and must not call Submit, Cancel, stats or Drain
-  /// on the Engine. Empty = no callback.
+  /// so it must not block and must not call Submit, Cancel, stats, Drain or
+  /// ParallelFor. Empty = no callback.
   std::function<void()> on_done;
 };
 
 namespace engine_internal {
 struct EngineShared;
 struct JobRecord;
+EngineShared& ProcessWideEngine();
 }  // namespace engine_internal
 
 /// Aggregate Engine counters. Snapshot via Engine::stats().
@@ -166,7 +169,7 @@ struct EngineStats {
   /// Always 0: the Engine has one FIFO queue and no work stealing. Kept
   /// only because perfbench's engine.steals_per_fit still reads it
   /// (perfbench/src/engine_workload.cc and serve_workload.cc); ROADMAP
-  /// item 4 drops that metric and then this field.
+  /// item 1 drops that metric and then this field.
   std::size_t steals = 0;
 };
 
@@ -222,7 +225,8 @@ class JobHandle {
 
 /// The concurrent fit service. Owns a fixed pool of job-worker threads and
 /// one FIFO job queue under the engine mutex: jobs start in submission
-/// order, whichever worker is free first takes the oldest. See
+/// order, whichever worker is free first takes the oldest, and a worker
+/// with no job runs ParallelFor chunks of the jobs that are running. See
 /// docs/engine.md for the scheduler design. Thread-safe:
 /// Submit/Cancel/Wait/stats may be called from any thread.
 class Engine {
@@ -288,6 +292,8 @@ class Engine {
   int workers() const { return worker_count_; }
 
  private:
+  friend engine_internal::EngineShared& engine_internal::ProcessWideEngine();
+
   void WorkerMain();
   void RunJob(engine_internal::JobRecord& record);
 

@@ -48,8 +48,8 @@ class RobustGradientEstimator {
   /// have the scaled-feature gradient form (Loss::GradientAsScaledFeature);
   /// the solvers reject other losses with kInvalidProblem before fitting.
   /// Each row's gradient is the fused row scale * x_i + ridge * w. Work is
-  /// split by coordinate: blocks of whole 8-lane groups run on the worker
-  /// pool, and every coordinate sums its contributions over the rows in row
+  /// split by coordinate: blocks of whole 8-lane groups run as ParallelFor
+  /// chunks, and every coordinate sums its contributions over the rows in row
   /// order. The result is therefore the serial one, bit for bit, at every
   /// worker count and under any scheduling. Pass a `workspace` owned by the
   /// fit loop to reuse the buffers across iterations (zero allocations after

@@ -5,18 +5,20 @@
 
 namespace htdp {
 
-/// Returns the number of worker threads used by ParallelFor. Defaults to the
-/// hardware concurrency, capped at 16; override with the HTDP_NUM_THREADS
-/// environment variable (HTDP_NUM_THREADS=1 forces serial execution). A
-/// value that is not a whole decimal integer in [1, kMaxWorkerThreads] is
-/// reported on stderr and the default is used.
+/// Returns the number of chunks ParallelFor splits a loop into. Defaults to
+/// the hardware concurrency, capped at 16; override with the
+/// HTDP_NUM_THREADS environment variable (HTDP_NUM_THREADS=1 forces serial
+/// execution). A value that is not a whole decimal integer in
+/// [1, kMaxWorkerThreads] is reported on stderr and the default is used. It
+/// also sizes the default Engine and the process-wide Engine that serves
+/// dispatches from threads that are not Engine workers (see ParallelFor).
 int NumWorkerThreads();
 
 /// The largest thread count HTDP_NUM_THREADS (and htdpd --workers) accepts.
 inline constexpr int kMaxWorkerThreads = 256;
 
-/// Below this many items a cheap-per-item loop is not worth dispatching to
-/// the pool; ParallelFor's default threshold. Callers whose items are
+/// Below this many items a cheap-per-item loop is not worth dispatching;
+/// ParallelFor's default threshold. Callers whose items are
 /// individually expensive (a chunk of samples, a matrix row block) should
 /// pass an explicit lower threshold.
 inline constexpr std::size_t kParallelForSerialThreshold = 4096;
@@ -41,28 +43,32 @@ namespace parallel_internal {
 /// other value (sign, whitespace, trailing bytes, out of range).
 int ParseThreadCount(const char* value);
 
-/// Runs task(ctx, t) for every t in [0, tasks) on the persistent worker
-/// pool plus the calling thread; blocks until all tasks completed. Performs
-/// no heap allocation. The pool serves one dispatch at a time: a call made
-/// while another holds it, or from inside a pool task, runs its tasks
-/// serially on the calling thread instead of waiting.
-void PoolRun(std::size_t tasks, void (*task)(void* ctx, std::size_t t),
-             void* ctx);
+/// Runs task(ctx, t) for every t in [0, tasks) on the calling thread and
+/// on idle Engine workers; blocks until all tasks completed. Performs no
+/// heap allocation once the process-wide Engine exists. Defined in
+/// api/engine.cc, which owns the threads.
+void RunChunks(std::size_t tasks, void (*task)(void* ctx, std::size_t t),
+               void* ctx);
 
 }  // namespace parallel_internal
 
-/// Runs `body(begin, end)` over [0, count), statically chunked across worker
+/// Runs `body(begin, end)` over [0, count), statically chunked across
 /// threads. `body` receives a half-open index range and must be safe to run
 /// concurrently on disjoint ranges. Falls back to a serial call when count <
-/// min_parallel or only one worker is configured. Work is executed by a
-/// persistent, lazily-started pool -- no per-call thread spawn and no heap
-/// allocation per dispatch, so hot loops can call this every iteration. The
-/// call blocks until all chunks complete. Chunk boundaries are a
-/// deterministic function of (count, NumWorkerThreads()) only -- never of
-/// scheduling -- and cover [0, count) exactly once with no empty chunk.
-/// Concurrent callers never queue behind each other: while one call holds
-/// the pool, the others run their chunks on their own threads, and nested
-/// calls from inside a pool task run serially.
+/// min_parallel or only one worker is configured. The chunks run on the
+/// Engine's job workers, the only threads htdp keeps: a call made on an
+/// Engine worker is published on that worker's Engine, and a call from any
+/// other thread on one process-wide Engine of NumWorkerThreads() - 1
+/// workers, created on the first such call. The caller runs chunks itself
+/// and idle workers of that Engine claim the rest; a worker starts a queued
+/// job before it claims chunks. No heap allocation per dispatch, so hot
+/// loops can call this every iteration. The call blocks until all chunks
+/// complete. Chunk boundaries are a deterministic function of
+/// (count, NumWorkerThreads()) only -- never of scheduling or of which
+/// thread runs a chunk -- and cover [0, count) exactly once with no empty
+/// chunk. A call never waits for another call to finish: the caller waits
+/// only for chunks that other workers already started. Nested calls from
+/// inside a chunk run serially.
 template <typename Body>
 void ParallelFor(std::size_t count, const Body& body,
                  std::size_t min_parallel = kParallelForSerialThreshold) {
@@ -82,7 +88,7 @@ void ParallelFor(std::size_t count, const Body& body,
     std::size_t count;
     std::size_t chunks;
   } context{&body, count, chunks};
-  parallel_internal::PoolRun(
+  parallel_internal::RunChunks(
       chunks,
       [](void* ctx, std::size_t c) {
         const Context& context = *static_cast<const Context*>(ctx);

@@ -8,15 +8,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <new>
 #include <span>
+#include <string>
+#include <utility>
 
 #include "core/htdp.h"
 #include "gtest/gtest.h"
 #include "net/client.h"
 #include "net/serialize.h"
 #include "net/transport.h"
+#include "util/parallel.h"
 
 namespace {
 
@@ -105,9 +109,9 @@ TEST(ZeroAllocationTest, Alg1IterationsAllocateNothingAfterWarmup) {
   ASSERT_EQ(result.iterations, kIterations);
   ASSERT_EQ(events, kIterations);
 
-  // Iteration 1 warms the workspace (and, on multi-core machines, starts
-  // the worker pool); iteration 2 may still touch a lazily-grown buffer.
-  // From then on the loop must be allocation-free.
+  // Iteration 1 warms the workspace (and, on multi-core machines, may
+  // create the process-wide Engine); iteration 2 may still touch a
+  // lazily-grown buffer. From then on the loop must be allocation-free.
   for (int t = 3; t <= kIterations; ++t) {
     EXPECT_EQ(counts[t] - counts[t - 1], 0u)
         << "iteration " << t << " allocated";
@@ -167,6 +171,61 @@ TEST(ZeroAllocationTest, WorkspaceEstimateAllocatesNothingWhenWarm) {
   }
   const std::size_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u) << "warm Estimate allocated";
+}
+
+// A test-only solver whose fit runs `fit` on the Engine worker.
+class CallbackSolver : public Solver {
+ public:
+  explicit CallbackSolver(std::function<void()> fit) : fit_(std::move(fit)) {}
+  std::string name() const override { return "callback"; }
+  std::string description() const override { return "runs a test callback"; }
+  AlgorithmId algorithm() const override { return AlgorithmId::kDpFw; }
+  bool requires_loss() const override { return false; }
+  StatusOr<FitResult> TryFit(const Problem&, const SolverSpec&,
+                             Rng&) const override {
+    fit_();
+    return FitResult{};
+  }
+
+ private:
+  std::function<void()> fit_;
+};
+
+TEST(ZeroAllocationTest, WarmDispatchingEstimateAllocatesNothing) {
+  // 2000 x 64 gives the estimate more than one coordinate block, so each
+  // call dispatches twice: from the test thread to the process-wide Engine,
+  // and from a job to its own Engine's workers.
+  if (NumWorkerThreads() < 2) GTEST_SKIP() << "ParallelFor runs serially";
+  Rng data_rng(37);
+  const std::size_t n = 2000;
+  const std::size_t d = 64;
+  const Dataset data = MakeData(n, d, data_rng);
+  const SquaredLoss loss;
+  const RobustGradientEstimator estimator(5.0, 1.0);
+  const Vector w(d, 0.01);
+  RobustGradientWorkspace workspace;
+  Vector out;
+  // Warms the workspace (and, on the test thread, may create the
+  // process-wide Engine), then counts the allocations of five more calls.
+  const auto warm_allocations = [&] {
+    estimator.Estimate(loss, FullView(data), w, out, &workspace);
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int round = 0; round < 5; ++round) {
+      estimator.Estimate(loss, FullView(data), w, out, &workspace);
+    }
+    return g_allocations.load(std::memory_order_relaxed) - before;
+  };
+
+  EXPECT_EQ(warm_allocations(), 0u) << "warm Estimate allocated";
+
+  std::size_t in_job = 0;
+  const CallbackSolver solver([&] { in_job = warm_allocations(); });
+  Engine engine(Engine::Options{3});
+  FitJob job;
+  job.solver = &solver;
+  const JobHandle handle = engine.Submit(std::move(job));
+  ASSERT_TRUE(handle.Wait().ok());
+  EXPECT_EQ(in_job, 0u) << "warm Estimate allocated inside an Engine job";
 }
 
 // A client stream that takes the bytes and keeps none of them; the peer

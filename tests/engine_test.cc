@@ -655,7 +655,7 @@ TEST(EngineTest, RuntimeInfoGaugeTagsSimdModeAndThreadCount) {
   EXPECT_NE(text.find(expected), std::string::npos) << text;
 }
 
-/// Span integrity under the worker pool (the TSan CI leg runs this suite):
+/// Span integrity with concurrent jobs (the TSan CI leg runs this suite):
 /// every worker thread's ring holds well-formed spans in close order, the
 /// engine.job spans appear once per executed job, and iteration spans nest
 /// strictly inside them (depth > 0 on the same thread).
@@ -853,13 +853,11 @@ TEST(EngineTenantTest, QueuedCancellationRefundsTheReservation) {
   Engine engine(Engine::Options{/*workers=*/1, &budgets});
 
   // Occupy the single worker so the tenant job stays queued.
-  std::atomic<bool> release{false};
+  WorkerGate gate;
   FitJob blocker = workload.JobFor(kSolverAlg1DpFw, 11);
-  blocker.spec.iterations = 1000000;
-  blocker.spec.scale = 5.0;
-  blocker.spec.should_stop = [&release] { return release.load(); };
-  blocker.problem.target_sparsity = 0;
+  blocker.spec.should_stop = gate.Hook();
   const JobHandle blocking_handle = engine.Submit(std::move(blocker));
+  gate.AwaitReached();
 
   FitJob queued = workload.JobFor(kSolverAlg2PrivateLasso, 13);
   queued.tenant = "cancelme";
@@ -879,7 +877,7 @@ TEST(EngineTenantTest, QueuedCancellationRefundsTheReservation) {
     EXPECT_NEAR(refunded->epsilon, 1.0, 1e-12);
   }
 
-  release.store(true);
+  gate.release.store(true);
   (void)blocking_handle.Wait();
 }
 

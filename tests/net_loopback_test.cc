@@ -393,37 +393,50 @@ TEST(NetLoopback, QueuedJobsAddNoThreads) {
   if (!std::filesystem::exists("/proc/self/task")) {
     GTEST_SKIP() << "/proc/self/task is not available";
   }
-  // Start the lazily created pool helpers now, so the baseline counts them.
-  ParallelFor(kParallelForSerialThreshold, [](std::size_t, std::size_t) {});
-
-  daemon::ServerOptions options;
-  options.engine_workers = 1;
-  TestServer server(std::move(options));
-  auto client = server.Connect();
-  const std::size_t baseline = ThreadCount();
-
-  // The heavy job of QueuedJobCancelsWithTypedStatus holds the only worker
-  // while 16 more jobs queue behind it.
+  // A heavy job holds the only worker while 16 more jobs queue behind it.
+  // Its risk trace dispatches EmpiricalRisk over 8000 rows, which must run
+  // on that worker alone: the daemon adds exactly its loop thread and one
+  // worker. The 8000 rows are filled on this thread alone, since
+  // GenerateLinear would dispatch them from here and start threads of its
+  // own.
   net::SubmitRequest heavy = TestSubmit(11);
-  heavy.problem = TestProblem(8000, 30);
+  Rng rng(19);
+  heavy.problem.data.x = Matrix(8000, 30);
+  heavy.problem.data.y.assign(8000, 0.0);
+  for (std::size_t i = 0; i < 8000; ++i) {
+    double* row = heavy.problem.data.x.Row(i);
+    for (std::size_t j = 0; j < 30; ++j) row[j] = rng.Uniform(-1.0, 1.0);
+    heavy.problem.data.y[i] = row[0] - row[1] + rng.Uniform(-0.1, 0.1);
+  }
   heavy.spec.iterations = 1000;
   heavy.spec.record_risk_trace = true;
   std::vector<net::SubmitRequest> requests{heavy};
   for (std::uint64_t seed = 200; seed < 216; ++seed) {
     requests.push_back(TestSubmit(seed));
   }
+
+  const std::size_t baseline = ThreadCount();
+  daemon::ServerOptions options;
+  options.engine_workers = 1;
+  TestServer server(std::move(options));
+  auto client = server.Connect();
   std::vector<std::uint64_t> ids;
   for (const net::SubmitRequest& request : requests) {
     auto job = client->Submit(request);
     ASSERT_TRUE(job.ok()) << job.status().message();
     ids.push_back(job.value());
   }
-  EXPECT_LE(ThreadCount(), baseline + 2);
+  EXPECT_EQ(ThreadCount(), baseline + 2);
 
+  std::vector<FitResult> remote;
+  for (const std::uint64_t id : ids) {
+    auto result = client->WaitResult(id);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    remote.push_back(std::move(result).value());
+    EXPECT_EQ(ThreadCount(), baseline + 2) << "job " << remote.size() - 1;
+  }
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    auto remote = client->WaitResult(ids[i]);
-    ASSERT_TRUE(remote.ok()) << remote.status().message();
-    EXPECT_EQ(remote.value().w, LocalFit(requests[i]).w) << "job " << i;
+    EXPECT_EQ(remote[i].w, LocalFit(requests[i]).w) << "job " << i;
   }
 }
 

@@ -1,21 +1,26 @@
-// Pool determinism guards. ctest runs this suite at HTDP_NUM_THREADS=1, 3
-// and 8 (see tests/CMakeLists.txt), so the worker pool genuinely executes
-// on multiple threads even on single-core CI machines, and the robust
-// gradient's coordinate blocks take three different layouts.
+// ParallelFor determinism and scheduling guards. ctest runs this suite at
+// HTDP_NUM_THREADS=1, 3 and 8 (see tests/CMakeLists.txt), so dispatches
+// genuinely execute on multiple threads even on single-core CI machines,
+// and the robust gradient's coordinate blocks take three different layouts.
 //
 // The contracts under test: the robust gradient equals its serial
 // per-coordinate, row-order sum bit for bit at every worker count; other
 // chunked reductions depend only on the configured worker count, never on
-// scheduling; and a dispatch never waits for another one to release the
-// pool.
+// scheduling; a dispatch never waits for another one to finish; and the
+// chunks of a job's dispatch run on its Engine's workers.
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdlib>
+#include <functional>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/htdp.h"
@@ -247,6 +252,148 @@ TEST(ParallelPoolTest, ContendedDispatchRunsInline) {
   }
   EXPECT_FALSE(a_timed_out.load())
       << "the second dispatch waited for the first to release the pool";
+}
+
+/// A test-only solver whose fit runs `fit` on the Engine worker and
+/// returns an empty FitResult.
+class CallbackSolver : public Solver {
+ public:
+  explicit CallbackSolver(std::function<void()> fit) : fit_(std::move(fit)) {}
+  std::string name() const override { return "callback"; }
+  std::string description() const override { return "runs a test callback"; }
+  AlgorithmId algorithm() const override { return AlgorithmId::kDpFw; }
+  bool requires_loss() const override { return false; }
+  StatusOr<FitResult> TryFit(const Problem&, const SolverSpec&,
+                             Rng&) const override {
+    fit_();
+    return FitResult{};
+  }
+
+ private:
+  std::function<void()> fit_;
+};
+
+FitJob JobFor(const Solver& solver) {
+  FitJob job;
+  job.solver = &solver;
+  return job;
+}
+
+TEST(ParallelPoolTest, EngineWorkersRunASoloJobsChunks) {
+  if (NumWorkerThreads() < 2) GTEST_SKIP() << "ParallelFor runs serially";
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline = Clock::now() + std::chrono::seconds(10);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> workers;
+  std::set<std::thread::id> chunk_threads;
+  bool timed_out = false;
+  // Waits, under `lock`, until `done` holds or the shared deadline passes.
+  const auto wait_for = [&](std::unique_lock<std::mutex>& lock,
+                            const std::function<bool()>& done) {
+    if (!cv.wait_until(lock, deadline, done)) timed_out = true;
+  };
+
+  Engine engine(Engine::Options{3});
+  // Three jobs that each hold a worker until all three have started name
+  // the Engine's three worker threads.
+  const CallbackSolver name_worker([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    workers.insert(std::this_thread::get_id());
+    cv.notify_all();
+    wait_for(lock, [&] { return workers.size() == 3; });
+  });
+  std::vector<JobHandle> probes;
+  for (int i = 0; i < 3; ++i) {
+    probes.push_back(engine.Submit(JobFor(name_worker)));
+  }
+  for (const JobHandle& probe : probes) ASSERT_TRUE(probe.Wait().ok());
+  ASSERT_EQ(workers.size(), 3u);
+
+  // A solo job whose every chunk waits until two threads have entered one:
+  // the job's worker cannot finish alone, so idle workers must take chunks.
+  const CallbackSolver dispatch([&] {
+    ParallelFor(
+        64,
+        [&](std::size_t, std::size_t) {
+          std::unique_lock<std::mutex> lock(mu);
+          chunk_threads.insert(std::this_thread::get_id());
+          cv.notify_all();
+          wait_for(lock, [&] { return chunk_threads.size() >= 2; });
+        },
+        /*min_parallel=*/2);
+  });
+  const JobHandle solo = engine.Submit(JobFor(dispatch));
+  ASSERT_TRUE(solo.Wait().ok());
+
+  const std::lock_guard<std::mutex> lock(mu);
+  EXPECT_FALSE(timed_out) << "no second thread ran a chunk";
+  EXPECT_GE(chunk_threads.size(), 2u);
+  for (const std::thread::id& id : chunk_threads) {
+    EXPECT_EQ(workers.count(id), 1u) << "a chunk ran off the Engine's workers";
+  }
+}
+
+TEST(ParallelPoolTest, BusyEngineDispatchRunsOnItsOwner) {
+  // Job A's first chunk, which its own worker runs, blocks until job B's
+  // dispatch has finished. B runs on the Engine's other worker, and its
+  // dispatch must run there alone rather than wait for A's worker. If it
+  // waited, A's chunk would give up at the deadline and the test fails (it
+  // never hangs).
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline = Clock::now() + std::chrono::seconds(10);
+  std::atomic<bool> a_running{false};
+  std::atomic<bool> b_done{false};
+  std::atomic<bool> a_timed_out{false};
+  const CallbackSolver a_solver([&] {
+    ParallelFor(
+        64,
+        [&](std::size_t begin, std::size_t) {
+          if (begin != 0) return;
+          a_running.store(true);
+          while (!b_done.load()) {
+            if (Clock::now() > deadline) {
+              a_timed_out.store(true);
+              return;
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        },
+        /*min_parallel=*/2);
+  });
+  std::vector<std::atomic<int>> hits(1000);
+  std::mutex mu;
+  std::set<std::thread::id> b_threads;
+  std::thread::id b_owner;
+  const CallbackSolver b_solver([&] {
+    b_owner = std::this_thread::get_id();
+    ParallelFor(
+        hits.size(),
+        [&](std::size_t begin, std::size_t end) {
+          {
+            const std::lock_guard<std::mutex> lock(mu);
+            b_threads.insert(std::this_thread::get_id());
+          }
+          for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+        },
+        /*min_parallel=*/2);
+    b_done.store(true);
+  });
+
+  Engine engine(Engine::Options{2});
+  const JobHandle a = engine.Submit(JobFor(a_solver));
+  while (!a_running.load()) std::this_thread::yield();
+  const JobHandle b = engine.Submit(JobFor(b_solver));
+  ASSERT_TRUE(b.Wait().ok());
+  ASSERT_TRUE(a.Wait().ok());
+
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+  EXPECT_FALSE(a_timed_out.load())
+      << "B's dispatch waited for A's worker";
+  const std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(b_threads, std::set<std::thread::id>{b_owner});
 }
 
 }  // namespace
