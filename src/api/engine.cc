@@ -1,5 +1,6 @@
 #include "api/engine.h"
 
+#include <sched.h>
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -127,8 +128,38 @@ struct ChunkDispatch {
   /// destructor has unlinked it this count can only fall.
   std::size_t helping = 0;
   std::condition_variable helpers_done;
+  std::atomic<std::uint64_t> cpus{0};  // CPUs running chunks (SpreadOnto)
+  inline static std::atomic<std::uint64_t> next_id{0};
+  const std::uint64_t id = next_id.fetch_add(1, std::memory_order_relaxed);
   ChunkDispatch* newer = nullptr;  // guarded by the engine mutex
 };
+
+/// Records the calling thread's CPU in `dispatch.cpus` on its first chunk.
+/// Two threads of one dispatch on one core run their chunks in turn, and
+/// the kernel sometimes stacks them so while another core idles. A thread
+/// that finds its CPU taken pins itself for a moment to an allowed CPU
+/// that is not, then restores its affinity mask.
+void SpreadOnto([[maybe_unused]] ChunkDispatch& dispatch) {
+#if defined(__linux__)
+  thread_local std::uint64_t t_counted = ~std::uint64_t{0};
+  if (std::exchange(t_counted, dispatch.id) == dispatch.id) return;
+  const int cpu = sched_getcpu();
+  if (cpu < 0 || cpu >= 64) return;
+  const std::uint64_t taken = dispatch.cpus.fetch_or(std::uint64_t{1} << cpu);
+  if (((taken >> cpu) & 1) == 0) return;
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  for (int free = 0; free < 64; ++free) {
+    if (!CPU_ISSET(free, &allowed) || ((taken >> free) & 1) != 0) continue;
+    cpu_set_t one{};
+    CPU_SET(free, &one);
+    if (sched_setaffinity(0, sizeof(one), &one) != 0) return;
+    sched_setaffinity(0, sizeof(allowed), &allowed);
+    dispatch.cpus.fetch_or(std::uint64_t{1} << free);
+    return;
+  }
+#endif
+}
 
 /// The job queue, counters and coordination state shared by the Engine and
 /// every JobRecord. Held through shared_ptrs so a JobHandle's Cancel() can
@@ -183,6 +214,7 @@ struct EngineShared {
 ChunkDispatch::ChunkDispatch(EngineShared& engine, std::size_t tasks,
                              void (*task)(void*, std::size_t), void* ctx)
     : engine(engine), tasks(tasks), task(task), ctx(ctx) {
+  SpreadOnto(*this);
   {
     const std::lock_guard<std::mutex> lock(engine.mu);
     ChunkDispatch** tail = &engine.dispatches;
@@ -205,6 +237,7 @@ bool ChunkDispatch::HelpLocked(std::unique_lock<std::mutex>& lock) {
   if (chunk >= tasks) return false;
   ++helping;
   lock.unlock();
+  SpreadOnto(*this);
   {
     const InChunk in_chunk;
     task(ctx, chunk);
