@@ -37,9 +37,10 @@ namespace htdp {
 /// ran which chunk.
 ///
 /// Determinism contract: a job's result is bit-identical to a sequential
-/// `TryFit(problem, spec, rng)` with the same RNG state -- every job runs
-/// on its own Rng seeded from FitJob::seed (or the explicit FitJob::rng
-/// stream), and solver arithmetic never depends on scheduling.
+/// `TryFit(problem, spec, rng)` with the same RNG state, at every worker
+/// count -- every job runs on its own Rng seeded from FitJob::seed (or the
+/// explicit FitJob::rng stream), and solver arithmetic depends neither on
+/// scheduling nor on the number of workers or HTDP_NUM_THREADS.
 ///
 /// Error contract: Submit() never aborts the process on user-supplied
 /// configuration. An unknown solver name, a malformed problem, an

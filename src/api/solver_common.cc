@@ -95,7 +95,7 @@ StatusOr<FoldedRobustPlan> TryMakeFoldedRobustPlan(
   HTDP_RETURN_IF_ERROR(CheckFoldsFitSamples(resolved.iterations,
                                             data.size()));
   return FoldedRobustPlan{
-      RobustGradientEstimator(resolved.scale, resolved.beta, resolved.simd),
+      RobustGradientEstimator(resolved.scale, resolved.beta),
       SplitIntoFolds(data, static_cast<std::size_t>(resolved.iterations))};
 }
 

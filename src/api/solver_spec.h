@@ -8,7 +8,6 @@
 #include "api/fit_result.h"
 #include "api/privacy_budget.h"
 #include "optim/pgd.h"
-#include "util/simd.h"
 #include "util/status.h"
 
 namespace htdp {
@@ -68,16 +67,6 @@ struct SolverSpec {
                                    // changes the RNG stream, so pinned seeds
                                    // only stay bit-identical while this is
                                    // off. baseline_robust_gd only.
-
-  /// Per-fit SIMD override for the robust-gradient hot path (the Catoni
-  /// kernels threaded through TryMakeFoldedRobustPlan). kAuto follows the
-  /// process-wide toggle (HTDP_SIMD env, on by default); kOff forces this
-  /// fit's robust kernels down the scalar reference path. NOTE: generic
-  /// linalg reductions (Dot, DistanceL2, MatVec) are controlled only by the
-  /// process-wide toggle -- a fully scalar, golden-reference fit needs
-  /// HTDP_SIMD=off (or SetSimdEnabled(false)), not just this field. See the
-  /// contract in util/simd.h.
-  SimdMode simd = SimdMode::kAuto;
 
   /// Route exponential-mechanism selections through the SIMD Gumbel-max
   /// kernel (ExponentialMechanism::SelectGumbelSimd): the per-candidate

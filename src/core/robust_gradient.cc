@@ -23,9 +23,8 @@ constexpr std::size_t kMinBlockElements = 32768;
 
 }  // namespace
 
-RobustGradientEstimator::RobustGradientEstimator(double scale, double beta,
-                                                 SimdMode simd)
-    : estimator_(scale, beta, simd) {}
+RobustGradientEstimator::RobustGradientEstimator(double scale, double beta)
+    : estimator_(scale, beta) {}
 
 void RobustGradientEstimator::Estimate(const Loss& loss,
                                        const DatasetView& view,

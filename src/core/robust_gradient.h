@@ -33,12 +33,10 @@ struct RobustGradientWorkspace {
 class RobustGradientEstimator {
  public:
   /// `scale` is the truncation scale (s in Algorithm 1, k in Algorithm 5);
-  /// `beta` the smoothing precision. `simd` selects the evaluation path of
-  /// the per-coordinate Catoni kernel (see RobustMeanEstimator and the
-  /// HTDP_SIMD contract in util/simd.h); solvers thread SolverSpec::simd
-  /// through here so a scalar-reference fit can be forced per job.
-  RobustGradientEstimator(double scale, double beta,
-                          SimdMode simd = SimdMode::kAuto);
+  /// `beta` the smoothing precision. The per-coordinate Catoni kernel takes
+  /// the path the process-wide SIMD toggle selects at construction (see
+  /// RobustMeanEstimator and the HTDP_SIMD contract in util/simd.h).
+  RobustGradientEstimator(double scale, double beta);
 
   double scale() const { return estimator_.scale(); }
   double beta() const { return estimator_.beta(); }

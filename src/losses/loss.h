@@ -43,7 +43,9 @@ class Loss {
   virtual std::string Name() const = 0;
 };
 
-/// Empirical risk (1/m) sum_i l(w, (x_i, y_i)) over a dataset view.
+/// Empirical risk (1/m) sum_i l(w, (x_i, y_i)) over a dataset view. Like
+/// EmpiricalGradient, it sums in an order fixed by the row count alone, so
+/// the result is bit-identical at every worker count.
 double EmpiricalRisk(const Loss& loss, const DatasetView& view,
                      const Vector& w);
 double EmpiricalRisk(const Loss& loss, const Dataset& data, const Vector& w);

@@ -195,7 +195,7 @@ void EncodeSpec(WireWriter& w, const SolverSpec& spec) {
   w.U8(static_cast<std::uint8_t>(spec.projection));
   w.F64(spec.radius);
   w.Bool(spec.vector_noise_fill);
-  w.U8(static_cast<std::uint8_t>(spec.simd));
+  w.U8(0);  // reserved, must be 0
   w.Bool(spec.simd_select);
   w.Bool(spec.record_risk_trace);
 }
@@ -226,9 +226,8 @@ Status DecodeSpec(WireReader& r, SolverSpec* out) {
   HTDP_RETURN_IF_ERROR(r.F64(&out->radius, "spec.radius"));
   HTDP_RETURN_IF_ERROR(
       r.Bool(&out->vector_noise_fill, "spec.vector_noise_fill"));
-  std::uint8_t simd = 0;
-  HTDP_RETURN_IF_ERROR(DecodeEnumByte(r, 2, &simd, "spec.simd"));
-  out->simd = static_cast<SimdMode>(simd);
+  std::uint8_t reserved = 0;
+  HTDP_RETURN_IF_ERROR(DecodeEnumByte(r, 0, &reserved, "spec.reserved"));
   HTDP_RETURN_IF_ERROR(r.Bool(&out->simd_select, "spec.simd_select"));
   HTDP_RETURN_IF_ERROR(
       r.Bool(&out->record_risk_trace, "spec.record_risk_trace"));

@@ -47,12 +47,11 @@ void ForEachSmoothedPhiBlock(const double* HTDP_RESTRICT xs, std::size_t n,
 
 }  // namespace
 
-RobustMeanEstimator::RobustMeanEstimator(double scale, double beta,
-                                         SimdMode simd)
+RobustMeanEstimator::RobustMeanEstimator(double scale, double beta)
     : scale_(scale),
       beta_(beta),
       sqrt_beta_(std::sqrt(beta)),
-      use_simd_(ResolveSimd(simd)) {
+      use_simd_(SimdEnabled()) {
   HTDP_CHECK_GT(scale, 0.0);
   HTDP_CHECK_GT(beta, 0.0);
 }

@@ -21,12 +21,10 @@ namespace htdp {
 class RobustMeanEstimator {
  public:
   /// `scale` is the truncation scale s > 0; `beta` the noise precision.
-  /// `simd` selects the evaluation path of the batched kernels (resolved
-  /// once at construction; see util/simd.h): kAuto follows the process-wide
-  /// toggle, kOff forces the scalar reference. Scalar entry points
-  /// (SampleContribution) are unaffected.
-  RobustMeanEstimator(double scale, double beta,
-                      SimdMode simd = SimdMode::kAuto);
+  /// The batched kernels take the SIMD path when SimdEnabled() holds at
+  /// construction (see util/simd.h), the scalar reference otherwise; simd()
+  /// reports which. Scalar entry points (SampleContribution) are unaffected.
+  RobustMeanEstimator(double scale, double beta);
 
   double scale() const { return scale_; }
   double beta() const { return beta_; }

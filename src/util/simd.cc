@@ -50,16 +50,4 @@ SimdCaps SimdInfo() {
                   HTDP_SIMD_COMPILED != 0, SimdEnabled()};
 }
 
-bool ResolveSimd(SimdMode mode) {
-  switch (mode) {
-    case SimdMode::kOn:
-      return HTDP_SIMD_COMPILED != 0;
-    case SimdMode::kOff:
-      return false;
-    case SimdMode::kAuto:
-      break;
-  }
-  return SimdEnabled();
-}
-
 }  // namespace htdp

@@ -25,15 +25,12 @@
 /// the bench harness records them into BENCH_*.json next to `threads` and
 /// `git_rev`.
 ///
-/// Two switches control whether vectorized kernels actually run:
-///  - the process-wide runtime toggle (`HTDP_SIMD` environment variable,
-///    overridable with SetSimdEnabled). `HTDP_SIMD=off` forces every kernel
-///    in linalg/, robust/ and dp/ down its original scalar loop, which is
-///    the bit-identity reference for the golden-checksum tests: a fit under
-///    `HTDP_SIMD=off` reproduces the pre-SIMD outputs bit for bit.
-///  - `SolverSpec::simd`, a per-fit override threaded into the
-///    robust-estimator hot path (the Catoni kernels), for callers that need
-///    one scalar-reference fit inside a SIMD-enabled process.
+/// One switch controls whether vectorized kernels actually run: the
+/// process-wide runtime toggle (`HTDP_SIMD` environment variable,
+/// overridable with SetSimdEnabled). `HTDP_SIMD=off` forces every kernel in
+/// linalg/, robust/ and dp/ down its original scalar loop, which is the
+/// bit-identity reference for the golden-checksum tests: a fit under
+/// `HTDP_SIMD=off` reproduces the pre-SIMD outputs bit for bit.
 ///
 /// Numerical contract: vectorized kernels are NOT bit-identical to the
 /// scalar reference. Reductions (Dot, DistanceL2, MatVec) reassociate the
@@ -43,12 +40,6 @@
 /// bit-identity.
 
 namespace htdp {
-
-/// Per-fit SIMD override carried by SolverSpec (see solver_spec.h).
-///  - kAuto: follow the process-wide toggle (the default);
-///  - kOn:   vectorize if compiled in, even if the process toggle is off;
-///  - kOff:  force the scalar reference path for this fit.
-enum class SimdMode { kAuto, kOn, kOff };
 
 /// Runtime description of the kernel layer. `isa`/`lanes` describe the
 /// RUNTIME-DISPATCHED batch kernels (the probed best of
@@ -71,15 +62,12 @@ bool SimdEnabled();
 /// Flips the process-wide toggle (initially from the HTDP_SIMD environment
 /// variable: "off" / "0" / "false" / "scalar" disable, anything else --
 /// including unset -- enables). Affects kernels process-wide, including
-/// concurrently running Engine jobs; prefer SolverSpec::simd for a per-fit
-/// override.
+/// concurrently running Engine jobs; the robust estimators read it once, at
+/// construction.
 void SetSimdEnabled(bool enabled);
 
 /// Compile-time ISA + runtime toggle state, for logging and the bench JSON.
 SimdCaps SimdInfo();
-
-/// Resolves a per-call SimdMode against availability and the global toggle.
-bool ResolveSimd(SimdMode mode);
 
 /// RAII scalar-mode (or forced-SIMD) scope for tests that pin the scalar
 /// reference, e.g. the golden-checksum suite. Not thread-safe against

@@ -135,7 +135,12 @@ TEST(ZeroAllocationTest, SimdBatchKernelsAllocateNothing) {
     b[j] = std::abs(a[j]);
     scores[j] = rng.Uniform(-1.0, 1.0);
   }
-  const RobustMeanEstimator estimator(2.0, 1.0, SimdMode::kOn);
+  // Built with the toggle on, so the estimator takes the SIMD path even
+  // when the process runs under HTDP_SIMD=off.
+  const RobustMeanEstimator estimator = [] {
+    const ScopedSimdOverride simd(true);
+    return RobustMeanEstimator(2.0, 1.0);
+  }();
   const ExponentialMechanism mechanism(0.1, 1.0);
 
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);

@@ -1152,6 +1152,18 @@ TEST(Serialize, UnknownLossAndBadEnumAreTypedErrors) {
   WireReader r(w.bytes());
   WireProblem out;
   EXPECT_EQ(DecodeWireProblem(r, &out).code(), StatusCode::kInvalidProblem);
+
+  // The spec's reserved byte must be 0. It is the third byte from the end,
+  // ahead of simd_select and record_risk_trace.
+  WireWriter spec_writer;
+  EncodeSpec(spec_writer, SolverSpec{});
+  std::vector<std::uint8_t> spec_bytes = spec_writer.bytes();
+  ASSERT_EQ(spec_bytes[spec_bytes.size() - 3], 0);
+  spec_bytes[spec_bytes.size() - 3] = 1;
+  WireReader spec_reader(spec_bytes);
+  SolverSpec spec;
+  EXPECT_EQ(DecodeSpec(spec_reader, &spec).code(),
+            StatusCode::kInvalidProblem);
 }
 
 }  // namespace

@@ -646,7 +646,7 @@ TEST(EngineTest, JobsPerSecondIsMonotonicClockDerived) {
 /// Constructing an Engine tags the metrics export with the runtime config:
 /// an info-style gauge whose labels carry the dispatched SIMD ISA and the
 /// worker-thread count (the value itself is a constant 1).
-TEST(EngineTest, RuntimeInfoGaugeTagsSimdModeAndThreadCount) {
+TEST(EngineTest, RuntimeInfoGaugeTagsSimdIsaAndThreadCount) {
   Engine engine(Engine::Options{3});
   const std::string text = obs::MetricRegistry::Global().ToPrometheus();
   const std::string expected =

@@ -4,11 +4,13 @@
 // and the robust gradient's coordinate blocks take three different layouts.
 //
 // The contracts under test: the robust gradient equals its serial
-// per-coordinate, row-order sum bit for bit at every worker count; other
-// chunked reductions depend only on the configured worker count, never on
-// scheduling; a dispatch never waits for another one to finish; and the
-// chunks of a job's dispatch run on its Engine's workers.
+// per-coordinate, row-order sum bit for bit at every worker count; the exact
+// reductions (EmpiricalRisk, EmpiricalGradient) equal their serial
+// fixed-chunk sums bit for bit at every worker count; a dispatch never waits
+// for another one to finish; and the chunks of a job's dispatch run on its
+// Engine's workers.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -26,6 +28,7 @@
 #include "core/htdp.h"
 #include "gtest/gtest.h"
 #include "util/parallel.h"
+#include "util/simd.h"
 #include "util/simd_dispatch.h"
 
 namespace htdp {
@@ -38,6 +41,16 @@ TEST(ParallelPoolTest, WorkerCountHonorsEnvironment) {
   const char* env = std::getenv("HTDP_NUM_THREADS");
   if (env == nullptr) GTEST_SKIP() << "HTDP_NUM_THREADS not set";
   EXPECT_EQ(NumWorkerThreads(), std::atoi(env));
+}
+
+// An estimator built with the process-wide SIMD toggle at `simd`. The toggle
+// is held only while it is constructed, which is when the estimator picks
+// its Catoni kernel path; every other kernel (the Dot behind each row's
+// gradient scale, say) keeps the process setting.
+template <typename Estimator>
+Estimator BuildWithSimd(bool simd, double scale, double beta) {
+  const ScopedSimdOverride mode(simd);
+  return Estimator(scale, beta);
 }
 
 // Serial reference of the estimator's reduction contract, written
@@ -80,7 +93,8 @@ TEST(ParallelPoolTest, PooledRobustGradientMatchesSerialCoordinateSums) {
   // bit on the scalar path (SIMD agreement is ULP-bound, pinned in
   // robust_test). The SIMD tables are pinned against the whole-row kernel
   // in BlockedEstimateEqualsWholeRowKernelsUnderEveryTable.
-  const RobustGradientEstimator estimator(5.0, 1.0, SimdMode::kOff);
+  const auto estimator =
+      BuildWithSimd<RobustGradientEstimator>(/*simd=*/false, 5.0, 1.0);
   Vector w(d, 0.0);
   for (std::size_t j = 0; j < d; ++j) w[j] = 0.01 * static_cast<double>(j % 5);
 
@@ -105,9 +119,8 @@ Vector WholeRowRobustGradient(const RobustGradientEstimator& estimator,
                               const Vector& w, std::size_t* cold) {
   const std::size_t d = w.size();
   const std::size_t m = view.size();
-  const RobustMeanEstimator kernel(
-      estimator.scale(), estimator.beta(),
-      estimator.simd() ? SimdMode::kOn : SimdMode::kOff);
+  const auto kernel = BuildWithSimd<RobustMeanEstimator>(
+      estimator.simd(), estimator.scale(), estimator.beta());
   const double sqrt_beta = std::sqrt(estimator.beta());
   Vector row(d, 0.0);
   Vector acc(d, 0.0);
@@ -160,13 +173,14 @@ TEST(ParallelPoolTest, BlockedEstimateEqualsWholeRowKernelsUnderEveryTable) {
         if (!SimdIsaAvailable(isa)) continue;
         SCOPED_TRACE(isa);
         const ScopedSimdIsaOverride pin(isa);
-        const RobustGradientEstimator estimator(1.0, 1.0, SimdMode::kOn);
+        const auto estimator =
+            BuildWithSimd<RobustGradientEstimator>(/*simd=*/true, 1.0, 1.0);
         ASSERT_TRUE(estimator.simd());
         expect_blocked_equals_whole_row(estimator);
       }
       SCOPED_TRACE("simd off");
       expect_blocked_equals_whole_row(
-          RobustGradientEstimator(1.0, 1.0, SimdMode::kOff));
+          BuildWithSimd<RobustGradientEstimator>(/*simd=*/false, 1.0, 1.0));
     }
   }
 }
@@ -208,6 +222,81 @@ TEST(ParallelPoolTest, PooledEmpiricalRiskIsStableAcrossRuns) {
   const double first = EmpiricalRisk(loss, data, w_star);
   for (int round = 0; round < 50; ++round) {
     ASSERT_EQ(EmpiricalRisk(loss, data, w_star), first) << "round " << round;
+  }
+}
+
+// Serial reference of the exact reductions' contract (losses/loss.cc):
+// the rows split into chunks of 512 (the last one partial), each chunk sums
+// its rows in row order, and the partials add in chunk order. Holds for
+// views of up to 64 chunks. Nothing here depends on the worker count.
+constexpr std::size_t kReductionChunkRows = 512;
+
+double ChunkedRisk(const Loss& loss, const DatasetView& view,
+                   const Vector& w) {
+  double total = 0.0;
+  for (std::size_t lo = 0; lo < view.size(); lo += kReductionChunkRows) {
+    const std::size_t hi = std::min(lo + kReductionChunkRows, view.size());
+    double acc = 0.0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      acc += loss.Value(view.Row(i), view.Label(i), w);
+    }
+    total += acc;
+  }
+  return total / static_cast<double>(view.size());
+}
+
+Vector ChunkedGradient(const Loss& loss, const DatasetView& view,
+                       const Vector& w) {
+  const std::size_t d = w.size();
+  Vector total(d, 0.0);
+  for (std::size_t lo = 0; lo < view.size(); lo += kReductionChunkRows) {
+    const std::size_t hi = std::min(lo + kReductionChunkRows, view.size());
+    Vector acc(d, 0.0);
+    for (std::size_t i = lo; i < hi; ++i) {
+      double scale = 0.0;
+      EXPECT_TRUE(
+          loss.GradientAsScaledFeature(view.Row(i), view.Label(i), w, &scale));
+      AxpyKernel(scale, view.Row(i), acc.data(), d);
+    }
+    Axpy(1.0, acc, total);
+  }
+  const double inv_m = 1.0 / static_cast<double>(view.size());
+  for (std::size_t j = 0; j < d; ++j) {
+    total[j] = total[j] * inv_m + loss.RidgeCoefficient() * w[j];
+  }
+  return total;
+}
+
+TEST(ParallelPoolTest, ExactReductionsMatchFixedChunkSums) {
+  Rng rng(57);
+  const std::size_t n = 3000;
+  const std::size_t d = 40;
+  SyntheticConfig config{n, d, ScalarDistribution::Lognormal(0.0, 0.6),
+                         ScalarDistribution::Normal(0.0, 0.1)};
+  const Vector w_star = MakeL1BallTarget(d, rng);
+  const Dataset linear = GenerateLinear(config, w_star, rng);
+  const Dataset logistic = GenerateLogistic(config, w_star, rng);
+  Vector w(d, 0.0);
+  for (std::size_t j = 0; j < d; ++j) w[j] = 0.02 * static_cast<double>(j % 7);
+
+  // Five whole chunks plus a partial one, starting mid-dataset.
+  const std::size_t begin = 37;
+  const std::size_t rows = 5 * kReductionChunkRows + 201;
+  const SquaredLoss squared;
+  const LogisticLoss logistic_ridge(0.05);
+  const std::pair<const Loss*, const Dataset*> cases[] = {
+      {&squared, &linear}, {&logistic_ridge, &logistic}};
+  for (const auto& [loss, data] : cases) {
+    SCOPED_TRACE(loss->Name());
+    const DatasetView view{data, begin, begin + rows};
+    EXPECT_EQ(EmpiricalRisk(*loss, view, w), ChunkedRisk(*loss, view, w));
+    const Vector reference = ChunkedGradient(*loss, view, w);
+    Vector grad;
+    EmpiricalGradient(*loss, view, w, grad);
+    ASSERT_EQ(grad.size(), d);
+    for (std::size_t j = 0; j < d; ++j) {
+      ASSERT_EQ(grad[j], reference[j]) << "coordinate " << j;
+    }
   }
 }
 

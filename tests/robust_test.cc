@@ -10,11 +10,20 @@
 #include "robust/shrinkage.h"
 #include "rng/distributions.h"
 #include "rng/rng.h"
+#include "util/simd.h"
 
 namespace htdp {
 namespace {
 
 constexpr double kSqrt2 = std::numbers::sqrt2;
+
+// An estimator built with the process-wide SIMD toggle at `simd`. The toggle
+// is held only while it is constructed, which is when the estimator picks
+// its batch-kernel path; the process setting is restored afterwards.
+RobustMeanEstimator MeanEstimator(double scale, double beta, bool simd) {
+  const ScopedSimdOverride mode(simd);
+  return RobustMeanEstimator(scale, beta);
+}
 
 // Reference for E_z[phi(a + b z)], z ~ N(0,1), exact by region: the
 // saturated tails integrate to +/- PhiBound() times normal tail masses, and
@@ -199,7 +208,7 @@ TEST(RobustMeanTest, BatchedAccumulateBitIdenticalToScalarAcrossBranches) {
   const Vector xs = {0.0,     0.3,     -0.7,    1.0,     -1.4142, 5.0,
                      -25.0,   181.0,   -181.7,  181.8,   -182.5,  250.0,
                      -1e3,    1e6,     -1e9,    1e-8,    -1e-300, 42.0};
-  const RobustMeanEstimator estimator(scale, 1.0, SimdMode::kOff);
+  const auto estimator = MeanEstimator(scale, 1.0, /*simd=*/false);
   Vector batched(xs.size(), 0.0);
   estimator.AccumulateContributions(xs.data(), xs.size(), batched.data());
   for (std::size_t j = 0; j < xs.size(); ++j) {
@@ -213,7 +222,7 @@ TEST(RobustMeanTest, BatchedAccumulateBitIdenticalOnTinyBBranch) {
   // threshold so the batch must take the degenerate Phi(a) path, still bit
   // for bit. (Mode-independent: tiny-b elements always spill to the scalar
   // cold path, which the SIMD sweep below re-checks; pinned scalar here.)
-  const RobustMeanEstimator estimator(1.0, 1e30, SimdMode::kOff);
+  const auto estimator = MeanEstimator(1.0, 1e30, /*simd=*/false);
   const Vector xs = {0.0, 1e-9, -1e-6, 0.5, -1.0, 2.0};
   Vector batched(xs.size(), 0.0);
   estimator.AccumulateContributions(xs.data(), xs.size(), batched.data());
@@ -224,7 +233,7 @@ TEST(RobustMeanTest, BatchedAccumulateBitIdenticalOnTinyBBranch) {
 }
 
 TEST(RobustMeanTest, BatchedAccumulateAddsOntoExistingValues) {
-  const RobustMeanEstimator estimator(2.0, 1.0, SimdMode::kOff);
+  const auto estimator = MeanEstimator(2.0, 1.0, /*simd=*/false);
   const Vector xs = {1.0, -2.0, 3.0};
   Vector acc = {10.0, 20.0, 30.0};
   estimator.AccumulateContributions(xs.data(), xs.size(), acc.data());
@@ -241,7 +250,7 @@ TEST(RobustMeanTest, BatchedAccumulateMatchesScalarOnHeavyTailedDraws) {
   Vector xs(n);
   for (double& x : xs) x = SamplePareto(rng, 1.1) - SampleLognormal(rng, 0.0, 2.0);
   for (const double beta : {0.25, 1.0, 4.0}) {
-    const RobustMeanEstimator estimator(3.0, beta, SimdMode::kOff);
+    const auto estimator = MeanEstimator(3.0, beta, /*simd=*/false);
     Vector batched(n, 0.0);
     estimator.AccumulateContributions(xs.data(), n, batched.data());
     for (std::size_t j = 0; j < n; ++j) {
@@ -307,8 +316,8 @@ TEST(RobustMeanTest, SimdAccumulateAgreesWithScalarWithinTolerance) {
     x = SamplePareto(rng, 1.2) - SampleLognormal(rng, 0.0, 1.5);
   for (const double beta : {0.5, 2.0}) {
     const double scale = 3.0;
-    const RobustMeanEstimator simd_est(scale, beta, SimdMode::kOn);
-    const RobustMeanEstimator scalar_est(scale, beta, SimdMode::kOff);
+    const auto simd_est = MeanEstimator(scale, beta, /*simd=*/true);
+    const auto scalar_est = MeanEstimator(scale, beta, /*simd=*/false);
     if (!simd_est.simd()) GTEST_SKIP() << "SIMD layer not compiled";
     Vector simd_acc(n, 0.0);
     Vector scalar_acc(n, 0.0);

@@ -50,21 +50,6 @@ TEST(SimdToggleTest, ScopedOverrideFlipsEnabledState) {
   EXPECT_EQ(SimdEnabled(), initial);
 }
 
-TEST(SimdToggleTest, ResolveSimdSemantics) {
-  EXPECT_FALSE(ResolveSimd(SimdMode::kOff));
-  EXPECT_EQ(ResolveSimd(SimdMode::kOn), SimdInfo().compiled);
-  {
-    ScopedSimdOverride off(false);
-    EXPECT_FALSE(ResolveSimd(SimdMode::kAuto));
-    EXPECT_EQ(ResolveSimd(SimdMode::kOn), SimdInfo().compiled);
-  }
-  {
-    ScopedSimdOverride on(true);
-    EXPECT_EQ(ResolveSimd(SimdMode::kAuto), SimdInfo().compiled);
-    EXPECT_FALSE(ResolveSimd(SimdMode::kOff));
-  }
-}
-
 #if HTDP_SIMD_COMPILED
 
 // Evaluates a one-argument vector function at a scalar point (all lanes set
