@@ -126,10 +126,10 @@ BENCHMARK(BM_RobustGradient)
     ->Unit(benchmark::kMillisecond);
 
 // The tracing overhead budget, measured (acceptance: idle tracing costs
-// BM_RobustGradient < 1%). One binary cannot compare against an HTDP_OBS=0
-// build of itself, so the bound is derived: per-span cost in the
-// compiled-in-but-disabled state (the solver hot path's actual state when
-// no trace pull is active) x spans per Estimate (exactly one,
+// BM_RobustGradient < 1%). Spans are always compiled in, so there is no
+// span-free build to compare against and the bound is derived: per-span
+// cost in the runtime-disabled state (the solver hot path's actual state
+// when no trace pull is active) x spans per Estimate (exactly one,
 // "robust.estimate") / the measured headline {4096, 2048} estimate time.
 // Recorded in BENCH_micro.json as trace_overhead_pct alongside the raw
 // span_ns_disabled / span_ns_enabled costs.

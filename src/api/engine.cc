@@ -192,6 +192,10 @@ struct EngineShared {
   ChunkDispatch* dispatches = nullptr;  // guarded by mu
   bool stop = false;
 
+  /// The fixed worker count, set once at construction: also the thread
+  /// count of a ParallelFor called on one of the workers.
+  int workers = 1;
+
   /// Tenant-budget ledger (Options::budgets). Not owned; set once at Engine
   /// construction and never mutated, so it is safe to read without `mu`.
   BudgetManager* budgets = nullptr;
@@ -451,11 +455,10 @@ Engine::Engine(Options options)
             : options.max_queue_depth / 2;
   }
   state_->max_inflight_per_tenant = options.max_inflight_per_tenant;
-  const int workers =
-      options.workers > 0 ? options.workers : NumWorkerThreads();
-  worker_count_ = std::max(workers, 1);
-  workers_.reserve(static_cast<std::size_t>(worker_count_));
-  for (int i = 0; i < worker_count_; ++i) {
+  state_->workers = std::max(
+      options.workers > 0 ? options.workers : NumWorkerThreads(), 1);
+  workers_.reserve(static_cast<std::size_t>(state_->workers));
+  for (int i = 0; i < state_->workers; ++i) {
     workers_.emplace_back([this] { WorkerMain(); });
   }
   // Info-style series (value pinned to 1, the payload lives in the labels):
@@ -468,7 +471,7 @@ Engine::Engine(Options options)
       .GetGauge("htdp_runtime_info",
                 "Runtime configuration tag; value is always 1",
                 {{"simd", SimdEnabled() ? SimdInfo().isa : "off"},
-                 {"threads", std::to_string(worker_count_)}})
+                 {"threads", std::to_string(state_->workers)}})
       ->Set(1.0);
 }
 
@@ -582,7 +585,7 @@ Status Engine::AdmitLocked(engine_internal::JobRecord& record) {
           " at cap " + std::to_string(state_->max_queue_depth) +
           "; retry after ~" +
           std::to_string(RetryAfterHintMs(depth + state_->running,
-                                          worker_count_)) +
+                                          state_->workers)) +
           " ms");
     }
   }
@@ -767,17 +770,24 @@ EngineStats Engine::stats() const {
 std::uint32_t Engine::SuggestedRetryAfterMs() const {
   const std::lock_guard<std::mutex> lock(state_->mu);
   return RetryAfterHintMs(state_->queue.size() + state_->running,
-                          worker_count_);
+                          state_->workers);
 }
+
+int Engine::workers() const { return state_->workers; }
 
 namespace parallel_internal {
 
+int DispatchThreads() {
+  if (engine_internal::t_in_chunk) return 1;
+  if (engine_internal::t_engine != nullptr) {
+    return engine_internal::t_engine->workers;
+  }
+  return NumWorkerThreads();
+}
+
 void RunChunks(std::size_t tasks, void (*task)(void*, std::size_t),
                void* ctx) {
-  if (engine_internal::t_in_chunk || tasks < 2) {
-    for (std::size_t t = 0; t < tasks; ++t) task(ctx, t);
-    return;
-  }
+  HTDP_DCHECK(!engine_internal::t_in_chunk && tasks >= 2);
   engine_internal::EngineShared& engine =
       engine_internal::t_engine != nullptr
           ? *engine_internal::t_engine

@@ -40,7 +40,8 @@ namespace htdp {
 /// `TryFit(problem, spec, rng)` with the same RNG state, at every worker
 /// count -- every job runs on its own Rng seeded from FitJob::seed (or the
 /// explicit FitJob::rng stream), and solver arithmetic depends neither on
-/// scheduling nor on the number of workers or HTDP_NUM_THREADS.
+/// scheduling nor on the number of workers, which also sets how many
+/// chunks the job's ParallelFor calls are split into.
 ///
 /// Error contract: Submit() never aborts the process on user-supplied
 /// configuration. An unknown solver name, a malformed problem, an
@@ -290,7 +291,7 @@ class Engine {
 
   /// The fixed worker count (stable for the Engine's whole lifetime, so
   /// safe to read concurrently with Shutdown()).
-  int workers() const { return worker_count_; }
+  int workers() const;
 
  private:
   friend engine_internal::EngineShared& engine_internal::ProcessWideEngine();
@@ -307,7 +308,6 @@ class Engine {
   /// accurate accounting even while the Engine's workers are busy.
   const std::shared_ptr<engine_internal::EngineShared> state_;
   std::mutex shutdown_mu_;  // serializes Shutdown() callers
-  int worker_count_ = 0;
   std::vector<std::thread> workers_;
 };
 

@@ -46,9 +46,10 @@ void RobustGradientEstimator::Estimate(const Loss& loss,
   double* const row = ws.row_buffer.data();
 
   const std::size_t groups = (d + kLaneGroup - 1) / kLaneGroup;
+  const std::size_t threads =
+      static_cast<std::size_t>(parallel_internal::DispatchThreads());
   const std::size_t blocks = std::max<std::size_t>(
-      1, std::min({static_cast<std::size_t>(NumWorkerThreads()), groups,
-                   m * d / kMinBlockElements}));
+      1, std::min({threads, groups, m * d / kMinBlockElements}));
 
   // Pass 1: the per-row GLM scales, split by row.
   ParallelFor(

@@ -18,11 +18,10 @@
 // Numeric flags parse strictly (daemon/server.h ParseFlag): a malformed,
 // negative or out-of-range value -- --port=70000, --max-frame-mb=-1 --
 // exits 1 with a message naming the flag instead of wrapping silently.
-// --workers takes at most kMaxWorkerThreads (util/parallel.h), the same
-// bound HTDP_NUM_THREADS has; 0 keeps the default, NumWorkerThreads(). The
-// workers also run the ParallelFor chunks of the fits, so --workers=N means
-// N fit threads in all; HTDP_NUM_THREADS only sets how many chunks a loop
-// is split into.
+// --workers takes at most kMaxWorkerThreads (util/parallel.h); 0 keeps the
+// default, NumWorkerThreads(). The workers also run the ParallelFor chunks
+// of the fits, and a fit's loops split into up to N chunks, so
+// --workers=N means N fit threads in all.
 //
 // --state-dir makes the privacy-budget ledger durable: every reservation,
 // commit, and refund is journaled write-ahead under DIR, and a restart on

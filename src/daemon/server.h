@@ -48,7 +48,7 @@ struct TenantConfig {
 struct ServerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = kernel-assigned; read back with port()
-  int engine_workers = 0;  // 0 = hardware default
+  int engine_workers = 0;  // 0 = NumWorkerThreads()
   /// Idle connections are closed after this long; <= 0 disables. Parked
   /// waits (deliver-polls and streamed jobs) are exempt while in flight.
   double idle_timeout_seconds = 300.0;

@@ -147,8 +147,6 @@ void ClearTrace() {
 
 std::uint32_t CurrentSpanDepth() { return t_depth; }
 
-#if HTDP_OBS
-
 SpanGuard::SpanGuard(const char* name) {
   if (!TraceEnabled()) {
     name_ = nullptr;
@@ -165,8 +163,6 @@ SpanGuard::~SpanGuard() {
   --t_depth;
   LocalBuffer().Record(name_, start_ns_, end_ns, depth_);
 }
-
-#endif  // HTDP_OBS
 
 }  // namespace obs
 }  // namespace htdp

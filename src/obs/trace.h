@@ -8,9 +8,9 @@
 ///     fixed-capacity ring of POD Span records, drop-oldest on overflow
 ///     (the ring keeps the most recent window; `dropped` counts the rest).
 ///   - One coarse clock read per span edge (obs/clock.h NowNanos()).
-///   - `HTDP_TRACE_SPAN("name")` compiles to nothing under HTDP_OBS=0 and,
-///     compiled in but runtime-disabled, costs one relaxed atomic load --
-///     the <1% BM_RobustGradient budget holds with margin.
+///   - `HTDP_TRACE_SPAN("name")` is always compiled in; runtime-disabled,
+///     it costs one relaxed atomic load -- the <1% BM_RobustGradient budget
+///     holds with margin.
 ///   - Span names MUST be string literals (or otherwise immortal): the ring
 ///     stores the `const char*`, never a copy.
 ///
@@ -19,10 +19,6 @@
 /// buffer's own mutex. Record contends on that same per-buffer mutex, but
 /// only with a collector -- never with other recording threads -- so the
 /// enabled hot path is an uncontended lock plus two stores.
-
-#ifndef HTDP_OBS
-#define HTDP_OBS 1
-#endif
 
 #include <cstddef>
 #include <cstdint>
@@ -75,8 +71,6 @@ void ClearTrace();
 /// this; instrumented code should not.
 std::uint32_t CurrentSpanDepth();
 
-#if HTDP_OBS
-
 /// RAII guard behind HTDP_TRACE_SPAN. Stamps start_ns at construction,
 /// records the closed span at destruction. If tracing is disabled at
 /// construction the guard is inert (destruction records nothing, even if
@@ -102,12 +96,6 @@ class SpanGuard {
 /// string literal. Usable multiple times per scope (line-numbered symbol).
 #define HTDP_TRACE_SPAN(name) \
   ::htdp::obs::SpanGuard HTDP_OBS_CONCAT(htdp_obs_span_, __LINE__)(name)
-
-#else  // !HTDP_OBS
-
-#define HTDP_TRACE_SPAN(name) static_cast<void>(0)
-
-#endif  // HTDP_OBS
 
 }  // namespace obs
 }  // namespace htdp

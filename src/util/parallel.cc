@@ -1,10 +1,7 @@
 #include "util/parallel.h"
 
+#include <sched.h>
 #include <algorithm>
-#include <charconv>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 
 #include "util/check.h"
@@ -13,17 +10,14 @@ namespace htdp {
 namespace {
 
 int DetectWorkerThreads() {
-  if (const char* env = std::getenv("HTDP_NUM_THREADS")) {
-    const int parsed = parallel_internal::ParseThreadCount(env);
-    if (parsed > 0) return parsed;
-    std::fprintf(stderr,
-                 "htdp: ignoring HTDP_NUM_THREADS=\"%s\": want an integer "
-                 "in [1, %d]\n",
-                 env, kMaxWorkerThreads);
+#if defined(__linux__)
+  cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    return std::clamp(CPU_COUNT(&mask), 1, 16);
   }
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  return static_cast<int>(std::min<unsigned>(hw, 16));
+#endif
+  return static_cast<int>(
+      std::clamp(std::thread::hardware_concurrency(), 1u, 16u));
 }
 
 }  // namespace
@@ -43,20 +37,5 @@ IndexRange ParallelChunkBounds(std::size_t count, std::size_t chunks,
   const std::size_t end = begin + base + (chunk < remainder ? 1 : 0);
   return IndexRange{begin, end};
 }
-
-namespace parallel_internal {
-
-int ParseThreadCount(const char* value) {
-  const char* end = value + std::strlen(value);
-  int parsed = 0;
-  const auto [ptr, ec] = std::from_chars(value, end, parsed);
-  if (ec != std::errc() || ptr != end || parsed < 1 ||
-      parsed > kMaxWorkerThreads) {
-    return 0;
-  }
-  return parsed;
-}
-
-}  // namespace parallel_internal
 
 }  // namespace htdp

@@ -5,16 +5,15 @@
 
 namespace htdp {
 
-/// Returns the number of chunks ParallelFor splits a loop into. Defaults to
-/// the hardware concurrency, capped at 16; override with the
-/// HTDP_NUM_THREADS environment variable (HTDP_NUM_THREADS=1 forces serial
-/// execution). A value that is not a whole decimal integer in
-/// [1, kMaxWorkerThreads] is reported on stderr and the default is used. It
-/// also sizes the default Engine and the process-wide Engine that serves
-/// dispatches from threads that are not Engine workers (see ParallelFor).
+/// The default Engine size: the CPUs in the process's affinity mask
+/// (hardware_concurrency where there is none), capped at 16. Read once. It
+/// sizes an Engine built with Options::workers == 0 and, through
+/// ParallelFor, the process-wide Engine that serves dispatches from threads
+/// that are not Engine workers; `taskset -c 0 prog` makes direct fits
+/// serial.
 int NumWorkerThreads();
 
-/// The largest thread count HTDP_NUM_THREADS (and htdpd --workers) accepts.
+/// The largest worker count htdpd --workers accepts.
 inline constexpr int kMaxWorkerThreads = 256;
 
 /// Below this many items a cheap-per-item loop is not worth dispatching;
@@ -38,15 +37,17 @@ IndexRange ParallelChunkBounds(std::size_t count, std::size_t chunks,
 
 namespace parallel_internal {
 
-/// The thread count an HTDP_NUM_THREADS value asks for: the whole string
-/// must be a decimal integer in [1, kMaxWorkerThreads]. Returns 0 for any
-/// other value (sign, whitespace, trailing bytes, out of range).
-int ParseThreadCount(const char* value);
+/// The number of threads a ParallelFor called on the current thread may
+/// use: 1 inside a chunk, the worker count of its Engine on an Engine
+/// worker, and NumWorkerThreads() on any other thread (the caller plus the
+/// process-wide Engine's workers). Defined in api/engine.cc.
+int DispatchThreads();
 
 /// Runs task(ctx, t) for every t in [0, tasks) on the calling thread and
-/// on idle Engine workers; blocks until all tasks completed. Performs no
-/// heap allocation once the process-wide Engine exists. Defined in
-/// api/engine.cc, which owns the threads.
+/// on idle Engine workers; blocks until all tasks completed. Requires
+/// tasks >= 2 and a caller outside any chunk, as ParallelFor ensures.
+/// Performs no heap allocation once the process-wide Engine exists.
+/// Defined in api/engine.cc, which owns the threads.
 void RunChunks(std::size_t tasks, void (*task)(void* ctx, std::size_t t),
                void* ctx);
 
@@ -55,25 +56,26 @@ void RunChunks(std::size_t tasks, void (*task)(void* ctx, std::size_t t),
 /// Runs `body(begin, end)` over [0, count), statically chunked across
 /// threads. `body` receives a half-open index range and must be safe to run
 /// concurrently on disjoint ranges. Falls back to a serial call when count <
-/// min_parallel or only one worker is configured. The chunks run on the
-/// Engine's job workers, the only threads htdp keeps: a call made on an
-/// Engine worker is published on that worker's Engine, and a call from any
-/// other thread on one process-wide Engine of NumWorkerThreads() - 1
-/// workers, created on the first such call. The caller runs chunks itself
-/// and idle workers of that Engine claim the rest; a worker starts a queued
-/// job before it claims chunks. No heap allocation per dispatch, so hot
-/// loops can call this every iteration. The call blocks until all chunks
-/// complete. Chunk boundaries are a deterministic function of
-/// (count, NumWorkerThreads()) only -- never of scheduling or of which
-/// thread runs a chunk -- and cover [0, count) exactly once with no empty
-/// chunk. A call never waits for another call to finish: the caller waits
-/// only for chunks that other workers already started. Nested calls from
-/// inside a chunk run serially.
+/// min_parallel or DispatchThreads() is 1. The chunks run on the Engine's
+/// job workers, the only threads htdp keeps: a call made on an Engine
+/// worker is split into min(count, that Engine's workers) chunks and
+/// published on that Engine, and a call from any other thread into
+/// min(count, NumWorkerThreads()) chunks on one process-wide Engine of
+/// NumWorkerThreads() - 1 workers, created on the first such call. The
+/// caller runs chunks itself and idle workers of that Engine claim the
+/// rest; a worker starts a queued job before it claims chunks. No heap
+/// allocation per dispatch, so hot loops can call this every iteration.
+/// The call blocks until all chunks complete. Chunk boundaries are a
+/// deterministic function of (count, DispatchThreads()) only -- never of
+/// scheduling or of which thread runs a chunk -- and cover [0, count)
+/// exactly once with no empty chunk. A call never waits for another call
+/// to finish: the caller waits only for chunks that other workers already
+/// started. Nested calls from inside a chunk run serially.
 template <typename Body>
 void ParallelFor(std::size_t count, const Body& body,
                  std::size_t min_parallel = kParallelForSerialThreshold) {
   if (count == 0) return;
-  const int workers = NumWorkerThreads();
+  const int workers = parallel_internal::DispatchThreads();
   if (workers <= 1 || count < min_parallel || count < 2) {
     body(std::size_t{0}, count);
     return;

@@ -1,11 +1,13 @@
 // PrivacyAccountant backend suite: the split/calibrate/compose contracts of
 // dp/accountant.h, the zcdp-tighter-than-advanced ordering, and the golden
 // bit-identity pin -- default (accounting = advanced) fits of all six
-// solvers at a fixed seed must keep producing the pre-accountant outputs.
+// solvers at a fixed seed must keep producing the pre-accountant outputs,
+// called directly and as jobs on Engines of 1 and 3 workers.
 
 #include <cmath>
 #include <cstddef>
 #include <string>
+#include <utility>
 
 #include "core/htdp.h"
 #include "gtest/gtest.h"
@@ -283,13 +285,27 @@ TEST(AccountantGoldenTest, DefaultAccountingFitsAreBitIdenticalToPrePr) {
                       ? PrivacyBudget::Pure(1.0)
                       : PrivacyBudget::Approx(1.0, 1e-5);
     ASSERT_EQ(spec.accounting, Accounting::kAdvanced);  // the default
+    const auto expect_golden = [&](const StatusOr<FitResult>& fit) {
+      ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+      const double scale = std::max(std::abs(golden.checksum), 1.0);
+      EXPECT_NEAR(GoldenChecksum(fit->w), golden.checksum, 1e-12 * scale);
+      EXPECT_NEAR(fit->ledger.TotalEpsilon(), golden.total_epsilon, 1e-12);
+      EXPECT_NEAR(fit->ledger.TotalDelta(), golden.total_delta, 1e-18);
+    };
     Rng rng(7);
-    const StatusOr<FitResult> fit = (*solver)->TryFit(problem, spec, rng);
-    ASSERT_TRUE(fit.ok()) << fit.status().ToString();
-    const double scale = std::max(std::abs(golden.checksum), 1.0);
-    EXPECT_NEAR(GoldenChecksum(fit->w), golden.checksum, 1e-12 * scale);
-    EXPECT_NEAR(fit->ledger.TotalEpsilon(), golden.total_epsilon, 1e-12);
-    EXPECT_NEAR(fit->ledger.TotalDelta(), golden.total_delta, 1e-18);
+    expect_golden((*solver)->TryFit(problem, spec, rng));
+    // A job's loops split into as many chunks as its Engine has workers.
+    for (const int workers : {1, 3}) {
+      SCOPED_TRACE("Engine of " + std::to_string(workers) + " workers");
+      Engine engine(Engine::Options{workers});
+      FitJob job;
+      job.solver = *solver;
+      job.problem = problem;
+      job.spec = spec;
+      job.seed = 7;
+      const JobHandle handle = engine.Submit(std::move(job));
+      expect_golden(handle.Wait());
+    }
   }
 }
 

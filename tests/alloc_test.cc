@@ -198,9 +198,8 @@ class CallbackSolver : public Solver {
 
 TEST(ZeroAllocationTest, WarmDispatchingEstimateAllocatesNothing) {
   // 2000 x 64 gives the estimate more than one coordinate block, so each
-  // call dispatches twice: from the test thread to the process-wide Engine,
-  // and from a job to its own Engine's workers.
-  if (NumWorkerThreads() < 2) GTEST_SKIP() << "ParallelFor runs serially";
+  // call dispatches twice: from a job to its own Engine's three workers,
+  // and from the test thread to the process-wide Engine.
   Rng data_rng(37);
   const std::size_t n = 2000;
   const std::size_t d = 64;
@@ -221,8 +220,6 @@ TEST(ZeroAllocationTest, WarmDispatchingEstimateAllocatesNothing) {
     return g_allocations.load(std::memory_order_relaxed) - before;
   };
 
-  EXPECT_EQ(warm_allocations(), 0u) << "warm Estimate allocated";
-
   std::size_t in_job = 0;
   const CallbackSolver solver([&] { in_job = warm_allocations(); });
   Engine engine(Engine::Options{3});
@@ -231,6 +228,11 @@ TEST(ZeroAllocationTest, WarmDispatchingEstimateAllocatesNothing) {
   const JobHandle handle = engine.Submit(std::move(job));
   ASSERT_TRUE(handle.Wait().ok());
   EXPECT_EQ(in_job, 0u) << "warm Estimate allocated inside an Engine job";
+
+  if (NumWorkerThreads() < 2) {
+    GTEST_SKIP() << "ParallelFor runs serially on the test thread";
+  }
+  EXPECT_EQ(warm_allocations(), 0u) << "warm Estimate allocated";
 }
 
 // A client stream that takes the bytes and keeps none of them; the peer

@@ -658,15 +658,14 @@ TEST(DaemonFlags, IntegersMustParseWhollyAndFitTheType) {
       daemon::ParseFlag("--queue-cap", "18446744073709551616", &cap).ok());
 }
 
-// htdpd parses --workers this way; the bound is HTDP_NUM_THREADS's, so no
-// flag value can ask the Engine for more threads than the environment can.
-// Only strings are parsed here: no Engine starts.
+// htdpd parses --workers this way, bounded by kMaxWorkerThreads. Only
+// strings are parsed here: no Engine starts.
 TEST(DaemonFlags, WorkersAreBoundedLikeTheThreadCount) {
   std::uint64_t workers = 7;
   EXPECT_TRUE(daemon::ParseUintFlag("--workers", "0", kMaxWorkerThreads,
                                     &workers)
                   .ok());
-  EXPECT_EQ(workers, 0u);  // the hardware default
+  EXPECT_EQ(workers, 0u);  // the default, NumWorkerThreads()
   EXPECT_TRUE(daemon::ParseUintFlag("--workers", "256", kMaxWorkerThreads,
                                     &workers)
                   .ok());

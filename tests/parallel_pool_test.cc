@@ -1,9 +1,11 @@
-// ParallelFor determinism and scheduling guards. ctest runs this suite at
-// HTDP_NUM_THREADS=1, 3 and 8 (see tests/CMakeLists.txt), so dispatches
-// genuinely execute on multiple threads even on single-core CI machines,
-// and the robust gradient's coordinate blocks take three different layouts.
+// ParallelFor determinism and scheduling guards. The bit-identity tests run
+// their bodies from the test thread and as jobs on Engines of 1, 3 and 8
+// workers (AtEveryWidth), so dispatches genuinely execute on multiple
+// threads even on single-core CI machines, and the robust gradient's
+// coordinate blocks take several different layouts.
 //
-// The contracts under test: the robust gradient equals its serial
+// The contracts under test: a ParallelFor's thread count follows the
+// Engine that runs it; the robust gradient equals its serial
 // per-coordinate, row-order sum bit for bit at every worker count; the exact
 // reductions (EmpiricalRisk, EmpiricalGradient) equal their serial
 // fixed-chunk sums bit for bit at every worker count; a dispatch never waits
@@ -16,7 +18,6 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdlib>
 #include <functional>
 #include <mutex>
 #include <set>
@@ -34,13 +35,67 @@
 namespace htdp {
 namespace {
 
-TEST(ParallelPoolTest, WorkerCountHonorsEnvironment) {
-  // The ctest fixtures pin HTDP_NUM_THREADS to 8, 1 or 3; if this test is
-  // run by hand without it, the remaining tests still hold, so only warn
-  // via skip.
-  const char* env = std::getenv("HTDP_NUM_THREADS");
-  if (env == nullptr) GTEST_SKIP() << "HTDP_NUM_THREADS not set";
-  EXPECT_EQ(NumWorkerThreads(), std::atoi(env));
+/// A test-only solver whose fit runs `fit` on the Engine worker and
+/// returns an empty FitResult.
+class CallbackSolver : public Solver {
+ public:
+  explicit CallbackSolver(std::function<void()> fit) : fit_(std::move(fit)) {}
+  std::string name() const override { return "callback"; }
+  std::string description() const override { return "runs a test callback"; }
+  AlgorithmId algorithm() const override { return AlgorithmId::kDpFw; }
+  bool requires_loss() const override { return false; }
+  StatusOr<FitResult> TryFit(const Problem&, const SolverSpec&,
+                             Rng&) const override {
+    fit_();
+    return FitResult{};
+  }
+
+ private:
+  std::function<void()> fit_;
+};
+
+FitJob JobFor(const Solver& solver) {
+  FitJob job;
+  job.solver = &solver;
+  return job;
+}
+
+constexpr int kEngineWidths[] = {1, 3, 8};
+
+// Runs `body(threads)` from the test thread, whose ParallelFor calls may
+// use threads = NumWorkerThreads(), then as a job on an Engine of each
+// width in {1, 3, 8}, whose calls may use threads = that width.
+void AtEveryWidth(const std::function<void(int threads)>& body) {
+  {
+    SCOPED_TRACE("test thread");
+    body(NumWorkerThreads());
+  }
+  for (const int width : {1, 3, 8}) {
+    const CallbackSolver solver([&] {
+      SCOPED_TRACE("Engine of " + std::to_string(width) + " workers");
+      body(width);
+    });
+    Engine engine(Engine::Options{width});
+    const JobHandle job = engine.Submit(JobFor(solver));
+    ASSERT_TRUE(job.Wait().ok());
+  }
+}
+
+TEST(ParallelPoolTest, DispatchThreadsFollowTheCallersEngine) {
+  AtEveryWidth([](int threads) {
+    EXPECT_EQ(parallel_internal::DispatchThreads(), threads);
+    std::mutex mu;
+    std::set<int> in_chunks;
+    ParallelFor(
+        64,
+        [&](std::size_t, std::size_t) {
+          const int nested = parallel_internal::DispatchThreads();
+          const std::lock_guard<std::mutex> lock(mu);
+          in_chunks.insert(nested);
+        },
+        /*min_parallel=*/2);
+    EXPECT_EQ(in_chunks, std::set<int>{1});
+  });
 }
 
 // An estimator built with the process-wide SIMD toggle at `simd`. The toggle
@@ -100,12 +155,14 @@ TEST(ParallelPoolTest, PooledRobustGradientMatchesSerialCoordinateSums) {
 
   const Vector reference =
       SerialCoordinateRobustGradient(estimator, loss, FullView(data), w);
-  Vector pooled;
-  estimator.Estimate(loss, FullView(data), w, pooled);
-  ASSERT_EQ(pooled.size(), reference.size());
-  for (std::size_t j = 0; j < d; ++j) {
-    ASSERT_EQ(pooled[j], reference[j]) << "coordinate " << j;
-  }
+  AtEveryWidth([&](int) {
+    Vector pooled;
+    estimator.Estimate(loss, FullView(data), w, pooled);
+    ASSERT_EQ(pooled.size(), reference.size());
+    for (std::size_t j = 0; j < d; ++j) {
+      ASSERT_EQ(pooled[j], reference[j]) << "coordinate " << j;
+    }
+  });
 }
 
 // Whole-row reference: per row, one ScaledSumKernel and one
@@ -143,46 +200,48 @@ Vector WholeRowRobustGradient(const RobustGradientEstimator& estimator,
 }
 
 TEST(ParallelPoolTest, BlockedEstimateEqualsWholeRowKernelsUnderEveryTable) {
-  const SquaredLoss loss;
-  for (const std::size_t m : {std::size_t{100}, std::size_t{3000}}) {
-    for (const std::size_t d : {5u, 37u, 64u, 400u, 803u}) {
-      Rng rng(1000 + 7 * m + d);
-      SyntheticConfig config{m, d, ScalarDistribution::Lognormal(0.0, 2.0),
-                             ScalarDistribution::Normal(0.0, 0.1)};
-      const Vector w_star = MakeL1BallTarget(d, rng);
-      const Dataset data = GenerateLinear(config, w_star, rng);
-      // At w* the residuals are the label noise, so the gradient entries
-      // are noise times Lognormal(0, 2) features: mostly closed-form, with
-      // a heavy tail of cold elements.
-      const Vector& w = w_star;
-      const auto expect_blocked_equals_whole_row =
-          [&](const RobustGradientEstimator& estimator) {
-            std::size_t cold = 0;
-            const Vector reference = WholeRowRobustGradient(
-                estimator, loss, FullView(data), w, &cold);
-            ASSERT_GT(cold, 0u) << "data must reach the scalar spill path";
-            Vector blocked;
-            estimator.Estimate(loss, FullView(data), w, blocked);
-            ASSERT_EQ(blocked.size(), d);
-            for (std::size_t j = 0; j < d; ++j) {
-              ASSERT_EQ(blocked[j], reference[j]) << "coordinate " << j;
-            }
-          };
-      SCOPED_TRACE("m=" + std::to_string(m) + " d=" + std::to_string(d));
-      for (const char* isa : {"avx512f", "avx2", "sse2"}) {
-        if (!SimdIsaAvailable(isa)) continue;
-        SCOPED_TRACE(isa);
-        const ScopedSimdIsaOverride pin(isa);
-        const auto estimator =
-            BuildWithSimd<RobustGradientEstimator>(/*simd=*/true, 1.0, 1.0);
-        ASSERT_TRUE(estimator.simd());
-        expect_blocked_equals_whole_row(estimator);
+  AtEveryWidth([](int) {
+    const SquaredLoss loss;
+    for (const std::size_t m : {std::size_t{100}, std::size_t{3000}}) {
+      for (const std::size_t d : {5u, 37u, 64u, 400u, 803u}) {
+        Rng rng(1000 + 7 * m + d);
+        SyntheticConfig config{m, d, ScalarDistribution::Lognormal(0.0, 2.0),
+                               ScalarDistribution::Normal(0.0, 0.1)};
+        const Vector w_star = MakeL1BallTarget(d, rng);
+        const Dataset data = GenerateLinear(config, w_star, rng);
+        // At w* the residuals are the label noise, so the gradient entries
+        // are noise times Lognormal(0, 2) features: mostly closed-form, with
+        // a heavy tail of cold elements.
+        const Vector& w = w_star;
+        const auto expect_blocked_equals_whole_row =
+            [&](const RobustGradientEstimator& estimator) {
+              std::size_t cold = 0;
+              const Vector reference = WholeRowRobustGradient(
+                  estimator, loss, FullView(data), w, &cold);
+              ASSERT_GT(cold, 0u) << "data must reach the scalar spill path";
+              Vector blocked;
+              estimator.Estimate(loss, FullView(data), w, blocked);
+              ASSERT_EQ(blocked.size(), d);
+              for (std::size_t j = 0; j < d; ++j) {
+                ASSERT_EQ(blocked[j], reference[j]) << "coordinate " << j;
+              }
+            };
+        SCOPED_TRACE("m=" + std::to_string(m) + " d=" + std::to_string(d));
+        for (const char* isa : {"avx512f", "avx2", "sse2"}) {
+          if (!SimdIsaAvailable(isa)) continue;
+          SCOPED_TRACE(isa);
+          const ScopedSimdIsaOverride pin(isa);
+          const auto estimator =
+              BuildWithSimd<RobustGradientEstimator>(/*simd=*/true, 1.0, 1.0);
+          ASSERT_TRUE(estimator.simd());
+          expect_blocked_equals_whole_row(estimator);
+        }
+        SCOPED_TRACE("simd off");
+        expect_blocked_equals_whole_row(
+            BuildWithSimd<RobustGradientEstimator>(/*simd=*/false, 1.0, 1.0));
       }
-      SCOPED_TRACE("simd off");
-      expect_blocked_equals_whole_row(
-          BuildWithSimd<RobustGradientEstimator>(/*simd=*/false, 1.0, 1.0));
     }
-  }
+  });
 }
 
 TEST(ParallelPoolTest, RepeatedPooledEstimatesAreBitIdentical) {
@@ -200,14 +259,16 @@ TEST(ParallelPoolTest, RepeatedPooledEstimatesAreBitIdentical) {
   Vector first;
   RobustGradientWorkspace workspace;
   estimator.Estimate(loss, FullView(data), w, first, &workspace);
-  for (int round = 0; round < 20; ++round) {
-    Vector again;
-    estimator.Estimate(loss, FullView(data), w, again,
-                       round % 2 == 0 ? &workspace : nullptr);
-    for (std::size_t j = 0; j < d; ++j) {
-      ASSERT_EQ(again[j], first[j]) << "round " << round << " coord " << j;
+  AtEveryWidth([&](int) {
+    for (int round = 0; round < 20; ++round) {
+      Vector again;
+      estimator.Estimate(loss, FullView(data), w, again,
+                         round % 2 == 0 ? &workspace : nullptr);
+      for (std::size_t j = 0; j < d; ++j) {
+        ASSERT_EQ(again[j], first[j]) << "round " << round << " coord " << j;
+      }
     }
-  }
+  });
 }
 
 TEST(ParallelPoolTest, PooledEmpiricalRiskIsStableAcrossRuns) {
@@ -220,9 +281,11 @@ TEST(ParallelPoolTest, PooledEmpiricalRiskIsStableAcrossRuns) {
   const Dataset data = GenerateLinear(config, w_star, rng);
   const SquaredLoss loss;
   const double first = EmpiricalRisk(loss, data, w_star);
-  for (int round = 0; round < 50; ++round) {
-    ASSERT_EQ(EmpiricalRisk(loss, data, w_star), first) << "round " << round;
-  }
+  AtEveryWidth([&](int) {
+    for (int round = 0; round < 50; ++round) {
+      ASSERT_EQ(EmpiricalRisk(loss, data, w_star), first) << "round " << round;
+    }
+  });
 }
 
 // Serial reference of the exact reductions' contract (losses/loss.cc):
@@ -286,17 +349,22 @@ TEST(ParallelPoolTest, ExactReductionsMatchFixedChunkSums) {
   const LogisticLoss logistic_ridge(0.05);
   const std::pair<const Loss*, const Dataset*> cases[] = {
       {&squared, &linear}, {&logistic_ridge, &logistic}};
-  for (const auto& [loss, data] : cases) {
+  for (const auto& test_case : cases) {
+    const Loss* loss = test_case.first;
+    const Dataset* data = test_case.second;
     SCOPED_TRACE(loss->Name());
     const DatasetView view{data, begin, begin + rows};
-    EXPECT_EQ(EmpiricalRisk(*loss, view, w), ChunkedRisk(*loss, view, w));
+    const double risk = ChunkedRisk(*loss, view, w);
     const Vector reference = ChunkedGradient(*loss, view, w);
-    Vector grad;
-    EmpiricalGradient(*loss, view, w, grad);
-    ASSERT_EQ(grad.size(), d);
-    for (std::size_t j = 0; j < d; ++j) {
-      ASSERT_EQ(grad[j], reference[j]) << "coordinate " << j;
-    }
+    AtEveryWidth([&](int) {
+      EXPECT_EQ(EmpiricalRisk(*loss, view, w), risk);
+      Vector grad;
+      EmpiricalGradient(*loss, view, w, grad);
+      ASSERT_EQ(grad.size(), d);
+      for (std::size_t j = 0; j < d; ++j) {
+        ASSERT_EQ(grad[j], reference[j]) << "coordinate " << j;
+      }
+    });
   }
 }
 
@@ -343,33 +411,7 @@ TEST(ParallelPoolTest, ContendedDispatchRunsInline) {
       << "the second dispatch waited for the first to release the pool";
 }
 
-/// A test-only solver whose fit runs `fit` on the Engine worker and
-/// returns an empty FitResult.
-class CallbackSolver : public Solver {
- public:
-  explicit CallbackSolver(std::function<void()> fit) : fit_(std::move(fit)) {}
-  std::string name() const override { return "callback"; }
-  std::string description() const override { return "runs a test callback"; }
-  AlgorithmId algorithm() const override { return AlgorithmId::kDpFw; }
-  bool requires_loss() const override { return false; }
-  StatusOr<FitResult> TryFit(const Problem&, const SolverSpec&,
-                             Rng&) const override {
-    fit_();
-    return FitResult{};
-  }
-
- private:
-  std::function<void()> fit_;
-};
-
-FitJob JobFor(const Solver& solver) {
-  FitJob job;
-  job.solver = &solver;
-  return job;
-}
-
 TEST(ParallelPoolTest, EngineWorkersRunASoloJobsChunks) {
-  if (NumWorkerThreads() < 2) GTEST_SKIP() << "ParallelFor runs serially";
   using Clock = std::chrono::steady_clock;
   const Clock::time_point deadline = Clock::now() + std::chrono::seconds(10);
   std::mutex mu;

@@ -1,3 +1,4 @@
+#include <sched.h>
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
@@ -82,15 +83,16 @@ TEST(ParallelForTest, WorkerCountIsPositive) {
   EXPECT_LE(NumWorkerThreads(), kMaxWorkerThreads);
 }
 
-// HTDP_NUM_THREADS parsing, checked on strings alone: no pool starts here.
-TEST(ParallelForTest, ThreadCountMustBeAWholeIntegerInRange) {
-  EXPECT_EQ(parallel_internal::ParseThreadCount("1"), 1);
-  EXPECT_EQ(parallel_internal::ParseThreadCount("4"), 4);
-  EXPECT_EQ(parallel_internal::ParseThreadCount("256"), kMaxWorkerThreads);
-  for (const char* bad : {"0", "257", "100000", "99999999999", "-1", "4x",
-                          "abc", "", " 4", "4 ", "+4", "4.0"}) {
-    EXPECT_EQ(parallel_internal::ParseThreadCount(bad), 0) << bad;
-  }
+// The default Engine size is the process's CPU allowance, so
+// `taskset -c 0` makes direct fits serial without any setting.
+TEST(ParallelForTest, WorkerCountFollowsTheAffinityMask) {
+#if defined(__linux__)
+  cpu_set_t mask;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  EXPECT_EQ(NumWorkerThreads(), std::min(CPU_COUNT(&mask), 16));
+#else
+  GTEST_SKIP() << "no affinity mask on this platform";
+#endif
 }
 
 TEST(ParallelChunkBoundsTest, PartitionIsExactAndNeverEmpty) {
