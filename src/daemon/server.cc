@@ -487,7 +487,7 @@ void Server::HandleMetrics(int fd, const net::Frame& frame) {
     case net::MetricsFormat::kTraceChrome:
       // Snapshot, not drain: repeated trace pulls each see the current ring
       // window, and a pull never perturbs concurrent recording.
-      reply.body = obs::DumpChromeTrace();
+      reply.body = obs::DumpChromeTrace(engine_->workers());
       break;
   }
   net::FrameWriter out(net::FrameType::kMetricsOk);

@@ -85,7 +85,7 @@ struct ServerOptions {
 
   // --- Durable budget ledger (docs/durability.md) -----------------------
 
-  /// Directory for the budget journal + snapshot (--state-dir). Empty =
+  /// Directory for the budget journal (--state-dir). Empty =
   /// in-memory accounting only, exactly as before the ledger existed.
   std::string state_dir;
   /// Journal fsync policy (--fsync=always|batch|off); only meaningful with

@@ -21,8 +21,10 @@ namespace dp {
 namespace {
 
 constexpr const char* kJournalName = "budget.journal";
+constexpr const char* kJournalTmpName = "budget.journal.tmp";
+/// Where older builds kept the snapshot. Read only while the journal does
+/// not open with one.
 constexpr const char* kSnapshotName = "budget.snapshot";
-constexpr const char* kSnapshotTmpName = "budget.snapshot.tmp";
 
 /// Snapshot-only frame types, sharing the journal's type byte space above
 /// the LedgerRecordType values. On-disk-stable.
@@ -57,15 +59,13 @@ Status WriteAll(int fd, const std::uint8_t* data, std::size_t n) {
   return Status::Ok();
 }
 
-StatusOr<std::vector<std::uint8_t>> ReadFile(const std::string& path,
-                                             bool* exists) {
-  *exists = false;
+/// A missing file reads as empty.
+StatusOr<std::vector<std::uint8_t>> ReadFile(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     if (errno == ENOENT) return std::vector<std::uint8_t>{};
     return Errno("open " + path);
   }
-  *exists = true;
   std::vector<std::uint8_t> bytes;
   std::uint8_t buffer[1 << 16];
   for (;;) {
@@ -230,8 +230,10 @@ Status DecodeLedgerPayload(const ParsedFrame& frame, LedgerRecord* out) {
   return Status::Ok();
 }
 
-Status DecodeSnapshot(const std::vector<ParsedFrame>& frames,
-                      LedgerState* state, RecoveryStats* stats) {
+/// Decodes the snapshot that opens `frames` and returns how many frames it
+/// spans: the header, one per tenant and open reservation, and the footer.
+StatusOr<std::size_t> DecodeSnapshot(const std::vector<ParsedFrame>& frames,
+                                     LedgerState* state, RecoveryStats* stats) {
   if (frames.empty() || frames.front().type != kSnapHeader) {
     return Status::InvalidProblem("budget snapshot: missing header record");
   }
@@ -246,16 +248,19 @@ Status DecodeSnapshot(const std::vector<ParsedFrame>& frames,
     return Status::InvalidProblem("budget snapshot: unknown version " +
                                   std::to_string(version));
   }
-  if (frames.back().type != kSnapFooter) {
+  // Each count is bounded first, so a hostile one cannot wrap the sum.
+  if (tenant_count >= frames.size() || open_count >= frames.size() ||
+      2 + tenant_count + open_count > frames.size()) {
+    return Status::InvalidProblem(
+        "budget snapshot: fewer records than its header counts");
+  }
+  const std::size_t span = 2 + tenant_count + open_count;
+  if (frames[span - 1].type != kSnapFooter) {
     return Status::InvalidProblem(
         "budget snapshot: missing footer record (truncated snapshot)");
   }
-  if (frames.size() != 2 + tenant_count + open_count) {
-    return Status::InvalidProblem(
-        "budget snapshot: record count does not match the header");
-  }
   state->next_reservation_id = next_id;
-  for (std::size_t i = 1; i + 1 < frames.size(); ++i) {
+  for (std::size_t i = 1; i + 1 < span; ++i) {
     const ParsedFrame& frame = frames[i];
     if (frame.type == kSnapTenant) {
       net::WireReader r(frame.payload);
@@ -289,7 +294,7 @@ Status DecodeSnapshot(const std::vector<ParsedFrame>& frames,
                                     std::to_string(frame.type));
     }
   }
-  return Status::Ok();
+  return span;
 }
 
 }  // namespace
@@ -356,16 +361,18 @@ StatusOr<CrashPlan> CrashPlan::Parse(const std::string& spec) {
     plan.point = Point::kPostWritePreFsync;
   } else if (point == "torn-write") {
     plan.point = Point::kTornWrite;
+  } else if (point == "compact") {
+    plan.point = Point::kCompact;
   } else {
     return Status::InvalidProblem(
-        "HTDP_BUDGET_CRASH point wants pre-write|post-write|torn-write, "
-        "got \"" +
+        "HTDP_BUDGET_CRASH point wants pre-write|post-write|torn-write|"
+        "compact, got \"" +
         point + "\"");
   }
   const std::string rest = spec.substr(first + 1);
   const std::size_t second = rest.find(':');
   try {
-    plan.nth_append = static_cast<std::size_t>(
+    plan.nth = static_cast<std::size_t>(
         std::stoull(second == std::string::npos ? rest
                                                 : rest.substr(0, second)));
     if (second != std::string::npos) {
@@ -376,9 +383,9 @@ StatusOr<CrashPlan> CrashPlan::Parse(const std::string& spec) {
     return Status::InvalidProblem("HTDP_BUDGET_CRASH: unparseable count in \"" +
                                   spec + "\"");
   }
-  if (plan.nth_append == 0) {
+  if (plan.nth == 0) {
     return Status::InvalidProblem(
-        "HTDP_BUDGET_CRASH: append index is 1-based; 0 never fires");
+        "HTDP_BUDGET_CRASH: the count is 1-based; 0 never fires");
   }
   return plan;
 }
@@ -478,56 +485,74 @@ StatusOr<std::unique_ptr<BudgetStore>> BudgetStore::Open(Options options) {
   std::unique_ptr<BudgetStore> store(new BudgetStore(std::move(options)));
   const auto started = std::chrono::steady_clock::now();
 
-  // --- recovery: snapshot first, then the journal ------------------------
+  // --- recovery: the snapshot, then the journal records after it -------
   LedgerState& state = store->recovered_;
   RecoveryStats& stats = store->recovery_;
-  bool exists = false;
-  StatusOr<std::vector<std::uint8_t>> snapshot_bytes =
-      ReadFile(PathJoin(store->options_.dir, kSnapshotName), &exists);
-  HTDP_RETURN_IF_ERROR(snapshot_bytes.status());
-  if (exists && !snapshot_bytes.value().empty()) {
-    std::vector<ParsedFrame> frames;
-    std::size_t discarded = 0;
-    // The snapshot is written whole then renamed into place, so any parse
-    // stop short of a clean end means the medium corrupted it.
-    if (ParseFrames(snapshot_bytes.value(), &frames, &discarded) !=
+  StatusOr<std::vector<std::uint8_t>> journal_bytes =
+      ReadFile(PathJoin(store->options_.dir, kJournalName));
+  HTDP_RETURN_IF_ERROR(journal_bytes.status());
+  const std::vector<std::uint8_t>& bytes = journal_bytes.value();
+  std::vector<ParsedFrame> frames;
+  std::size_t discarded = 0;
+  const ParseStop stop = ParseFrames(bytes, &frames, &discarded);
+  // Compaction renames a whole snapshot into place as the journal's head,
+  // so a first frame that fails verification may be that snapshot's header
+  // and must not pass for an empty ledger. The one harmless way to read no
+  // frame is a torn first append, which ends the file and whose type byte
+  // is never the header's.
+  bool has_snapshot = frames.empty()
+                          ? stop == ParseStop::kCorruption ||
+                                (bytes.size() > 8 && bytes[8] == kSnapHeader)
+                          : frames.front().type == kSnapHeader;
+  if (!has_snapshot) {
+    // An older build kept its snapshot in its own file and replayed the
+    // whole journal on top of it: read the two as one journal that opens
+    // with that snapshot. Written whole, the file must parse to its end.
+    StatusOr<std::vector<std::uint8_t>> snapshot_bytes =
+        ReadFile(PathJoin(store->options_.dir, kSnapshotName));
+    HTDP_RETURN_IF_ERROR(snapshot_bytes.status());
+    std::vector<ParsedFrame> head;
+    std::size_t head_discarded = 0;
+    if (ParseFrames(snapshot_bytes.value(), &head, &head_discarded) !=
         ParseStop::kDone) {
-      return Status::Unavailable(
-          "budget snapshot failed CRC verification; refusing to serve from "
-          "a corrupt ledger (inspect " +
-          PathJoin(store->options_.dir, kSnapshotName) + ")");
+      head.clear();  // fails DecodeSnapshot below
     }
-    HTDP_RETURN_IF_ERROR(DecodeSnapshot(frames, &state, &stats));
+    frames.insert(frames.begin(), head.begin(), head.end());
+    has_snapshot = !snapshot_bytes.value().empty();
+  }
+  std::size_t replay_from = 0;
+  if (has_snapshot) {
+    // Written whole then renamed into place, so a snapshot that does not
+    // decode whole means the medium corrupted it.
+    StatusOr<std::size_t> span = DecodeSnapshot(frames, &state, &stats);
+    if (!span.ok()) {
+      return Status::Unavailable(
+          "budget snapshot is corrupt (" + span.status().message() +
+          "); refusing to serve from a corrupt ledger (inspect " +
+          store->options_.dir + ")");
+    }
+    replay_from = span.value();
   }
 
-  StatusOr<std::vector<std::uint8_t>> journal_bytes =
-      ReadFile(PathJoin(store->options_.dir, kJournalName), &exists);
-  HTDP_RETURN_IF_ERROR(journal_bytes.status());
-  {
-    std::vector<ParsedFrame> frames;
-    std::size_t discarded = 0;
-    const ParseStop stop =
-        ParseFrames(journal_bytes.value(), &frames, &discarded);
-    stats.torn_bytes_discarded = discarded;
-    stats.corruption_detected = stop == ParseStop::kCorruption;
-    for (const ParsedFrame& frame : frames) {
-      LedgerRecord record;
-      const Status decoded = DecodeLedgerPayload(frame, &record);
-      if (!decoded.ok()) {
-        // A CRC-valid frame that does not decode is a format breach, not a
-        // torn write: stop replay conservatively (everything already
-        // applied stays applied; spend only ever over-counts from here).
-        stats.corruption_detected = true;
-        break;
-      }
-      ApplyRecord(state, record);
-      ++stats.journal_records;
+  stats.torn_bytes_discarded = discarded;
+  stats.corruption_detected = stop == ParseStop::kCorruption;
+  for (std::size_t i = replay_from; i < frames.size(); ++i) {
+    LedgerRecord record;
+    const Status decoded = DecodeLedgerPayload(frames[i], &record);
+    if (!decoded.ok()) {
+      // A CRC-valid frame that does not decode is a format breach, not a
+      // torn write: stop replay conservatively (everything already
+      // applied stays applied; spend only ever over-counts from here).
+      stats.corruption_detected = true;
+      break;
     }
-    // Usable journal prefix in bytes: everything after it is discarded by
-    // truncating at reopen so fresh appends never interleave with garbage.
-    store->journal_file_bytes_ = journal_bytes.value().size() - discarded;
-    store->journal_record_count_ = stats.journal_records;
+    ApplyRecord(state, record);
+    ++stats.journal_records;
   }
+  // Usable journal prefix in bytes: everything after it is discarded by
+  // truncating at reopen so fresh appends never interleave with garbage.
+  store->journal_file_bytes_ = bytes.size() - discarded;
+  store->journal_record_count_ = stats.journal_records;
 
   // The conservative fold: a reserve with no COMMIT/ABORT belonged to a job
   // whose fate died with the process. Its spend (already added at RESERVE)
@@ -547,12 +572,17 @@ StatusOr<std::unique_ptr<BudgetStore>> BudgetStore::Open(Options options) {
     tenant.recovered_only = true;
   }
 
-  // Reopen the journal for appends, truncated to the verified prefix.
-  {
-    const std::lock_guard<std::mutex> lock(store->mu_);
-    HTDP_RETURN_IF_ERROR(store->OpenJournalLocked());
-    store->crash_countdown_ = store->options_.crash.nth_append;
+  // Reopen the journal for appends, truncated to the verified prefix. The
+  // destructor closes the fd if the truncate fails.
+  const std::string journal = PathJoin(store->options_.dir, kJournalName);
+  store->journal_fd_ =
+      ::open(journal.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  if (store->journal_fd_ < 0) return Errno("open " + journal);
+  if (::ftruncate(store->journal_fd_,
+                  static_cast<off_t>(store->journal_file_bytes_)) != 0) {
+    return Errno("truncate " + journal);
   }
+  store->crash_countdown_ = store->options_.crash.nth;
 
   stats.recovery_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -563,24 +593,6 @@ StatusOr<std::unique_ptr<BudgetStore>> BudgetStore::Open(Options options) {
   Met().replayed_records->Set(static_cast<double>(stats.journal_records));
   Met().lag->Set(0.0);
   return store;
-}
-
-Status BudgetStore::OpenJournalLocked() {
-  const std::string path = PathJoin(options_.dir, kJournalName);
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
-  if (fd < 0) return Errno("open " + path);
-  if (::ftruncate(fd, static_cast<off_t>(journal_file_bytes_)) != 0) {
-    const Status status = Errno("truncate " + path);
-    ::close(fd);
-    return status;
-  }
-  if (::lseek(fd, 0, SEEK_END) < 0) {
-    const Status status = Errno("seek " + path);
-    ::close(fd);
-    return status;
-  }
-  journal_fd_ = fd;
-  return Status::Ok();
 }
 
 Status BudgetStore::Append(const LedgerRecord& record) {
@@ -594,30 +606,17 @@ Status BudgetStore::Append(const LedgerRecord& record) {
   // append, and the process dies with SIGKILL -- no destructors, no
   // buffered-IO flush, exactly like the OOM killer or a kernel panic from
   // the ledger's point of view.
-  bool crash_here = false;
-  if (options_.crash.point != CrashPlan::Point::kNone &&
-      crash_countdown_ > 0) {
-    crash_here = --crash_countdown_ == 0;
-  }
-  if (crash_here) {
-    switch (options_.crash.point) {
-      case CrashPlan::Point::kPreWrite:
-        ::raise(SIGKILL);
-        break;
-      case CrashPlan::Point::kTornWrite: {
-        const std::size_t torn =
-            std::min(options_.crash.torn_bytes, frame.size());
-        (void)WriteAll(journal_fd_, frame.data(), torn);
-        ::raise(SIGKILL);
-        break;
-      }
-      case CrashPlan::Point::kPostWritePreFsync:
-        (void)WriteAll(journal_fd_, frame.data(), frame.size());
-        ::raise(SIGKILL);
-        break;
-      case CrashPlan::Point::kNone:
-        break;
+  const CrashPlan::Point point = options_.crash.point;
+  if (point != CrashPlan::Point::kNone && point != CrashPlan::Point::kCompact &&
+      crash_countdown_ > 0 && --crash_countdown_ == 0) {
+    // The bytes of the frame that land first: none, torn_bytes or all.
+    std::size_t landed = frame.size();
+    if (point == CrashPlan::Point::kPreWrite) landed = 0;
+    if (point == CrashPlan::Point::kTornWrite) {
+      landed = std::min(options_.crash.torn_bytes, frame.size());
     }
+    (void)WriteAll(journal_fd_, frame.data(), landed);
+    ::raise(SIGKILL);
   }
 
   HTDP_RETURN_IF_ERROR(WriteAll(journal_fd_, frame.data(), frame.size()));
@@ -714,31 +713,36 @@ Status BudgetStore::Compact(const LedgerState& state) {
   }
 
   const std::lock_guard<std::mutex> lock(mu_);
-  const std::string tmp = PathJoin(options_.dir, kSnapshotTmpName);
-  const std::string final_path = PathJoin(options_.dir, kSnapshotName);
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  const std::string tmp = PathJoin(options_.dir, kJournalTmpName);
+  const std::string journal = PathJoin(options_.dir, kJournalName);
+  // The new journal's fd becomes the append fd once renamed into place.
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND, 0644);
   if (fd < 0) return Errno("open " + tmp);
   Status written = WriteAll(fd, bytes.data(), bytes.size());
   if (written.ok() && ::fsync(fd) != 0) written = Errno("fsync " + tmp);
-  ::close(fd);
-  if (!written.ok()) return written;
-  if (::rename(tmp.c_str(), final_path.c_str()) != 0) {
-    return Errno("rename " + tmp);
+  // The one step that moves the ledger: before the rename the old journal
+  // holds all of it, after it the new one does.
+  if (written.ok() && ::rename(tmp.c_str(), journal.c_str()) != 0) {
+    written = Errno("rename " + tmp);
   }
-  // The rename itself must survive power loss before the journal shrinks,
-  // or a crash could leave a truncated journal next to the OLD snapshot.
-  HTDP_RETURN_IF_ERROR(SyncDirectory(options_.dir));
-
-  // Everything in the journal is now redundant with the snapshot.
-  if (::ftruncate(journal_fd_, 0) != 0) {
-    return Errno("truncate budget journal");
+  if (!written.ok()) {
+    ::close(fd);
+    return written;
   }
-  if (::lseek(journal_fd_, 0, SEEK_SET) < 0) {
-    return Errno("seek budget journal");
+  if (options_.crash.point == CrashPlan::Point::kCompact &&
+      crash_countdown_ > 0 && --crash_countdown_ == 0) {
+    ::raise(SIGKILL);
   }
-  journal_file_bytes_ = 0;
+  ::close(journal_fd_);
+  journal_fd_ = fd;
+  journal_file_bytes_ = bytes.size();
   journal_record_count_ = 0;
   unsynced_records_ = 0;
+  HTDP_RETURN_IF_ERROR(SyncDirectory(options_.dir));
+  // An older build's snapshot, unlinked only once the rename is durable: a
+  // journal that opens with a snapshot makes Open ignore it anyway.
+  ::unlink(PathJoin(options_.dir, kSnapshotName).c_str());
   ++snapshots_written_;
   Met().snapshots->Increment();
   Met().lag->Set(0.0);

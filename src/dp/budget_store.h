@@ -20,7 +20,7 @@ namespace dp {
 /// accounting: a BudgetManager that forgets every tenant's spend on process
 /// death silently re-grants exhausted budgets after a restart -- a privacy
 /// violation, not merely lost telemetry. The BudgetStore makes spend
-/// durable with the classic write-ahead recipe:
+/// durable with the classic write-ahead recipe, in one file:
 ///
 ///   * an APPEND-ONLY JOURNAL (`budget.journal`) of CRC32-framed records.
 ///     Budget operations are TWO-PHASE: a RESERVE record lands when the
@@ -28,15 +28,16 @@ namespace dp {
 ///     or ABORT (job never ran) record closes it. A crash between the two
 ///     leaves a DANGLING RESERVE, which recovery counts as COMMITTED --
 ///     spend conservatively, never under-count.
-///   * a SNAPSHOT (`budget.snapshot`) of the full ledger state, rewritten
-///     atomically (tmp + fsync + rename) every `compact_every` journal
-///     records, after which the journal is truncated. Recovery cost is
-///     thus bounded by snapshot size + one compaction interval.
-///   * RECOVERY replay: load the snapshot, replay the journal in order
-///     through ApplyRecord -- the transition function the live manager
-///     applies every record with -- stop cleanly at a torn tail (a partial
-///     final record from a crash mid-write -- its CRC cannot match), and
-///     fold whatever reserves are still open into committed spend.
+///   * COMPACTION every `compact_every` records: a SNAPSHOT of the full
+///     ledger state becomes a new journal, atomically (`budget.journal.tmp`
+///     + fsync + rename over `budget.journal`), and appends follow it.
+///     Recovery cost is thus bounded by snapshot size + one interval.
+///   * RECOVERY replay: load the snapshot that opens the journal (or an
+///     older build's `budget.snapshot`), replay the records after it in
+///     order through ApplyRecord -- the transition function the live
+///     manager applies every record with -- stop cleanly at a torn tail (a
+///     partial final record from a crash mid-write -- its CRC cannot
+///     match), and fold whatever reserves are still open into spend.
 ///
 /// The store keeps only the durable log. The ledger itself is one
 /// LedgerState: the store rebuilds it at Open, the owning BudgetManager
@@ -142,7 +143,7 @@ void ApplyRecord(LedgerState& state, const LedgerRecord& record);
 /// What recovery did at BudgetStore::Open.
 struct RecoveryStats {
   std::size_t snapshot_tenants = 0;    // tenants loaded from the snapshot
-  std::size_t journal_records = 0;     // journal records replayed
+  std::size_t journal_records = 0;     // records replayed after it
   std::size_t dangling_reserves = 0;   // reserves folded into spend THIS run
   std::size_t torn_bytes_discarded = 0;  // partial-record bytes at the tail
   /// True when replay stopped at a CRC mismatch that was NOT the final
@@ -154,19 +155,21 @@ struct RecoveryStats {
 
 /// Deterministic crash injection for the durability tests and the
 /// kill-and-restart smoke: HTDP_BUDGET_CRASH="<point>:<nth>[:<bytes>]"
-/// SIGKILLs the process around the `nth` journal append (1-based).
+/// SIGKILLs the process around the `nth` journal append or compaction.
 ///   pre-write:N        die before any byte of append N is written
 ///   post-write:N       die after append N's bytes, before its fsync
 ///   torn-write:N:K     write only K bytes of append N's frame, then die
+///   compact:N          die inside compaction N, right after its rename
 struct CrashPlan {
   enum class Point : std::uint8_t {
     kNone = 0,
     kPreWrite = 1,
     kPostWritePreFsync = 2,
     kTornWrite = 3,
+    kCompact = 4,
   };
   Point point = Point::kNone;
-  std::size_t nth_append = 0;  // 1-based; 0 = disabled
+  std::size_t nth = 0;         // 1-based append/compaction; 0 = disabled
   std::size_t torn_bytes = 0;  // bytes of the frame that reach the file
 
   /// Parses the spec format above; empty string = no crashes.
@@ -183,7 +186,7 @@ class BudgetStore {
     FsyncPolicy fsync = FsyncPolicy::kAlways;
     /// Under kBatch: fsync after this many un-synced appends.
     std::size_t batch_every = 32;
-    /// Snapshot + truncate the journal after this many journal records.
+    /// Compact the journal after this many records past its snapshot.
     std::size_t compact_every = 4096;
     /// Crash injection (tests); merged with HTDP_BUDGET_CRASH by Open().
     CrashPlan crash;
@@ -215,16 +218,16 @@ class BudgetStore {
   /// Forces an fsync of the journal now regardless of policy.
   Status Sync();
 
-  /// True once the journal has grown past compact_every records since the
-  /// last snapshot; the owner should Compact() its current state.
+  /// True once the journal holds compact_every records past its snapshot;
+  /// the owner should Compact() its current state.
   bool ShouldCompact() const;
 
-  /// Writes `state` as the new snapshot (tmp + fsync + rename, atomic) and
-  /// truncates the journal. The owner passes its state under its own lock,
-  /// so the snapshot is a consistent cut; open reservations are written as
-  /// their kReserve records, so a later COMMIT/ABORT still resolves. On any
-  /// error the old snapshot + journal remain the source of truth (the tmp
-  /// file is simply abandoned).
+  /// Replaces the journal with one that opens with `state` as a snapshot
+  /// (tmp + fsync + rename, atomic). The owner passes its state under its
+  /// own lock, so the snapshot is a consistent cut; open reservations are
+  /// written as their kReserve records, so a later COMMIT/ABORT still
+  /// resolves. On an error before the rename the old journal remains the
+  /// source of truth (the tmp file is simply abandoned).
   Status Compact(const LedgerState& state);
 
   // --- telemetry (also exported via obs metrics) -------------------------
@@ -238,7 +241,6 @@ class BudgetStore {
  private:
   explicit BudgetStore(Options options);
 
-  Status OpenJournalLocked();
   Status SyncLocked();
 
   Options options_;
@@ -248,11 +250,11 @@ class BudgetStore {
   mutable std::mutex mu_;
   int journal_fd_ = -1;
   std::size_t journal_file_bytes_ = 0;   // bytes in budget.journal
-  std::size_t journal_record_count_ = 0; // records in budget.journal
+  std::size_t journal_record_count_ = 0; // records past the snapshot
   std::size_t appended_records_ = 0;     // appends since Open
   std::size_t unsynced_records_ = 0;
   std::size_t snapshots_written_ = 0;
-  std::size_t crash_countdown_ = 0;      // appends until the planned crash
+  std::size_t crash_countdown_ = 0;      // events until the planned crash
 };
 
 }  // namespace dp

@@ -612,8 +612,6 @@ void EncodeStats(WireWriter& w, const StatsReply& msg) {
   w.U64(msg.connections);
   w.U64(msg.retained_jobs);
   w.Bool(msg.draining);
-  // Overload-protection counters, appended in a later revision (the codec's
-  // trailing-bytes rule keeps older peers compatible).
   w.U64(msg.engine.unavailable_rejected);
   w.U64(msg.engine.shed_expired);
   w.Bool(msg.engine.overloaded);
@@ -655,18 +653,11 @@ Status DecodeStats(WireReader& r, StatsReply* out) {
   HTDP_RETURN_IF_ERROR(r.U64(&out->connections, "stats.connections"));
   HTDP_RETURN_IF_ERROR(r.U64(&out->retained_jobs, "stats.retained_jobs"));
   HTDP_RETURN_IF_ERROR(r.Bool(&out->draining, "stats.draining"));
-  // Overload-protection counters from newer daemons; absent from older ones.
-  out->engine.unavailable_rejected = 0;
-  out->engine.shed_expired = 0;
-  out->engine.overloaded = false;
-  if (r.remaining() > 0) {
-    HTDP_RETURN_IF_ERROR(
-        r.U64(&counter, "stats.unavailable_rejected"));
-    out->engine.unavailable_rejected = static_cast<std::size_t>(counter);
-    HTDP_RETURN_IF_ERROR(r.U64(&counter, "stats.shed_expired"));
-    out->engine.shed_expired = static_cast<std::size_t>(counter);
-    HTDP_RETURN_IF_ERROR(r.Bool(&out->engine.overloaded, "stats.overloaded"));
-  }
+  HTDP_RETURN_IF_ERROR(r.U64(&counter, "stats.unavailable_rejected"));
+  out->engine.unavailable_rejected = static_cast<std::size_t>(counter);
+  HTDP_RETURN_IF_ERROR(r.U64(&counter, "stats.shed_expired"));
+  out->engine.shed_expired = static_cast<std::size_t>(counter);
+  HTDP_RETURN_IF_ERROR(r.Bool(&out->engine.overloaded, "stats.overloaded"));
   // Older servers append a scheduler section here; it is left unread under
   // the trailing-bytes rule.
   return Status::Ok();

@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "util/parallel.h"
 #include "util/simd.h"
 
 namespace htdp {
@@ -52,7 +51,8 @@ void AppendMicros(std::string& out, std::uint64_t ns) {
 
 }  // namespace
 
-std::string SerializeChromeTrace(const std::vector<ThreadTrace>& threads) {
+std::string SerializeChromeTrace(const std::vector<ThreadTrace>& threads,
+                                 int worker_threads) {
   std::string out;
   out.reserve(256 + threads.size() * 4096);
   out += "{\"traceEvents\":[";
@@ -95,18 +95,20 @@ std::string SerializeChromeTrace(const std::vector<ThreadTrace>& threads) {
   }
   // otherData rides at the top level of the object form (ignored by the
   // trace UIs, kept by archive tooling): the ISA the kernel dispatcher
-  // actually selected on this host and the worker-thread count, so two
+  // actually selected on this host and the fit-thread count, so two
   // captures of the same workload are attributable to their runtime config.
   char buf[128];
   std::snprintf(buf, sizeof(buf),
                 "],\"otherData\":{\"simd\":\"%s\",\"threads\":%d},"
                 "\"displayTimeUnit\":\"ms\"}",
-                SimdEnabled() ? SimdInfo().isa : "off", NumWorkerThreads());
+                SimdEnabled() ? SimdInfo().isa : "off", worker_threads);
   out += buf;
   return out;
 }
 
-std::string DumpChromeTrace() { return SerializeChromeTrace(CollectTrace()); }
+std::string DumpChromeTrace(int worker_threads) {
+  return SerializeChromeTrace(CollectTrace(), worker_threads);
+}
 
 }  // namespace obs
 }  // namespace htdp

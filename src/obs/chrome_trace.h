@@ -16,13 +16,14 @@ namespace obs {
 /// each thread gets a thread_name metadata event, and dropped-span counts
 /// are surfaced as a counter event so truncation is visible in the UI.
 /// The top-level `otherData` object tags the capture with the runtime SIMD
-/// ISA actually dispatched and the worker-thread count, so archived traces
-/// from different machines or HTDP_SIMD settings stay distinguishable.
-std::string SerializeChromeTrace(const std::vector<ThreadTrace>& threads);
+/// ISA actually dispatched and `worker_threads` (htdpd's Engine workers),
+/// so archived traces from different machines or settings stay apart.
+std::string SerializeChromeTrace(const std::vector<ThreadTrace>& threads,
+                                 int worker_threads);
 
 /// CollectTrace() + SerializeChromeTrace() in one call -- what the daemon's
 /// METRICS(trace) handler and tests use.
-std::string DumpChromeTrace();
+std::string DumpChromeTrace(int worker_threads);
 
 }  // namespace obs
 }  // namespace htdp

@@ -349,6 +349,22 @@ TEST(WireCodec, TruncatedReadsNameTheField) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidProblem);
   EXPECT_NE(status.message().find("stats.submitted"), std::string::npos);
+
+  // A STATS payload cut just before its overload counters: every field is
+  // required, so the cut is a typed error, not zeroed counters.
+  WireWriter stats;
+  EncodeStats(stats, StatsReply{});
+  const std::size_t overload_bytes = 8 + 8 + 1;
+  const std::vector<std::uint8_t> cut(stats.bytes().begin(),
+                                      stats.bytes().end() - overload_bytes);
+  WireReader stats_reader(cut);
+  StatsReply out;
+  const Status stats_status = DecodeStats(stats_reader, &out);
+  ASSERT_FALSE(stats_status.ok());
+  EXPECT_EQ(stats_status.code(), StatusCode::kInvalidProblem);
+  EXPECT_NE(stats_status.message().find("stats.unavailable_rejected"),
+            std::string::npos)
+      << stats_status.message();
 }
 
 TEST(WireCodec, CorruptedVectorCountCannotForceAllocation) {

@@ -1,12 +1,13 @@
 // Tests for the crash-safe budget ledger (dp/budget_store.h): CRC framing,
 // CRC pins on the journal and snapshot bytes, journal replay, torn-tail
 // recovery cut at EVERY byte offset of the final record, mid-journal
-// corruption detection, snapshot compaction round-trips, the
+// corruption detection, snapshot compaction round-trips, directories from
+// older builds (a separate budget.snapshot) and leftover files, the
 // BudgetManager's two-phase typed errors, live-vs-recovered equality of
-// tenant stats, and -- the core durability claim -- a 32-seed SIGKILL sweep
+// tenant stats, and -- the core durability claim -- 32-seed SIGKILL sweeps
 // proving the recovered ledger equals the surviving record stream's replay
 // bit for bit, for crashes injected before the write, after the write but
-// before fsync, and mid-record (torn write).
+// before fsync, mid-record (torn write) and inside a compaction.
 //
 // The fork+SIGKILL tests are skipped under TSan (fork after threads exist
 // trips die_after_fork); the byte-level recovery tests still run there.
@@ -24,6 +25,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -78,6 +80,33 @@ std::vector<std::uint8_t> ReadFileBytes(const std::string& path) {
   ::close(fd);
   return bytes;
 }
+
+/// A fresh directory whose journal holds `records[0, count)` as bare
+/// frames, the way appends write them: the reference whose replay a
+/// recovered ledger must equal.
+std::string JournalDir(const std::vector<LedgerRecord>& records,
+                       std::size_t count) {
+  const std::string dir = MakeTempDir("journaldir");
+  std::vector<std::uint8_t> journal;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::vector<std::uint8_t> frame = EncodeLedgerFrame(records[i]);
+    journal.insert(journal.end(), frame.begin(), frame.end());
+  }
+  WriteFileBytes(dir + "/budget.journal", journal);
+  return dir;
+}
+
+/// The file names in `dir`, sorted.
+std::vector<std::string> DirEntries(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+const std::vector<std::string> kOnlyJournal = {"budget.journal"};
 
 StatusOr<std::unique_ptr<BudgetStore>> OpenDir(
     const std::string& dir, FsyncPolicy fsync = FsyncPolicy::kOff) {
@@ -141,12 +170,17 @@ TEST(CrashPlanTest, ParsesSpecsAndRejectsGarbage) {
   const StatusOr<CrashPlan> torn = CrashPlan::Parse("torn-write:7:13");
   ASSERT_TRUE(torn.ok());
   EXPECT_EQ(torn.value().point, CrashPlan::Point::kTornWrite);
-  EXPECT_EQ(torn.value().nth_append, 7u);
+  EXPECT_EQ(torn.value().nth, 7u);
   EXPECT_EQ(torn.value().torn_bytes, 13u);
 
   const StatusOr<CrashPlan> none = CrashPlan::Parse("");
   ASSERT_TRUE(none.ok());
   EXPECT_EQ(none.value().point, CrashPlan::Point::kNone);
+
+  const StatusOr<CrashPlan> compact = CrashPlan::Parse("compact:2");
+  ASSERT_TRUE(compact.ok());
+  EXPECT_EQ(compact.value().point, CrashPlan::Point::kCompact);
+  EXPECT_EQ(compact.value().nth, 2u);
 
   EXPECT_EQ(CrashPlan::Parse("pre-write").status().code(), StatusCode::kInvalidProblem);
   EXPECT_EQ(CrashPlan::Parse("mid-write:3").status().code(),
@@ -213,7 +247,7 @@ TEST(LedgerBytesTest, SnapshotBytesArePinned) {
     ASSERT_TRUE(store.value()->Compact(state).ok());
   }
   const std::vector<std::uint8_t> bytes =
-      ReadFileBytes(dir + "/budget.snapshot");
+      ReadFileBytes(dir + "/budget.journal");
   EXPECT_EQ(bytes.size(), 289u);
   EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0xE3D34F59u);
 
@@ -399,8 +433,9 @@ TEST(BudgetStoreTest, MidJournalCorruptionHaltsReplayConservatively) {
 }
 
 TEST(BudgetStoreTest, CorruptSnapshotRefusesToServe) {
-  const std::string dir = MakeTempDir("badsnap");
+  std::vector<std::uint8_t> snapshot;
   {
+    const std::string dir = MakeTempDir("badsnap");
     const StatusOr<std::unique_ptr<BudgetStore>> store = OpenDir(dir);
     ASSERT_TRUE(store.ok());
     LedgerState state;
@@ -408,16 +443,31 @@ TEST(BudgetStoreTest, CorruptSnapshotRefusesToServe) {
     state.tenants["acme"].spent_epsilon = 2.0;
     state.next_reservation_id = 9;
     ASSERT_TRUE(store.value()->Compact(state).ok());
+    snapshot = ReadFileBytes(dir + "/budget.journal");
   }
-  std::vector<std::uint8_t> snapshot = ReadFileBytes(dir + "/budget.snapshot");
   ASSERT_GT(snapshot.size(), 16u);
-  snapshot[snapshot.size() / 2] ^= 0xff;  // corrupt the middle
-  WriteFileBytes(dir + "/budget.snapshot", snapshot);
+  // The middle byte, then the header frame's type byte (8: the frame fails
+  // its CRC with the rest of the snapshot after it) and the top byte of its
+  // length (7: the frame claims more than the file holds, which alone
+  // reads as a torn tail). Each refuses and leaves the file as it was, in a
+  // compacted journal and in an older build's budget.snapshot.
+  for (const char* name : {"budget.journal", "budget.snapshot"}) {
+    for (const std::size_t offset :
+         {snapshot.size() / 2, std::size_t{8}, std::size_t{7}}) {
+      std::vector<std::uint8_t> bytes = snapshot;
+      bytes[offset] ^= 0xff;
+      const std::string dir = MakeTempDir("badsnap");
+      WriteFileBytes(dir + "/" + name, bytes);
 
-  const StatusOr<std::unique_ptr<BudgetStore>> reopened = OpenDir(dir);
-  ASSERT_FALSE(reopened.ok());
-  EXPECT_EQ(reopened.status().code(), StatusCode::kUnavailable);
-  EXPECT_NE(reopened.status().message().find("corrupt"), std::string::npos);
+      const StatusOr<std::unique_ptr<BudgetStore>> reopened = OpenDir(dir);
+      ASSERT_FALSE(reopened.ok()) << name << " offset=" << offset;
+      EXPECT_EQ(reopened.status().code(), StatusCode::kUnavailable);
+      EXPECT_NE(reopened.status().message().find("corrupt"),
+                std::string::npos);
+      EXPECT_EQ(ReadFileBytes(dir + "/" + name), bytes)
+          << name << " offset=" << offset;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -454,10 +504,11 @@ TEST(BudgetStoreTest, CompactionTruncatesJournalAndSurvivesReopen) {
       }
     }
     EXPECT_GE(store.value()->snapshots_written(), 1u);
-    // Compaction truncated the journal: what's on disk is only the records
-    // appended after the last snapshot, not the full history.
+    // Compaction replaced the journal: what's on disk is the last snapshot
+    // and the records appended after it, not the full history.
     EXPECT_EQ(store.value()->journal_bytes(),
               ReadFileBytes(dir + "/budget.journal").size());
+    EXPECT_EQ(DirEntries(dir), kOnlyJournal);
     const StatusOr<BudgetManager::TenantStats> stats = budgets.Stats("acme");
     ASSERT_TRUE(stats.ok());
     before = stats.value();
@@ -483,6 +534,145 @@ TEST(BudgetStoreTest, CompactionTruncatesJournalAndSurvivesReopen) {
   EXPECT_EQ(after->admitted, before.admitted);
   EXPECT_EQ(after->recovered_reserves, 2u);
   EXPECT_EQ(after->open, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Directories from older builds, and files a crash leaves behind
+
+/// The state SnapshotBytesArePinned compacts: Compact writes it as the
+/// pinned 289 bytes.
+LedgerState PinnedState() {
+  LedgerState state;
+  LedgerState::Tenant& acme = state.tenants["acme"];
+  acme.total_epsilon = 5.0;
+  acme.total_delta = 1e-4;
+  acme.spent_epsilon = 2.5;
+  acme.spent_delta = 3e-6;
+  acme.admitted = 3;
+  acme.rejected = 4;
+  acme.refunded = 2;
+  acme.recovered_reserves = 1;
+  acme.recovered_epsilon = 0.75;
+  acme.recovered_delta = 1e-6;
+  LedgerState::Tenant& beta = state.tenants["beta"];
+  beta.total_epsilon = 1.0;
+  beta.total_delta = 2e-5;
+  beta.spent_epsilon = 0.25;
+  beta.spent_delta = 5e-6;
+  beta.admitted = 1;
+  state.open[7] = {LedgerRecordType::kReserve, 7, "acme", 0.5, 2e-6};
+  state.next_reservation_id = 9;
+  return state;
+}
+
+/// The bytes Compact writes for `state`.
+std::vector<std::uint8_t> SnapshotBytes(const LedgerState& state) {
+  const std::string dir = MakeTempDir("snapbytes");
+  const StatusOr<std::unique_ptr<BudgetStore>> store = OpenDir(dir);
+  EXPECT_TRUE(store.ok()) << store.status().message();
+  if (!store.ok()) return {};
+  EXPECT_TRUE(store.value()->Compact(state).ok());
+  return ReadFileBytes(dir + "/budget.journal");
+}
+
+TEST(BudgetStoreTest, OlderBuildDirectoryRecoversTheSameAcrossCompaction) {
+  // An older build kept its snapshot in budget.snapshot, beside a journal
+  // of bare records that replays on top of it.
+  const std::vector<LedgerRecord> records = {
+      {LedgerRecordType::kCommit, 7, "", 0, 0},  // the snapshot's open one
+      {LedgerRecordType::kReserve, 9, "acme", 0.25, 1e-6},
+      {LedgerRecordType::kAbort, 9, "", 0, 0},
+      {LedgerRecordType::kReserve, 10, "beta", 0.125, 1e-6},
+      {LedgerRecordType::kCommit, 10, "", 0, 0},
+  };
+  const std::string dir = JournalDir(records, records.size());
+  const std::vector<std::uint8_t> snapshot = SnapshotBytes(PinnedState());
+  ASSERT_EQ(Crc32(snapshot.data(), snapshot.size()), 0xE3D34F59u);
+  WriteFileBytes(dir + "/budget.snapshot", snapshot);
+
+  const StatusOr<std::unique_ptr<BudgetStore>> before = OpenDir(dir);
+  ASSERT_TRUE(before.ok()) << before.status().message();
+  EXPECT_EQ(before.value()->recovery().snapshot_tenants, 2u);
+  EXPECT_EQ(before.value()->recovery().journal_records, records.size());
+  const LedgerState& v1 = before.value()->recovered();
+  EXPECT_EQ(v1.next_reservation_id, 11u);
+  EXPECT_EQ(v1.tenants.at("acme").spent_epsilon, 2.5);
+  EXPECT_EQ(v1.tenants.at("acme").refunded, 3u);
+  EXPECT_EQ(v1.tenants.at("beta").spent_epsilon, 0.25 + 0.125);
+
+  // The first compaction moves the whole ledger into the journal and
+  // deletes the old snapshot file.
+  ASSERT_TRUE(before.value()->Compact(v1).ok());
+  EXPECT_EQ(DirEntries(dir), kOnlyJournal);
+  const StatusOr<std::unique_ptr<BudgetStore>> after = OpenDir(dir);
+  ASSERT_TRUE(after.ok()) << after.status().message();
+  EXPECT_EQ(after.value()->recovery().journal_records, 0u);
+  ExpectRecoveredEqual(*after.value(), *before.value());
+}
+
+TEST(BudgetStoreTest, StaleSnapshotBesideACompactedJournalIsIgnored) {
+  // An older build's directory, killed in its first compaction here after
+  // the rename and before the old snapshot was unlinked.
+  LedgerState compacted;
+  compacted.tenants["acme"].total_epsilon = 4.0;
+  compacted.tenants["acme"].spent_epsilon = 1.0;
+  compacted.next_reservation_id = 3;
+  const std::vector<LedgerRecord> tail = {
+      {LedgerRecordType::kReserve, 3, "acme", 0.5, 1e-6},
+      {LedgerRecordType::kCommit, 3, "", 0, 0},
+  };
+  const auto fill = [&](const std::string& dir) {
+    const StatusOr<std::unique_ptr<BudgetStore>> store = OpenDir(dir);
+    ASSERT_TRUE(store.ok()) << store.status().message();
+    ASSERT_TRUE(store.value()->Compact(compacted).ok());
+    for (const LedgerRecord& record : tail) {
+      ASSERT_TRUE(store.value()->Append(record).ok());
+    }
+  };
+  const std::string dir = MakeTempDir("stale");
+  const std::string reference_dir = MakeTempDir("nostale");
+  fill(dir);
+  fill(reference_dir);
+  WriteFileBytes(dir + "/budget.snapshot", SnapshotBytes(PinnedState()));
+
+  const StatusOr<std::unique_ptr<BudgetStore>> got = OpenDir(dir);
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  const StatusOr<std::unique_ptr<BudgetStore>> want = OpenDir(reference_dir);
+  ASSERT_TRUE(want.ok()) << want.status().message();
+  ExpectRecoveredEqual(*got.value(), *want.value());
+  EXPECT_EQ(got.value()->recovered().tenants.at("acme").spent_epsilon, 1.5);
+
+  ASSERT_TRUE(got.value()->Compact(got.value()->recovered()).ok());
+  EXPECT_EQ(DirEntries(dir), kOnlyJournal);
+}
+
+TEST(BudgetStoreTest, LeftoverJournalTmpIsIgnoredAndReplacedByCompaction) {
+  // A compaction killed before its rename leaves budget.journal.tmp behind.
+  const std::vector<LedgerRecord> records = {
+      {LedgerRecordType::kRegister, 0, "acme", 8.0, 1e-4},
+      {LedgerRecordType::kReserve, 1, "acme", 1.0, 1e-6},
+      {LedgerRecordType::kCommit, 1, "", 0, 0},
+  };
+  const std::string dir = JournalDir(records, records.size());
+  const std::string reference_dir = JournalDir(records, records.size());
+  std::vector<std::uint8_t> garbage(300);
+  for (std::size_t i = 0; i < garbage.size(); ++i) {
+    garbage[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  WriteFileBytes(dir + "/budget.journal.tmp", garbage);
+
+  const StatusOr<std::unique_ptr<BudgetStore>> got = OpenDir(dir);
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  EXPECT_FALSE(got.value()->recovery().corruption_detected);
+  const StatusOr<std::unique_ptr<BudgetStore>> want = OpenDir(reference_dir);
+  ASSERT_TRUE(want.ok()) << want.status().message();
+  ExpectRecoveredEqual(*got.value(), *want.value());
+
+  ASSERT_TRUE(got.value()->Compact(got.value()->recovered()).ok());
+  EXPECT_EQ(DirEntries(dir), kOnlyJournal);
+  const StatusOr<std::unique_ptr<BudgetStore>> reopened = OpenDir(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  ExpectRecoveredEqual(*reopened.value(), *want.value());
 }
 
 // ---------------------------------------------------------------------------
@@ -651,10 +841,12 @@ int RunOps(BudgetManager& budgets, const std::vector<LedgerOp>& ops) {
 /// SIGKILLs per `plan`. Exit codes (only reached when the crash never
 /// fires): 42 = sequence completed, else RunOps' failure code.
 void RunChildLedger(const std::string& dir, const CrashPlan& plan,
-                    const std::vector<LedgerOp>& ops, FsyncPolicy fsync) {
+                    const std::vector<LedgerOp>& ops, FsyncPolicy fsync,
+                    std::size_t compact_every) {
   BudgetStore::Options options;
   options.dir = dir;
   options.fsync = fsync;
+  options.compact_every = compact_every;
   options.crash = plan;
   StatusOr<std::unique_ptr<BudgetStore>> store =
       BudgetStore::Open(std::move(options));
@@ -663,6 +855,30 @@ void RunChildLedger(const std::string& dir, const CrashPlan& plan,
   if (!budgets.AttachStore(store.value().get()).ok()) ::_exit(44);
   const int failed = RunOps(budgets, ops);
   ::_exit(failed == 0 ? 42 : failed);
+}
+
+/// Forks a child that runs `ops` per RunChildLedger and reaps it; succeeds
+/// only when the planned SIGKILL ended it.
+::testing::AssertionResult RunChildUntilKilled(
+    const std::string& dir, const CrashPlan& plan,
+    const std::vector<LedgerOp>& ops, FsyncPolicy fsync,
+    std::size_t compact_every) {
+  const pid_t child = ::fork();
+  if (child < 0) return ::testing::AssertionFailure() << "fork failed";
+  if (child == 0) {
+    RunChildLedger(dir, plan, ops, fsync, compact_every);  // never returns
+  }
+  int wstatus = 0;
+  if (::waitpid(child, &wstatus, 0) != child) {
+    return ::testing::AssertionFailure() << "waitpid failed";
+  }
+  if (!WIFSIGNALED(wstatus) || WTERMSIG(wstatus) != SIGKILL) {
+    return ::testing::AssertionFailure()
+           << "child exited "
+           << (WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1)
+           << " instead of being SIGKILLed";
+  }
+  return ::testing::AssertionSuccess();
 }
 
 TEST(BudgetCrashSweepTest, RecoveredSpendEqualsCommittedSpendAcross32Seeds) {
@@ -678,10 +894,10 @@ TEST(BudgetCrashSweepTest, RecoveredSpendEqualsCommittedSpendAcross32Seeds) {
 
     CrashPlan plan;
     plan.point = static_cast<CrashPlan::Point>(1 + seed % 3);
-    plan.nth_append =
+    plan.nth =
         1 + static_cast<std::size_t>((seed * 2654435761ull) % records.size());
     const std::vector<std::uint8_t> nth_frame =
-        EncodeLedgerFrame(records[plan.nth_append - 1]);
+        EncodeLedgerFrame(records[plan.nth - 1]);
     if (plan.point == CrashPlan::Point::kTornWrite) {
       // Always a strict prefix, so the tail really is torn.
       plan.torn_bytes =
@@ -692,25 +908,15 @@ TEST(BudgetCrashSweepTest, RecoveredSpendEqualsCommittedSpendAcross32Seeds) {
         seed % 2 == 0 ? FsyncPolicy::kAlways : FsyncPolicy::kOff;
 
     const std::string crash_dir = MakeTempDir("crash");
-    const pid_t child = ::fork();
-    ASSERT_GE(child, 0);
-    if (child == 0) {
-      RunChildLedger(crash_dir, plan, ops, fsync);  // never returns
-    }
-    int wstatus = 0;
-    ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
-    ASSERT_TRUE(WIFSIGNALED(wstatus))
-        << "child exited " << (WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1)
-        << " instead of being SIGKILLed";
-    ASSERT_EQ(WTERMSIG(wstatus), SIGKILL);
+    ASSERT_TRUE(RunChildUntilKilled(crash_dir, plan, ops, fsync, 4096));
 
     // What must be on disk: every append before the crash point, in full --
     // SIGKILL loses no page-cache bytes -- plus, for post-write, the nth
     // record itself, and for torn-write, its first torn_bytes bytes.
     const std::size_t survived =
         plan.point == CrashPlan::Point::kPostWritePreFsync
-            ? plan.nth_append
-            : plan.nth_append - 1;
+            ? plan.nth
+            : plan.nth - 1;
     std::vector<std::uint8_t> expected_journal;
     for (std::size_t i = 0; i < survived; ++i) {
       const std::vector<std::uint8_t> frame = EncodeLedgerFrame(records[i]);
@@ -728,25 +934,55 @@ TEST(BudgetCrashSweepTest, RecoveredSpendEqualsCommittedSpendAcross32Seeds) {
 
     // Recovery of the crashed ledger must equal, bit for bit, a replay of
     // the surviving record prefix written independently.
-    const std::string reference_dir = MakeTempDir("ref");
-    std::vector<std::uint8_t> reference_journal;
-    for (std::size_t i = 0; i < survived; ++i) {
-      const std::vector<std::uint8_t> frame = EncodeLedgerFrame(records[i]);
-      reference_journal.insert(reference_journal.end(), frame.begin(),
-                               frame.end());
-    }
-    WriteFileBytes(reference_dir + "/budget.journal", reference_journal);
-
     const StatusOr<std::unique_ptr<BudgetStore>> crashed = OpenDir(crash_dir);
     ASSERT_TRUE(crashed.ok()) << crashed.status().message();
     const StatusOr<std::unique_ptr<BudgetStore>> reference =
-        OpenDir(reference_dir);
+        OpenDir(JournalDir(records, survived));
     ASSERT_TRUE(reference.ok()) << reference.status().message();
 
     const RecoveryStats& got = crashed.value()->recovery();
     EXPECT_EQ(got.journal_records, survived);
     EXPECT_EQ(got.torn_bytes_discarded, expected_torn);
     EXPECT_FALSE(got.corruption_detected);
+    ExpectRecoveredEqual(*crashed.value(), *reference.value());
+  }
+#endif
+}
+
+TEST(BudgetCrashSweepTest, CompactionCrashKeepsEveryAppendedRecordOnce) {
+#ifdef HTDP_TSAN_BUILD
+  GTEST_SKIP() << "fork-based crash injection is incompatible with TSan";
+#else
+  ::unsetenv("HTDP_BUDGET_CRASH");
+  constexpr std::size_t kCompactEvery = 7;
+  for (std::uint64_t seed = 0; seed < 32; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const std::vector<LedgerOp> ops = GenerateOps(seed);
+    const std::vector<LedgerRecord> records = ExpectedRecords(ops);
+    // The manager compacts right after every kCompactEvery-th append, so
+    // compaction N holds exactly the first N * kCompactEvery records.
+    const std::size_t compactions = records.size() / kCompactEvery;
+    ASSERT_GE(compactions, 1u);
+
+    CrashPlan plan;
+    plan.point = CrashPlan::Point::kCompact;
+    plan.nth = 1 + static_cast<std::size_t>(seed % compactions);
+    const FsyncPolicy fsync =
+        seed % 2 == 0 ? FsyncPolicy::kAlways : FsyncPolicy::kOff;
+
+    const std::string crash_dir = MakeTempDir("compactcrash");
+    ASSERT_TRUE(
+        RunChildUntilKilled(crash_dir, plan, ops, fsync, kCompactEvery));
+    EXPECT_EQ(DirEntries(crash_dir), kOnlyJournal);
+
+    // Every record appended before the kill counts once: no more (a replay
+    // on top of a snapshot that already holds it), no fewer.
+    const StatusOr<std::unique_ptr<BudgetStore>> crashed = OpenDir(crash_dir);
+    ASSERT_TRUE(crashed.ok()) << crashed.status().message();
+    const StatusOr<std::unique_ptr<BudgetStore>> reference =
+        OpenDir(JournalDir(records, plan.nth * kCompactEvery));
+    ASSERT_TRUE(reference.ok()) << reference.status().message();
+    EXPECT_FALSE(crashed.value()->recovery().corruption_detected);
     ExpectRecoveredEqual(*crashed.value(), *reference.value());
   }
 #endif

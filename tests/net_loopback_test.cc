@@ -603,6 +603,23 @@ TEST(NetLoopback, MetricsRoundTripInAllFormats) {
   EXPECT_EQ(trace->body.rfind("{\"traceEvents\":[", 0), 0u) << trace->body;
 }
 
+TEST(NetLoopback, TraceExportCarriesTheEngineWorkerCount) {
+  if (NumWorkerThreads() == 1) {
+    GTEST_SKIP() << "one CPU: the Engine size and the CPU count agree";
+  }
+  // The trace's thread count is the daemon's fit threads (--workers), not
+  // the host's CPU count, matching htdp_runtime_info.
+  daemon::ServerOptions options;
+  options.engine_workers = 1;
+  TestServer server(std::move(options));
+  auto client = server.Connect();
+  auto trace = client->Metrics(net::MetricsFormat::kTraceChrome);
+  ASSERT_TRUE(trace.ok()) << trace.status().message();
+  const std::string& body = trace->body;
+  EXPECT_NE(body.find("\"threads\":1}"), std::string::npos)
+      << body.substr(body.size() - std::min<std::size_t>(body.size(), 120));
+}
+
 TEST(NetLoopback, MetricsRequestWithUnknownFormatIsATypedError) {
   TestServer server;
   auto client = server.Connect();

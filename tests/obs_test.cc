@@ -177,7 +177,7 @@ TEST_F(TraceTest, ChromeTraceMatchesGoldenSchema) {
   threads[0].spans.push_back(
       obs::Span{"golden.span", /*start_ns=*/1500, /*end_ns=*/4750,
                 /*depth=*/0});
-  const std::string json = obs::SerializeChromeTrace(threads);
+  const std::string json = obs::SerializeChromeTrace(threads, 3);
 
   EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u) << json;
   EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos) << json;
@@ -190,11 +190,11 @@ TEST_F(TraceTest, ChromeTraceMatchesGoldenSchema) {
   // Drops surface as a counter event.
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos) << json;
   EXPECT_NE(json.find("spans_dropped"), std::string::npos) << json;
-  // The capture is tagged with its runtime config (exact values are
-  // host-dependent; the keys are the contract).
+  // The capture is tagged with its runtime config (the ISA is
+  // host-dependent; the thread count is the one passed in).
   EXPECT_NE(json.find("\"otherData\":{\"simd\":\""), std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"threads\":"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"threads\":3}"), std::string::npos) << json;
   EXPECT_EQ(json.back(), '}');
 
   // Structural sanity without a JSON parser: brackets and quotes balance.
@@ -222,7 +222,7 @@ TEST_F(TraceTest, ChromeTraceEscapesReservedJsonCharacters) {
   threads[0].tid = 1;
   threads[0].spans.push_back(
       obs::Span{"quote\"back\\slash", 10, 20, 0});
-  const std::string json = obs::SerializeChromeTrace(threads);
+  const std::string json = obs::SerializeChromeTrace(threads, 1);
   EXPECT_NE(json.find("quote\\\"back\\\\slash"), std::string::npos) << json;
 }
 
@@ -230,7 +230,7 @@ TEST_F(TraceTest, DumpChromeTraceCarriesLiveSpans) {
   {
     HTDP_TRACE_SPAN("obs.test.dumped");
   }
-  const std::string json = obs::DumpChromeTrace();
+  const std::string json = obs::DumpChromeTrace(1);
   EXPECT_NE(json.find("\"name\":\"obs.test.dumped\""), std::string::npos);
 }
 
