@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -58,6 +59,34 @@ void BM_SmoothedPhiSplitPath(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SmoothedPhiSplitPath);
+
+// The dispatched SmoothedPhi batch over 64K elements, of which the given
+// per-mille share (at random positions) falls in the exact-split region:
+// warm elements have |a| < 3, split ones |a| log-uniform in [130, 1e9],
+// both with b = |a| (the beta = 1 transform). 66 per mille is the split
+// share of a heavy_tail_pinned fit; 0 is the all-warm ceiling.
+void BM_SmoothedPhiBatchColdShare(benchmark::State& state) {
+  constexpr std::size_t kN = 1 << 16;
+  const double split_share = static_cast<double>(state.range(0)) / 1000.0;
+  Rng rng(17);
+  Vector a(kN);
+  Vector b(kN);
+  for (std::size_t j = 0; j < kN; ++j) {
+    const double sign = rng.UniformUnit() < 0.5 ? -1.0 : 1.0;
+    a[j] = rng.UniformUnit() < split_share
+               ? sign * 130.0 * std::pow(1e9 / 130.0, rng.UniformUnit())
+               : rng.Uniform(-3.0, 3.0);
+    b[j] = std::abs(a[j]);
+  }
+  Vector out(kN);
+  for (auto _ : state) {
+    SmoothedPhiBatch(a.data(), b.data(), out.data(), kN);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kN));
+}
+BENCHMARK(BM_SmoothedPhiBatchColdShare)->Arg(0)->Arg(66)->Arg(330);
 
 void BM_RobustMeanEstimate(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -14,6 +14,17 @@ execute_process(
   ERROR_QUIET)
 if(NOT HTDP_GIT_REV)
   set(HTDP_GIT_REV "unknown")
+else()
+  # A build of uncommitted tracked changes is not that revision: mark it.
+  execute_process(
+    COMMAND git status --porcelain --untracked-files=no
+    WORKING_DIRECTORY "${HTDP_SOURCE_DIR}"
+    OUTPUT_VARIABLE HTDP_GIT_DIRTY
+    OUTPUT_STRIP_TRAILING_WHITESPACE
+    ERROR_QUIET)
+  if(HTDP_GIT_DIRTY)
+    set(HTDP_GIT_REV "${HTDP_GIT_REV}-dirty")
+  endif()
 endif()
 
 set(content "#define HTDP_GIT_REV \"${HTDP_GIT_REV}\"\n")

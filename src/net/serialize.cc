@@ -729,8 +729,10 @@ Status DecodeError(WireReader& r, WireError* out) {
   HTDP_RETURN_IF_ERROR(r.U64(&out->job_id, "error.job_id"));
   HTDP_RETURN_IF_ERROR(r.Str(&out->message, "error.message"));
   // Appended in a later revision; an older peer's frame simply ends here.
+  // Any byte past the message starts the u32, so a frame cut inside it is
+  // a truncation error, not an older peer.
   out->retry_after_ms = 0;
-  if (r.remaining() >= 4) {
+  if (r.remaining() > 0) {
     HTDP_RETURN_IF_ERROR(r.U32(&out->retry_after_ms, "error.retry_after_ms"));
   }
   return Status::Ok();

@@ -13,7 +13,12 @@ namespace {
 // 16-point Gauss-Legendre nodes/weights on [-1, 1] (used by the numerically
 // stable fallback below; the integrand there is a degree-3 polynomial times
 // the normal density over a short interval, which 16 points integrate to
-// machine precision).
+// machine precision). The central pair should read 0.1894506104550685 (see
+// kGaussLegendre16Weights in robust/catoni_constants.h); as written the
+// weights sum to 2.0045 and put up to ~5.6e-8 of error on split values near
+// the cancellation seam, 99% of SmoothedPhiBatchTolerance there. Correcting
+// it changes the scalar reference, so it waits for the HTDP_SIMD=off golden
+// checksums to be re-derived (ROADMAP item 6).
 constexpr int kGlPoints = 16;
 constexpr double kGlNodes[kGlPoints] = {
     -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
@@ -70,9 +75,11 @@ double SmoothedPhiBySplit(double a, double b) {
 namespace simd_dispatch_internal {
 
 // The baseline-compiled scalar spill the per-ISA batch kernels call for
-// cold lane groups and tails (see util/simd_kernels_impl.h): exactly n
-// scalar SmoothedPhi evaluations, so spilled elements are bit-identical to
-// the scalar reference no matter which ISA's kernel spilled them.
+// block tails and for lane groups holding a non-finite or negative-b input
+// (see util/simd_kernels_impl.h; cold lanes of finite groups blend in
+// register): exactly n scalar SmoothedPhi evaluations, so spilled elements
+// are bit-identical to the scalar reference no matter which ISA's kernel
+// spilled them.
 void SmoothedPhiScalarSpill(const double* a, const double* b, double* out,
                             std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) out[j] = SmoothedPhi(a[j], b[j]);

@@ -126,16 +126,20 @@ inline double SmoothedPhi(double a, double b) {
 ///
 /// With `use_simd` true (and the SIMD layer compiled in, see util/simd.h)
 /// the call routes through the runtime ISA dispatcher (util/simd_dispatch.h:
-/// AVX-512 / AVX2 / baseline picked by a one-time CPUID probe): full lane
-/// groups whose every element classifies as ClosedFormApplies run through
-/// the vectorized closed form -- ExpPd / ErfcxPd cores from
-/// util/simd_math.h -- while groups containing a cold element (tiny-b or
-/// exact-split) and the remainder tail spill to the scalar SmoothedPhi.
-/// Branch classification is computed with exactly the scalar
+/// AVX-512 / AVX2 / baseline picked by a one-time CPUID probe). Each full
+/// lane group is classified per lane, with exactly the scalar
 /// ClosedFormApplies arithmetic, so an element can never be smoothed by a
-/// different branch than the scalar path would pick; values on the
-/// vectorized branch agree with scalar SmoothedPhi within
-/// SmoothedPhiBatchTolerance(a[j], b[j]).
+/// different branch than the scalar path would pick. A group whose every
+/// lane is warm runs the vectorized closed form alone (ExpPd / ErfcxPd
+/// cores from util/simd_math.h); a group with cold lanes evaluates the
+/// branches its lanes need and blends them per lane: tiny-b lanes get the
+/// clamped Phi(a) in the scalar operation order, exact-split lanes a vector
+/// split (saturated tails plus one 16-point Gauss-Legendre panel). Every
+/// lane's value depends only on its own (a[j], b[j]) and is clamped to
+/// +/-PhiBound(). Only the remainder tail and groups holding a non-finite
+/// (or negative-b) input go to the scalar SmoothedPhi. Tiny-b lanes are
+/// bit-identical to scalar SmoothedPhi; closed-form and split lanes agree
+/// with it within SmoothedPhiBatchTolerance(a[j], b[j]).
 ///
 /// With `use_simd` false every element takes the scalar SmoothedPhi path:
 /// the result is bit-identical to n scalar calls (the golden scalar

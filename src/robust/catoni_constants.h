@@ -38,6 +38,27 @@ inline constexpr double kCancellationLimit = 1e6;
 /// |phi(x)| <= 2*sqrt(2)/3 (see PhiBound() in catoni.h).
 inline constexpr double kPhiBound = 2.0 * kSqrt2 / 3.0;
 
+/// 16-point Gauss-Legendre rule on [-1, 1] for the vector split lanes of
+/// the batch kernels (util/simd_kernels_impl.h): the nodes in ascending
+/// order, mirrored pairs sharing one weight, weights summing to 2. The
+/// scalar SmoothedPhiBySplit keeps its own, differing copy in
+/// robust/catoni.cc (see the note there).
+inline constexpr int kGaussLegendre16Points = 16;
+inline constexpr double kGaussLegendre16Nodes[kGaussLegendre16Points] = {
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+    -0.7554044083550030, -0.6178762444026438, -0.4580167776572274,
+    -0.2816035507792589, -0.0950125098376374, 0.0950125098376374,
+    0.2816035507792589,  0.4580167776572274,  0.6178762444026438,
+    0.7554044083550030,  0.8656312023878318,  0.9445750230732326,
+    0.9894009349916499};
+inline constexpr double kGaussLegendre16Weights[kGaussLegendre16Points] = {
+    0.0271524594117541, 0.0622535239386479, 0.0951585116824928,
+    0.1246289712555339, 0.1495959888165767, 0.1691565193950025,
+    0.1826034150449236, 0.1894506104550685, 0.1894506104550685,
+    0.1826034150449236, 0.1691565193950025, 0.1495959888165767,
+    0.1246289712555339, 0.0951585116824928, 0.0622535239386479,
+    0.0271524594117541};
+
 }  // namespace htdp::catoni_internal
 
 #endif  // HTDP_ROBUST_CATONI_CONSTANTS_H_

@@ -39,9 +39,8 @@ class RobustMeanEstimator {
   /// gradient rows. Routes through SmoothedPhiBatch (robust/catoni.h): in
   /// scalar mode the result is bit-identical to n scalar SampleContribution
   /// calls; in SIMD mode each element agrees with the scalar path within
-  /// scale() * SmoothedPhiBatchTolerance(a, b) (tiny-b and exact-split
-  /// outliers always take the scalar cold path). Allocation-free either
-  /// way. xs and acc must not overlap.
+  /// scale() * SmoothedPhiBatchTolerance(a, b) (tiny-b elements bit for
+  /// bit). Allocation-free either way. xs and acc must not overlap.
   void AccumulateContributions(const double* HTDP_RESTRICT xs, std::size_t n,
                                double* HTDP_RESTRICT acc) const;
 

@@ -24,9 +24,9 @@
 ///    results are BIT-IDENTICAL to the baseline table's;
 ///  - the avx512f table runs 8 lanes: the Dot / DistanceL2 reductions
 ///    reassociate across a different lane partition and the SmoothedPhi
-///    batch groups cold-spill / tail elements differently, both within the
-///    documented bounds (tests/simd_test.cc tolerances,
-///    SmoothedPhiBatchTolerance);
+///    batch leaves a different remainder tail (and non-finite-input group)
+///    to the scalar spill, both within the documented bounds
+///    (tests/simd_test.cc tolerances, SmoothedPhiBatchTolerance);
 ///  - the HTDP_SIMD=off scalar reference never reaches any table and stays
 ///    the bit-identity golden path.
 ///
@@ -44,9 +44,11 @@ struct SimdKernelTable {
   const char* isa;  // "avx512f", "avx2", or the compiled baseline's name
   int lanes;        // doubles per vector in this table's kernels
 
-  /// out[j] = SmoothedPhi(a[j], b[j]); the vector closed form for full hot
-  /// lane groups, scalar spill (SmoothedPhiScalarSpill) otherwise. Same
-  /// contract as SmoothedPhiBatch(..., use_simd=true) in robust/catoni.h.
+  /// out[j] = SmoothedPhi(a[j], b[j]); full lane groups classify and blend
+  /// the closed-form, tiny-b and exact-split branches per lane in
+  /// registers, the tail and groups with a non-finite input go to the
+  /// scalar spill (SmoothedPhiScalarSpill). Same contract as
+  /// SmoothedPhiBatch(..., use_simd=true) in robust/catoni.h.
   void (*smoothed_phi_batch)(const double* a, const double* b, double* out,
                              std::size_t n);
 
@@ -112,9 +114,9 @@ const SimdKernelTable* Avx512Table();
 
 /// Out-of-line scalar spill of the SmoothedPhi batch kernels, compiled at
 /// the BASELINE ISA (robust/catoni.cc): out[j] = SmoothedPhi(a[j], b[j]).
-/// The per-ISA TUs call this for cold lane groups and tails instead of
-/// instantiating the scalar path under wide-ISA flags (see the ODR note in
-/// util/simd.h).
+/// The per-ISA TUs call this for tails and for lane groups with a
+/// non-finite or negative-b input instead of instantiating the scalar path
+/// under wide-ISA flags (see the ODR note in util/simd.h).
 void SmoothedPhiScalarSpill(const double* a, const double* b, double* out,
                             std::size_t n);
 

@@ -10,10 +10,10 @@
 // (simd_dispatch_internal::SmoothedPhiScalarSpill) -- this TU must never
 // instantiate scalar inline code that other TUs also emit.
 //
-// The kernel bodies are the PR-5 vector paths of robust/catoni.cc and
-// linalg/vector_ops.cc, moved here verbatim so dispatch changes WHICH ISA
-// runs them, not WHAT they compute: at equal lane count the results are
-// bit-identical to the pre-dispatch kernels.
+// Every kernel computes the same per-element operation sequence at every
+// ISA (the tables differ in lane count and encoding only), so dispatch
+// changes WHICH ISA runs them, not WHAT they compute: at equal lane count
+// the results are bit-identical.
 
 #include <cmath>
 #include <cstddef>
@@ -74,10 +74,81 @@ inline VecD ClosedFormLanes(VecD a, VecD b) {
   return simd::Clamp(value, -phi_bound, phi_bound);
 }
 
+/// Lanes of the tiny-b branch: clamped Phi(a) with the scalar Phi's
+/// comparisons and operation order (division by 6 included), so these lanes
+/// are bit-identical to scalar SmoothedPhi.
+inline VecD PhiLanes(VecD a) {
+  using catoni_internal::kPhiBound;
+  using catoni_internal::kSqrt2;
+  const VecD phi_bound = simd::Set1(kPhiBound);
+  const VecD cubic = a - a * a * a / simd::Set1(6.0);
+  VecD value = simd::Select(a < simd::Set1(-kSqrt2), -phi_bound, cubic);
+  value = simd::Select(a > simd::Set1(kSqrt2), phi_bound, value);
+  return simd::Clamp(value, -phi_bound, phi_bound);
+}
+
+/// Lanes of the exact-split branch: SmoothedPhiBySplit's decomposition --
+/// the saturated tails as +/- kPhiBound times normal tail masses, the cubic
+/// middle as a Gauss-Legendre sum over the unsaturated z-interval clipped
+/// to +/-40 -- with ExpPd / HalfErfcFromExp in place of libm and ONE
+/// 16-point panel in place of the scalar eight. One panel is enough: a
+/// split lane has max(|a|^3/6, |a| b^2/2) > kCancellationLimit, so a
+/// middle inside the clip needs b > (|a| - sqrt2)/40 >= 4.5 (|a| > 181.7)
+/// or b > 104 (|a| b^2 > 2e6), i.e. a half-width sqrt2/b <= 0.32, over
+/// which the degree-31 rule integrates cubic * Gaussian to rounding.
+/// Requires finite a and finite b >= kTinyB; the caller masks.
+inline VecD SplitLanes(VecD a, VecD b) {
+  using catoni_internal::kGaussLegendre16Nodes;
+  using catoni_internal::kGaussLegendre16Points;
+  using catoni_internal::kGaussLegendre16Weights;
+  using catoni_internal::kInvSqrt2Pi;
+  using catoni_internal::kPhiBound;
+  using catoni_internal::kSqrt2;
+  const VecD half = simd::Set1(0.5);
+  const VecD sixth = simd::Set1(1.0 / 6.0);
+  const VecD phi_bound = simd::Set1(kPhiBound);
+
+  const VecD z_lo = (simd::Set1(-kSqrt2) - a) / b;
+  const VecD z_hi = (simd::Set1(kSqrt2) - a) / b;
+  // 1 - NormalCdf(z_hi) and NormalCdf(z_lo); ExpPd flushes the huge-|z|
+  // (even infinite) lanes to 0, where both masses are exact 0 or 1.
+  const VecD upper =
+      simd::HalfErfcFromExp(z_hi, simd::ExpPd(-(half * z_hi * z_hi)));
+  const VecD lower =
+      simd::HalfErfcFromExp(-z_lo, simd::ExpPd(-(half * z_lo * z_lo)));
+  const VecD tails = phi_bound * upper - phi_bound * lower;
+
+  // Clipping both ends into [-40, 40] keeps every node finite; lanes whose
+  // interval is empty after the clip get no middle term.
+  const VecD clip = simd::Set1(40.0);
+  const VecD lo = simd::Clamp(z_lo, -clip, clip);
+  const VecD hi = simd::Clamp(z_hi, -clip, clip);
+  const VecI has_middle = hi > lo;
+  VecD middle = simd::Set1(0.0);
+  if (!simd::NoneTrue(has_middle)) {
+    const VecD half_width = half * (hi - lo);
+    const VecD center = lo + half_width;
+    VecD sum = simd::Set1(0.0);
+    for (int i = 0; i < kGaussLegendre16Points; ++i) {
+      const VecD z =
+          center + half_width * simd::Set1(kGaussLegendre16Nodes[i]);
+      const VecD v = a + b * z;  // in [-sqrt2, sqrt2] on has_middle lanes
+      sum = sum + simd::Set1(kGaussLegendre16Weights[i]) *
+                      (v - v * v * v * sixth) * simd::ExpPd(-(half * z * z));
+    }
+    middle = simd::Select(
+        has_middle, sum * (simd::Set1(kInvSqrt2Pi) * half_width), middle);
+  }
+  return simd::Clamp(tails + middle, -phi_bound, phi_bound);
+}
+
 void SmoothedPhiBatchKernel(const double* a, const double* b, double* out,
                             std::size_t n) {
   using catoni_internal::kCancellationLimit;
   using catoni_internal::kTinyB;
+  const VecD zero = simd::Set1(0.0);
+  const VecD one = simd::Set1(1.0);
+  const VecD max_finite = simd::Set1(__DBL_MAX__);
   std::size_t j = 0;
   for (; j + kW <= n; j += kW) {
     const VecD va = simd::LoadU(a + j);
@@ -93,13 +164,39 @@ void SmoothedPhiBatchKernel(const double* a, const double* b, double* out,
                      (cancellation <= simd::Set1(kCancellationLimit));
     if (simd::AllTrue(hot)) [[likely]] {
       simd::StoreU(out + j, ClosedFormLanes(va, vb));
-    } else {
-      // A cold element (tiny-b or exact-split) diverts its whole group to
-      // the scalar reference; outliers are rare enough that this costs
-      // nothing measurable. The spill is baseline-compiled (see above).
+      continue;
+    }
+    // A group with a cold lane (tiny-b or exact-split) evaluates each
+    // branch its lanes need and blends per lane, every branch fed safe
+    // inputs in the lanes it does not own; each lane's value depends only on
+    // its own (a, b). Non-finite a or b (and b < 0, which the scalar path
+    // rejects) divert the group to the baseline-compiled scalar spill.
+    const VecI finite =
+        (abs_a <= max_finite) & (vb >= zero) & (vb <= max_finite);
+    if (!simd::AllTrue(finite)) [[unlikely]] {
       simd_dispatch_internal::SmoothedPhiScalarSpill(a + j, b + j, out + j,
                                                      kW);
+      continue;
     }
+    const VecI tiny = vb < simd::Set1(kTinyB);
+    const VecI split = ~(hot | tiny);
+    VecD value = zero;
+    if (!simd::NoneTrue(hot)) {
+      value = simd::Select(hot,
+                           ClosedFormLanes(simd::Select(hot, va, zero),
+                                           simd::Select(hot, vb, one)),
+                           value);
+    }
+    if (!simd::NoneTrue(tiny)) {
+      value = simd::Select(tiny, PhiLanes(va), value);
+    }
+    if (!simd::NoneTrue(split)) {
+      value = simd::Select(split,
+                           SplitLanes(simd::Select(split, va, zero),
+                                      simd::Select(split, vb, one)),
+                           value);
+    }
+    simd::StoreU(out + j, value);
   }
   if (j < n) {
     simd_dispatch_internal::SmoothedPhiScalarSpill(a + j, b + j, out + j,

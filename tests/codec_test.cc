@@ -1130,6 +1130,44 @@ TEST(Serialize, StatsAndSolverListAndErrorRoundTrip) {
   EXPECT_EQ(error_out.message, "tenant over budget");
 }
 
+TEST(Serialize, ErrorRetryHintCutIsATypedErrorAndOlderPeerIsOk) {
+  WireError error{kWireBudgetExhausted, 55, "tenant over budget", 1234};
+  WireWriter w;
+  EncodeError(w, error);
+  const std::vector<std::uint8_t>& full = w.bytes();
+
+  // An ERROR payload cut 1..3 bytes into the u32 retry hint is truncated.
+  for (std::size_t cut = 1; cut <= 3; ++cut) {
+    const std::vector<std::uint8_t> bytes(full.begin(), full.end() - cut);
+    WireReader r(bytes);
+    WireError out;
+    const Status status = DecodeError(r, &out);
+    ASSERT_FALSE(status.ok()) << "cut " << cut;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidProblem);
+    EXPECT_NE(status.message().find("error.retry_after_ms"),
+              std::string::npos)
+        << status.message();
+  }
+
+  // An older peer's frame ends at the message: Ok, with no retry hint.
+  const std::vector<std::uint8_t> older(full.begin(), full.end() - 4);
+  WireReader older_reader(older);
+  WireError older_out;
+  older_out.retry_after_ms = 99;
+  ASSERT_TRUE(DecodeError(older_reader, &older_out).ok());
+  EXPECT_EQ(older_out.message, "tenant over budget");
+  EXPECT_EQ(older_out.retry_after_ms, 0u);
+
+  // A newer peer's frame carries bytes past the u32: still Ok.
+  WireWriter newer;
+  EncodeError(newer, error);
+  newer.U64(7);
+  WireReader newer_reader(newer.bytes());
+  WireError newer_out;
+  ASSERT_TRUE(DecodeError(newer_reader, &newer_out).ok());
+  EXPECT_EQ(newer_out.retry_after_ms, 1234u);
+}
+
 TEST(Serialize, DatasetGeometryOverflowIsATypedError) {
   // Hand-craft a WireProblem payload whose declared n*d overflows 64 bits;
   // the decoder must reject it before any allocation.

@@ -2,6 +2,8 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "api/problem.h"
 #include "api/solver_registry.h"
@@ -15,6 +17,8 @@
 #include "losses/squared_loss.h"
 #include "robust/robust_mean.h"
 #include "rng/rng.h"
+#include "util/simd.h"
+#include "util/simd_dispatch.h"
 
 namespace htdp {
 namespace {
@@ -171,32 +175,60 @@ TEST(RobustGradientTest, SensitivityBoundHoldsOnNeighboringDatasets) {
   Rng rng(7);
   SyntheticConfig config;
   config.n = 100;
-  config.d = 6;
+  // 16 coordinates: every row holds full lane groups at every table width
+  // (4 and 8 lanes), not just the scalar tail.
+  config.d = 16;
   config.feature_dist = ScalarDistribution::Lognormal(0.0, 1.0);
   const Vector w_star = MakeL1BallTarget(config.d, rng);
-  Dataset data = GenerateLinear(config, w_star, rng);
+  const Dataset data = GenerateLinear(config, w_star, rng);
 
   const SquaredLoss loss;
   const Vector w(config.d, 0.05);
-  const RobustGradientEstimator estimator(1.5, 1.0);
-  Vector base;
-  estimator.Estimate(loss, FullView(data), w, base);
 
-  // Replace one sample with extreme values and check the l-inf move.
-  for (double magnitude : {0.0, 1e3, 1e12}) {
+  // Neighbours that replace row 17: every coordinate at one magnitude
+  // (0, warm, and deep in the exact-split region: 150 already crosses the
+  // cancellation limit, 1e150 makes squared-loss gradients ~1e300), plus
+  // one whose gradient row is cold in every third coordinate only, so lane
+  // groups mix split and warm lanes.
+  std::vector<Dataset> neighbors;
+  for (double magnitude : {0.0, 1e3, 1e12, 150.0, 1e6, 1e150}) {
     Dataset neighbor = data;
     for (std::size_t j = 0; j < config.d; ++j) {
       neighbor.x(17, j) = magnitude;
     }
     neighbor.y[17] = -magnitude;
-    Vector perturbed;
-    estimator.Estimate(loss, FullView(neighbor), w, perturbed);
-    double move = 0.0;
-    for (std::size_t j = 0; j < config.d; ++j) {
-      move = std::max(move, std::abs(perturbed[j] - base[j]));
+    neighbors.push_back(std::move(neighbor));
+  }
+  Dataset partial = data;
+  for (std::size_t j = 0; j < config.d; ++j) {
+    partial.x(17, j) = j % 3 == 0 ? 1e4 : 0.01;
+  }
+  partial.y[17] = 0.0;
+  neighbors.push_back(std::move(partial));
+
+  // The scalar reference, then every dispatch table this machine can run.
+  std::vector<const char*> modes = {"scalar"};
+  for (const char* isa : {"baseline", "avx2", "avx512f"}) {
+    if (SimdIsaAvailable(isa)) modes.push_back(isa);
+  }
+  for (const char* mode : modes) {
+    const bool simd = std::string(mode) != "scalar";
+    const ScopedSimdOverride toggle(simd);
+    const ScopedSimdIsaOverride pin(simd ? mode : "baseline");
+    const RobustGradientEstimator estimator(1.5, 1.0);
+    ASSERT_EQ(estimator.simd(), simd) << mode;
+    Vector base;
+    estimator.Estimate(loss, FullView(data), w, base);
+    for (std::size_t k = 0; k < neighbors.size(); ++k) {
+      Vector perturbed;
+      estimator.Estimate(loss, FullView(neighbors[k]), w, perturbed);
+      double move = 0.0;
+      for (std::size_t j = 0; j < config.d; ++j) {
+        move = std::max(move, std::abs(perturbed[j] - base[j]));
+      }
+      EXPECT_LE(move, estimator.Sensitivity(config.n) + 1e-12)
+          << mode << " neighbour " << k;
     }
-    EXPECT_LE(move, estimator.Sensitivity(config.n) + 1e-12)
-        << "magnitude " << magnitude;
   }
 }
 

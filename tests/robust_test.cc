@@ -11,6 +11,7 @@
 #include "rng/distributions.h"
 #include "rng/rng.h"
 #include "util/simd.h"
+#include "util/simd_dispatch.h"
 
 namespace htdp {
 namespace {
@@ -220,8 +221,8 @@ TEST(RobustMeanTest, BatchedAccumulateBitIdenticalToScalarAcrossBranches) {
 TEST(RobustMeanTest, BatchedAccumulateBitIdenticalOnTinyBBranch) {
   // b = |a| / sqrt(beta): a huge beta pushes b below SmoothedPhi's 1e-12
   // threshold so the batch must take the degenerate Phi(a) path, still bit
-  // for bit. (Mode-independent: tiny-b elements always spill to the scalar
-  // cold path, which the SIMD sweep below re-checks; pinned scalar here.)
+  // for bit. (Pinned scalar here; the SIMD sweeps below re-check tiny-b
+  // lanes bit for bit under every dispatch table.)
   const auto estimator = MeanEstimator(1.0, 1e30, /*simd=*/false);
   const Vector xs = {0.0, 1e-9, -1e-6, 0.5, -1.0, 2.0};
   Vector batched(xs.size(), 0.0);
@@ -260,20 +261,63 @@ TEST(RobustMeanTest, BatchedAccumulateMatchesScalarOnHeavyTailedDraws) {
   }
 }
 
+// The dispatch tables this machine can run, by SetSimdIsa name ("baseline"
+// is the compiled baseline: sse2 on x86-64, neon on aarch64).
+std::vector<const char*> AvailableSimdIsas() {
+  std::vector<const char*> isas;
+  for (const char* isa : {"baseline", "avx2", "avx512f"}) {
+    if (SimdIsaAvailable(isa)) isas.push_back(isa);
+  }
+  return isas;
+}
+
+bool IsTinyB(double b) { return b < 1e-12; }
+
+bool IsClosedForm(double a, double b) {
+  return !IsTinyB(b) && catoni_internal::ClosedFormApplies(std::abs(a), b);
+}
+
+// The SmoothedPhiBatch contract (robust/catoni.h) for one element: tiny-b
+// lanes are bit-identical to scalar SmoothedPhi, closed-form and split
+// lanes agree within SmoothedPhiBatchTolerance, and every value stays
+// within the PhiBound() clamp that the sensitivity analysis relies on.
+void ExpectBatchElementMatchesScalar(double got, double a, double b,
+                                     const char* isa) {
+  ASSERT_LE(std::abs(got), PhiBound())
+      << isa << " a=" << a << " b=" << b;
+  const double scalar = SmoothedPhi(a, b);
+  if (IsTinyB(b)) {
+    ASSERT_EQ(got, scalar) << isa << " tiny-b point a=" << a << " b=" << b;
+  } else {
+    ASSERT_NEAR(got, scalar, SmoothedPhiBatchTolerance(a, b))
+        << isa << (IsClosedForm(a, b) ? " closed-form" : " split")
+        << " point a=" << a << " b=" << b;
+  }
+}
+
 TEST(RobustMeanTest, SmoothedPhiBatchPropertySweepAgainstScalar) {
   // Log-spaced (a, b) grid straddling BOTH branch thresholds of SmoothedPhi
   // -- b across kTinyB (1e-12) and the pair across the kCancellationLimit
-  // (1e6) seam -- each point replicated to a full lane group so hot points
-  // are guaranteed to take the vectorized closed form. Contract
-  // (robust/catoni.h): branch classification identical to scalar -- cold
-  // points (tiny-b / exact-split) come back bit-identical, since the batch
-  // spills them to the very same scalar code -- and closed-form points
-  // agree within the documented SmoothedPhiBatchTolerance.
+  // (1e6) seam -- each point replicated to a full lane group so every lane
+  // takes the vector branch of its class, under every dispatch table this
+  // machine can run. Contract (robust/catoni.h): tiny-b points come back
+  // bit-identical, closed-form and exact-split points within the documented
+  // SmoothedPhiBatchTolerance, all within +/-PhiBound().
+  const std::vector<const char*> isas = AvailableSimdIsas();
+  if (isas.empty()) GTEST_SKIP() << "SIMD layer not compiled";
   std::vector<double> a_grid = {0.0};
   for (double mag = 1e-9; mag < 3e3; mag *= 4.0) {
     a_grid.push_back(mag);
     a_grid.push_back(-mag);
   }
+  for (double mag : {1e4, 1e6, 1e9, 1e12, 1e150}) {
+    a_grid.push_back(mag);
+    a_grid.push_back(-mag);
+  }
+  // A dense linear grid over phi's cubic range [-sqrt2, sqrt2] and a little
+  // past it, where the tiny-b lanes' bit-identity depends on the operation
+  // order of x - x^3/6.
+  for (int k = -150; k <= 150; ++k) a_grid.push_back(0.01 * k + 1e-3);
   std::vector<double> b_grid = {0.0};
   for (double b = 1e-14; b < 1e8; b *= 8.0) b_grid.push_back(b);
 
@@ -281,31 +325,106 @@ TEST(RobustMeanTest, SmoothedPhiBatchPropertySweepAgainstScalar) {
   Vector a_buf(kGroup);
   Vector b_buf(kGroup);
   Vector out(kGroup);
-  std::size_t closed_form_points = 0;
-  for (const double a : a_grid) {
-    for (const double b : b_grid) {
+  for (const char* isa : isas) {
+    const ScopedSimdIsaOverride pin(isa);
+    ASSERT_TRUE(pin.ok()) << isa;
+    std::size_t closed_form_points = 0;
+    std::size_t split_points = 0;
+    for (const double a : a_grid) {
+      for (const double b : b_grid) {
+        for (std::size_t j = 0; j < kGroup; ++j) {
+          a_buf[j] = a;
+          b_buf[j] = b;
+        }
+        SmoothedPhiBatch(a_buf.data(), b_buf.data(), out.data(), kGroup,
+                         /*use_simd=*/true);
+        for (std::size_t j = 0; j < kGroup; ++j) {
+          ASSERT_NO_FATAL_FAILURE(
+              ExpectBatchElementMatchesScalar(out[j], a, b, isa));
+        }
+        closed_form_points += IsClosedForm(a, b) ? 1 : 0;
+        split_points += !IsTinyB(b) && !IsClosedForm(a, b) ? 1 : 0;
+      }
+    }
+    // The sweep must genuinely exercise both vector branches.
+    EXPECT_GT(closed_form_points, 100u) << isa;
+    EXPECT_GT(split_points, 100u) << isa;
+  }
+}
+
+TEST(RobustMeanTest, SmoothedPhiBatchMixedGroupsBlendPerLane) {
+  // One cold lane (tiny-b or exact-split) at every position among warm
+  // lanes: each lane must match ITS OWN scalar value, so a blend that leaks
+  // one branch's result into a neighbouring lane fails here.
+  const std::vector<const char*> isas = AvailableSimdIsas();
+  if (isas.empty()) GTEST_SKIP() << "SIMD layer not compiled";
+  const double cold_points[][2] = {
+      {1.0, 0.0},    {-3.0, 1e-13}, {0.5, 5e-13},  {1e3, 1e3},
+      {-200.0, 5.0}, {150.0, 116.0}, {-1e9, 1e9}, {40.0, 400.0},
+      {1e150, 1e150}};
+  constexpr std::size_t kGroup = 16;  // >= any compiled lane width
+  Vector a_buf(kGroup);
+  Vector b_buf(kGroup);
+  Vector out(kGroup);
+  for (const char* isa : isas) {
+    const ScopedSimdIsaOverride pin(isa);
+    ASSERT_TRUE(pin.ok()) << isa;
+    for (const auto& cold : cold_points) {
+      ASSERT_FALSE(IsClosedForm(cold[0], cold[1]));
+      for (std::size_t lane = 0; lane < kGroup; ++lane) {
+        for (std::size_t j = 0; j < kGroup; ++j) {
+          a_buf[j] = -1.5 + 0.2 * static_cast<double>(j);
+          b_buf[j] = 0.3 + 0.05 * static_cast<double>(j);
+        }
+        a_buf[lane] = cold[0];
+        b_buf[lane] = cold[1];
+        SmoothedPhiBatch(a_buf.data(), b_buf.data(), out.data(), kGroup,
+                         /*use_simd=*/true);
+        for (std::size_t j = 0; j < kGroup; ++j) {
+          ASSERT_NO_FATAL_FAILURE(ExpectBatchElementMatchesScalar(
+              out[j], a_buf[j], b_buf[j], isa));
+        }
+      }
+    }
+  }
+}
+
+TEST(RobustMeanTest, SmoothedPhiBatchSplitLanesMatchReferenceQuadrature) {
+  // Exact-split points whose unsaturated interval carries real mass: the
+  // vector split lanes must match the fine reference quadrature far inside
+  // SmoothedPhiBatchTolerance (which, past the cancellation limit, is
+  // >= 5.7e-8). The scalar SmoothedPhiBySplit is pinned only to that
+  // tolerance, so this is the test that holds the vector split to the
+  // true value.
+  const std::vector<const char*> isas = AvailableSimdIsas();
+  if (isas.empty()) GTEST_SKIP() << "SIMD layer not compiled";
+  const double points[][2] = {{115.225, 147.133}, {149.4, 115.8},
+                              {300.0, 100.0},     {-1e3, 1e3},
+                              {50.0, 400.0},      {-2e4, 1e4}};
+  constexpr std::size_t kGroup = 16;
+  Vector a_buf(kGroup);
+  Vector b_buf(kGroup);
+  Vector out(kGroup);
+  for (const auto& point : points) {
+    const double a = point[0];
+    const double b = point[1];
+    ASSERT_FALSE(IsTinyB(b) || IsClosedForm(a, b));
+    const double reference = SmoothedPhiByQuadrature(a, b);
+    for (const char* isa : isas) {
+      const ScopedSimdIsaOverride pin(isa);
+      ASSERT_TRUE(pin.ok()) << isa;
       for (std::size_t j = 0; j < kGroup; ++j) {
         a_buf[j] = a;
         b_buf[j] = b;
       }
       SmoothedPhiBatch(a_buf.data(), b_buf.data(), out.data(), kGroup,
                        /*use_simd=*/true);
-      const double scalar = SmoothedPhi(a, b);
-      const bool closed_form =
-          b >= 1e-12 && catoni_internal::ClosedFormApplies(std::abs(a), b);
       for (std::size_t j = 0; j < kGroup; ++j) {
-        if (!closed_form) {
-          ASSERT_EQ(out[j], scalar) << "cold point a=" << a << " b=" << b;
-        } else {
-          ASSERT_NEAR(out[j], scalar, SmoothedPhiBatchTolerance(a, b))
-              << "a=" << a << " b=" << b;
-        }
+        ASSERT_NEAR(out[j], reference, 1e-12)
+            << isa << " a=" << a << " b=" << b;
       }
-      closed_form_points += closed_form ? 1 : 0;
     }
   }
-  // The sweep must genuinely exercise the vector branch.
-  EXPECT_GT(closed_form_points, 100u);
 }
 
 TEST(RobustMeanTest, SimdAccumulateAgreesWithScalarWithinTolerance) {

@@ -297,6 +297,30 @@ void CompareTables(const SimdKernelTable& table, Check&& check) {
     xs[i] = rng.Uniform(-40.0, 40.0);
     u[i] = rng.UniformOpen();
   }
+  // Cold Catoni inputs at random positions, so most lane groups mix
+  // branches: exact-split lanes with |a| log-uniform in [130, 1e9] (b = |a|
+  // and, for the transform, scale 2 / sqrt_beta 1.5), and tiny-b lanes.
+  std::vector<double> cold_a(n);
+  std::vector<double> cold_b(n);
+  std::vector<double> cold_xs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double sign = rng.UniformUnit() < 0.5 ? -1.0 : 1.0;
+    const double split_mag = 130.0 * std::pow(1e9 / 130.0, rng.UniformUnit());
+    const double pick = rng.UniformUnit();
+    if (pick < 0.3) {
+      cold_a[i] = sign * split_mag;
+      cold_b[i] = split_mag;
+      cold_xs[i] = sign * 3.0 * split_mag;
+    } else if (pick < 0.45) {
+      cold_a[i] = rng.Uniform(-3.0, 3.0);
+      cold_b[i] = rng.UniformUnit() < 0.5 ? 0.0 : 1e-13;
+      cold_xs[i] = sign * (rng.UniformUnit() < 0.5 ? 0.0 : 1e-13);
+    } else {
+      cold_a[i] = rng.Uniform(-30.0, 30.0);
+      cold_b[i] = std::abs(cold_a[i]) / 2.0 + 1e-3;
+      cold_xs[i] = rng.Uniform(-40.0, 40.0);
+    }
+  }
   const SimdKernelTable* base = simd_dispatch_internal::BaseTable();
   ASSERT_NE(base, nullptr);
 
@@ -307,8 +331,18 @@ void CompareTables(const SimdKernelTable& table, Check&& check) {
   for (std::size_t i = 0; i < n; ++i) {
     check("smoothed_phi_batch", i, got[i], want[i]);
   }
+  base->smoothed_phi_batch(cold_a.data(), cold_b.data(), want.data(), n);
+  table.smoothed_phi_batch(cold_a.data(), cold_b.data(), got.data(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    check("smoothed_phi_batch", i, got[i], want[i]);
+  }
   base->smoothed_phi_transform(xs.data(), 256, 2.0, 1.5, want.data());
   table.smoothed_phi_transform(xs.data(), 256, 2.0, 1.5, got.data());
+  for (std::size_t i = 0; i < 256; ++i) {
+    check("smoothed_phi_transform", i, got[i], want[i]);
+  }
+  base->smoothed_phi_transform(cold_xs.data(), 256, 2.0, 1.5, want.data());
+  table.smoothed_phi_transform(cold_xs.data(), 256, 2.0, 1.5, got.data());
   for (std::size_t i = 0; i < 256; ++i) {
     check("smoothed_phi_transform", i, got[i], want[i]);
   }
@@ -346,7 +380,7 @@ TEST(SimdDispatchTest, Avx512TableWithinDocumentedTolerances) {
   const SimdKernelTable* avx512 = simd_dispatch_internal::Avx512Table();
   ASSERT_NE(avx512, nullptr);
   EXPECT_EQ(avx512->lanes, 8);
-  // 8 lanes regroup the reductions and the cold-spill/tail classification;
+  // 8 lanes regroup the reductions and the scalar-spilled tail;
   // elementwise kernels stay per-element identical, reductions within
   // reassociation rounding, SmoothedPhi within its documented bound
   // (SmoothedPhiBatchTolerance is vs scalar; vs another vector lane width
