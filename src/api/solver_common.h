@@ -38,8 +38,10 @@ struct SolverWorkspace {
 /// problem's pointers: data present and well-shaped (kShapeMismatch), the
 /// solver's declared requirements satisfied -- loss, constraint, sparsity
 /// target (kInvalidProblem) -- w0/constraint dimensions consistent
-/// (kShapeMismatch), and a fundable budget incl. the delta > 0 requirement
-/// of the approximate-DP solvers (kBudgetExhausted).
+/// (kShapeMismatch), every x and y entry of the rows the fit reads and every
+/// w0 entry finite (kInvalidProblem, naming the row and column), and a
+/// fundable budget incl. the delta > 0 requirement of the approximate-DP
+/// solvers (kBudgetExhausted).
 Status ValidateProblem(const Solver& solver, const Problem& problem,
                        const SolverSpec& spec);
 

@@ -587,10 +587,10 @@ void EventLoop::Remove(int fd, const Status& reason) {
 
 Status EventLoop::Run() {
   running_ = true;
-  // Single-event-loop visibility (ROADMAP "Net state"): how long the loop
-  // blocks in poll(2), how long one service pass takes, and how much is
-  // buffered toward slow clients -- the numbers that answer whether one
-  // loop thread can carry the connection count it is given.
+  // Single-event-loop visibility: how long the loop blocks in poll(2), how
+  // long one service pass takes, and how much is buffered toward slow
+  // clients -- the numbers that answer whether one loop thread can carry
+  // the connection count it is given.
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
   obs::Gauge* poll_wait_gauge = registry.GetGauge(
       "htdp_event_loop_poll_seconds", "Duration of the last poll(2) wait");

@@ -3,7 +3,7 @@
 
 /// ## obs::trace -- thread-local ring-buffer span tracing
 ///
-/// Design contract (ROADMAP open item 4):
+/// Design contract:
 ///   - Record path does zero heap allocation: each thread owns a
 ///     fixed-capacity ring of POD Span records, drop-oldest on overflow
 ///     (the ring keeps the most recent window; `dropped` counts the rest).

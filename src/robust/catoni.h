@@ -14,24 +14,23 @@ namespace htdp {
 
 namespace catoni_internal {
 
-// kSqrt2, kInvSqrt2Pi, the kTinyB / kCancellationLimit branch thresholds
-// and kPhiBound now live in robust/catoni_constants.h (constexpr data only)
-// so the per-ISA kernel TUs of the runtime dispatcher can share them
-// without instantiating any inline code from this header.
+// The constants and branch thresholds live in robust/catoni_constants.h
+// (constexpr data only), which the per-ISA kernel TUs share.
 
 /// True when SmoothedPhi evaluates (a, b) by the closed form -- the common,
 /// tight-loop branch of the batched kernels.
 inline bool ClosedFormApplies(double abs_a, double b) {
   const double cancellation =
       std::max(abs_a * abs_a * abs_a / 6.0, 0.5 * abs_a * b * b);
-  return b >= kTinyB && cancellation <= kCancellationLimit;
+  return b >= kTinyB && b <= kClosedFormMaxB &&
+         cancellation <= kCancellationLimit;
 }
 
-/// E_z[phi(a + bz)] via an exact split (saturated tails + composite
-/// Gauss-Legendre over the unsaturated interval). Numerically stable for
-/// arbitrarily large |a|, b; much slower than the closed form, so SmoothedPhi
+/// E_z[phi(a + bz)] via an exact split (saturated tails + one 16-point
+/// Gauss-Legendre panel over the unsaturated interval). Numerically stable
+/// for arbitrarily large |a|, b; slower than the closed form, so SmoothedPhi
 /// only reaches it past the cancellation limit. Out of line: it is the cold
-/// branch of the batched kernels.
+/// branch. Requires finite a and finite b >= kTinyB.
 double SmoothedPhiBySplit(double a, double b);
 
 }  // namespace catoni_internal
@@ -105,9 +104,13 @@ inline double SmoothedPhiClosedForm(double a, double b) {
 ///   a (1 - b^2/2) - a^3/6 + C_hat(a, b)          (Eq. (5)).
 /// For b == 0 this degenerates to phi(a). This is the "noise multiplication
 /// + noise smoothing" step of the robust estimator evaluated analytically,
-/// so the estimator itself needs no auxiliary randomness. Requires b >= 0.
+/// so the estimator itself needs no auxiliary randomness. A non-finite a or
+/// b, or b < 0, has no such expectation and gives 0, so no input can push
+/// a term past PhiBound().
 inline double SmoothedPhi(double a, double b) {
-  HTDP_CHECK_GE(b, 0.0);
+  if (!std::isfinite(a) || !std::isfinite(b) || b < 0.0) [[unlikely]] {
+    return 0.0;
+  }
   const double abs_a = std::abs(a);
   if (b < catoni_internal::kTinyB) [[unlikely]] {
     // Phi is bounded by PhiBound() already, so the clamp is the identity
@@ -122,41 +125,29 @@ inline double SmoothedPhi(double a, double b) {
 }
 
 /// Array form of SmoothedPhi: out[j] = SmoothedPhi(a[j], b[j]) for j in
-/// [0, n). Requires b[j] >= 0; a, b and out must not overlap.
+/// [0, n). a, b and out must not overlap.
 ///
-/// With `use_simd` true (and the SIMD layer compiled in, see util/simd.h)
-/// the call routes through the runtime ISA dispatcher (util/simd_dispatch.h:
-/// AVX-512 / AVX2 / baseline picked by a one-time CPUID probe). Each full
-/// lane group is classified per lane, with exactly the scalar
-/// ClosedFormApplies arithmetic, so an element can never be smoothed by a
-/// different branch than the scalar path would pick. A group whose every
-/// lane is warm runs the vectorized closed form alone (ExpPd / ErfcxPd
-/// cores from util/simd_math.h); a group with cold lanes evaluates the
-/// branches its lanes need and blends them per lane: tiny-b lanes get the
-/// clamped Phi(a) in the scalar operation order, exact-split lanes a vector
-/// split (saturated tails plus one 16-point Gauss-Legendre panel). Every
-/// lane's value depends only on its own (a[j], b[j]) and is clamped to
-/// +/-PhiBound(). Only the remainder tail and groups holding a non-finite
-/// (or negative-b) input go to the scalar SmoothedPhi. Tiny-b lanes are
+/// With the process-wide SIMD toggle on (and the SIMD layer compiled in,
+/// see util/simd.h) the call routes through the runtime ISA dispatcher
+/// (util/simd_dispatch.h: AVX-512 / AVX2 / baseline picked by a one-time
+/// CPUID probe). Every element, the block tail included, goes through a
+/// lane group that picks each lane's branch with exactly the scalar
+/// ClosedFormApplies arithmetic and blends the branches in registers
+/// (util/simd_kernels_impl.h); a lane with a non-finite input or b < 0
+/// gives 0, as scalar SmoothedPhi does. Every lane's value depends only on
+/// its own (a[j], b[j]) and is clamped to +/-PhiBound(), so the result is
+/// bit-identical across every dispatch table. Tiny-b and invalid lanes are
 /// bit-identical to scalar SmoothedPhi; closed-form and split lanes agree
 /// with it within SmoothedPhiBatchTolerance(a[j], b[j]).
 ///
-/// With `use_simd` false every element takes the scalar SmoothedPhi path:
+/// With the toggle off every element takes the scalar SmoothedPhi path:
 /// the result is bit-identical to n scalar calls (the golden scalar
 /// reference; see the HTDP_SIMD contract in util/simd.h).
 ///
 /// Allocation-free: all scratch lives in registers / on the stack.
 void SmoothedPhiBatch(const double* HTDP_RESTRICT a,
                       const double* HTDP_RESTRICT b,
-                      double* HTDP_RESTRICT out, std::size_t n,
-                      bool use_simd);
-
-/// Convenience overload following the process-wide SIMD toggle.
-inline void SmoothedPhiBatch(const double* HTDP_RESTRICT a,
-                             const double* HTDP_RESTRICT b,
-                             double* HTDP_RESTRICT out, std::size_t n) {
-  SmoothedPhiBatch(a, b, out, n, SimdEnabled());
-}
+                      double* HTDP_RESTRICT out, std::size_t n);
 
 /// The documented agreement bound between the vectorized batch kernel and
 /// scalar SmoothedPhi at the same input: |batch - scalar| is bounded by a

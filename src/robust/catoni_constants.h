@@ -34,15 +34,21 @@ inline constexpr double kTinyB = 1e-12;
 /// epsilon) below ~1e-9, and the exact split takes over beyond.
 inline constexpr double kCancellationLimit = 1e6;
 
+/// The closed form's T5 term carries a b^3/6 prefactor, which overflows
+/// past b ~ 5.6e102 and turns the result into inf * 0 = NaN even where the
+/// cancellation magnitude is small (|a| below ~1e-199); b above this cap
+/// takes the exact split. The robust-mean kernels never get there: their
+/// b / |a| = 1 / sqrt(beta) stays below ~1e162 for any positive beta.
+inline constexpr double kClosedFormMaxB = 1e100;
+
 /// Maximum magnitude of the Catoni truncation function:
 /// |phi(x)| <= 2*sqrt(2)/3 (see PhiBound() in catoni.h).
 inline constexpr double kPhiBound = 2.0 * kSqrt2 / 3.0;
 
-/// 16-point Gauss-Legendre rule on [-1, 1] for the vector split lanes of
-/// the batch kernels (util/simd_kernels_impl.h): the nodes in ascending
-/// order, mirrored pairs sharing one weight, weights summing to 2. The
-/// scalar SmoothedPhiBySplit keeps its own, differing copy in
-/// robust/catoni.cc (see the note there).
+/// 16-point Gauss-Legendre rule on [-1, 1] for the exact-split branch, read
+/// by both the scalar SmoothedPhiBySplit (robust/catoni.cc) and the vector
+/// split lanes of the batch kernels (util/simd_kernels_impl.h): the nodes in
+/// ascending order, mirrored pairs sharing one weight, weights summing to 2.
 inline constexpr int kGaussLegendre16Points = 16;
 inline constexpr double kGaussLegendre16Nodes[kGaussLegendre16Points] = {
     -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,

@@ -10,27 +10,17 @@
 namespace htdp {
 namespace {
 
-// Cold paths of the batched kernel, kept out of the tight loop so the
-// closed-form branch stays small enough to inline and schedule well. Both
-// evaluate exactly SampleContribution's operations.
-[[gnu::noinline]] double ColdContribution(double scale, double a, double b) {
-  return scale * SmoothedPhi(a, b);
-}
-
-// Stack-block size of the SIMD batch path: big enough to amortize the
-// per-block loop overhead, small enough that the scratch arrays (phi here
-// plus the a/b pair inside the dispatched kernel, 6 KiB total) stay hot in
-// L1. The dispatched transform kernel caps its own blocks at this size, so
-// the two must stay equal (see SimdKernelTable::smoothed_phi_transform).
+// Stack-block size of the SIMD path: big enough to amortize the per-block
+// loop overhead, small enough that the phi scratch (2 KiB) stays hot in L1.
 constexpr std::size_t kSimdBlock = 256;
 
 // The blocked SIMD transform shared by AccumulateContributions and
 // Estimate: hands each stack block to the runtime-dispatched fused Catoni
-// kernel (util/simd_dispatch.h: derive a = x/scale, b = |a|/sqrt_beta
-// elementwise, then the SmoothedPhi batch -- at AVX-512 / AVX2 / baseline,
-// whatever the CPU probe picked) and passes (base, count, phi values) to
-// `consume`. Only reached when use_simd_ is true, which implies the vector
-// layer -- and therefore a table -- exists. Allocation-free.
+// kernel (util/simd_dispatch.h: a = x/scale, b = |a|/sqrt_beta, then
+// phi = SmoothedPhi(a, b) in lane groups, at the ISA the CPU probe picked)
+// and passes (base, count, phi values) to `consume`. Only reached when
+// use_simd_ is true, which implies the vector layer -- and therefore a
+// table -- exists. Allocation-free.
 template <typename Consumer>
 void ForEachSmoothedPhiBlock(const double* HTDP_RESTRICT xs, std::size_t n,
                              double scale, double sqrt_beta,
@@ -66,33 +56,17 @@ double RobustMeanEstimator::SampleContribution(double x) const {
 void RobustMeanEstimator::AccumulateContributions(
     const double* HTDP_RESTRICT xs, std::size_t n,
     double* HTDP_RESTRICT acc) const {
-  const double scale = scale_;
-  const double sqrt_beta = sqrt_beta_;
-  if (use_simd_) {
-    ForEachSmoothedPhiBlock(
-        xs, n, scale, sqrt_beta,
-        [acc, scale](std::size_t base, std::size_t m, const double* phi) {
-          double* HTDP_RESTRICT acc_blk = acc + base;
-          for (std::size_t j = 0; j < m; ++j) acc_blk[j] += scale * phi[j];
-        });
+  if (!use_simd_) {
+    for (std::size_t j = 0; j < n; ++j) acc[j] += SampleContribution(xs[j]);
     return;
   }
-  // Scalar reference: SmoothedPhi's classification, hoisted through the
-  // shared helpers of catoni.h so the common closed-form branch runs as one
-  // tight loop over the row while the rare tiny-b / exact-split elements
-  // divert to the cold helper. Every element performs the exact operation
-  // sequence of SampleContribution, so the result is bit-identical to the
-  // scalar path.
-  for (std::size_t j = 0; j < n; ++j) {
-    const double a = xs[j] / scale;
-    const double abs_a = std::abs(a);
-    const double b = abs_a / sqrt_beta;
-    if (catoni_internal::ClosedFormApplies(abs_a, b)) [[likely]] {
-      acc[j] += scale * catoni_internal::SmoothedPhiClosedForm(a, b);
-    } else {
-      acc[j] += ColdContribution(scale, a, b);
-    }
-  }
+  const double scale = scale_;
+  ForEachSmoothedPhiBlock(
+      xs, n, scale, sqrt_beta_,
+      [acc, scale](std::size_t base, std::size_t m, const double* phi) {
+        double* HTDP_RESTRICT acc_blk = acc + base;
+        for (std::size_t j = 0; j < m; ++j) acc_blk[j] += scale * phi[j];
+      });
 }
 
 double RobustMeanEstimator::Estimate(const double* values,

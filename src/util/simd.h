@@ -28,9 +28,8 @@
 /// One switch controls whether vectorized kernels actually run: the
 /// process-wide runtime toggle (`HTDP_SIMD` environment variable,
 /// overridable with SetSimdEnabled). `HTDP_SIMD=off` forces every kernel in
-/// linalg/, robust/ and dp/ down its original scalar loop, which is the
-/// bit-identity reference for the golden-checksum tests: a fit under
-/// `HTDP_SIMD=off` reproduces the pre-SIMD outputs bit for bit.
+/// linalg/, robust/ and dp/ down its scalar loop, which is the reference
+/// the golden-checksum tests (tests/accountant_test.cc) pin.
 ///
 /// Numerical contract: vectorized kernels are NOT bit-identical to the
 /// scalar reference. Reductions (Dot, DistanceL2, MatVec) reassociate the

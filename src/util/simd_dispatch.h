@@ -22,11 +22,12 @@
 ///    (-ffp-contract=off), and every kernel is either elementwise or
 ///    reduces in the same 4-lane order as the sse2 baseline, so its
 ///    results are BIT-IDENTICAL to the baseline table's;
-///  - the avx512f table runs 8 lanes: the Dot / DistanceL2 reductions
-///    reassociate across a different lane partition and the SmoothedPhi
-///    batch leaves a different remainder tail (and non-finite-input group)
-///    to the scalar spill, both within the documented bounds
-///    (tests/simd_test.cc tolerances, SmoothedPhiBatchTolerance);
+///  - the avx512f table runs 8 lanes. Both Catoni kernels (the SmoothedPhi
+///    batch and transform) and the Gumbel transform are lane-wise, block
+///    tails included, so they are BIT-IDENTICAL to the other tables at
+///    every length. Only the Dot / DistanceL2 reductions differ: they
+///    reassociate across a different lane partition, within the
+///    tests/simd_test.cc tolerances;
 ///  - the HTDP_SIMD=off scalar reference never reaches any table and stays
 ///    the bit-identity golden path.
 ///
@@ -44,18 +45,18 @@ struct SimdKernelTable {
   const char* isa;  // "avx512f", "avx2", or the compiled baseline's name
   int lanes;        // doubles per vector in this table's kernels
 
-  /// out[j] = SmoothedPhi(a[j], b[j]); full lane groups classify and blend
-  /// the closed-form, tiny-b and exact-split branches per lane in
-  /// registers, the tail and groups with a non-finite input go to the
-  /// scalar spill (SmoothedPhiScalarSpill). Same contract as
-  /// SmoothedPhiBatch(..., use_simd=true) in robust/catoni.h.
+  /// out[j] = SmoothedPhi(a[j], b[j]); every lane group, the block tail
+  /// padded to one, classifies and blends the closed-form, tiny-b and
+  /// exact-split branches per lane in registers, and lanes with a
+  /// non-finite input or b < 0 give 0. Same contract as SmoothedPhiBatch
+  /// with SIMD on in robust/catoni.h.
   void (*smoothed_phi_batch)(const double* a, const double* b, double* out,
                              std::size_t n);
 
   /// Fused Catoni transform: derives a = x/scale, b = |a|/sqrt_beta
   /// elementwise (bit-identical to the scalar derivation) and writes
-  /// phi[j] = SmoothedPhi(a, b). Requires n <= 256 (one stack block of the
-  /// robust-mean kernels; see kSimdBlock in robust/robust_mean.cc).
+  /// phi[j] = SmoothedPhi(a, b) with the lane groups of
+  /// smoothed_phi_batch.
   void (*smoothed_phi_transform)(const double* xs, std::size_t n,
                                  double scale, double sqrt_beta, double* phi);
 
@@ -64,8 +65,8 @@ struct SimdKernelTable {
   double (*dot)(const double* a, const double* b, std::size_t n);
   double (*distance_l2)(const double* a, const double* b, std::size_t n);
 
-  /// noise[j] = -log(-log(u[j])) via LogPd lanes + scalar tail (elementwise:
-  /// identical per element across lane widths).
+  /// noise[j] = -log(-log(u[j])) via LogPd lanes, the tail padded to one
+  /// group (lane-wise: identical per element across lane widths).
   void (*gumbel_from_uniform)(const double* u, double* noise, std::size_t n);
 };
 
@@ -111,14 +112,6 @@ namespace simd_dispatch_internal {
 const SimdKernelTable* BaseTable();
 const SimdKernelTable* Avx2Table();
 const SimdKernelTable* Avx512Table();
-
-/// Out-of-line scalar spill of the SmoothedPhi batch kernels, compiled at
-/// the BASELINE ISA (robust/catoni.cc): out[j] = SmoothedPhi(a[j], b[j]).
-/// The per-ISA TUs call this for tails and for lane groups with a
-/// non-finite or negative-b input instead of instantiating the scalar path
-/// under wide-ISA flags (see the ODR note in util/simd.h).
-void SmoothedPhiScalarSpill(const double* a, const double* b, double* out,
-                            std::size_t n);
 
 }  // namespace simd_dispatch_internal
 

@@ -3,11 +3,9 @@
 // (the explicit -march resets HTDP_NATIVE flags; DQ supplies the 512-bit
 // integer shifts the mantissa-trick transcendentals lower to). The logical
 // vector widens to 8 lanes here, so the Dot / DistanceL2 reductions
-// reassociate across a different lane partition and the SmoothedPhi batch
-// leaves a different remainder tail to the scalar spill than the 4-lane
-// tables -- all within the documented tolerances (see util/simd_dispatch.h);
-// the elementwise kernels, the SmoothedPhi lanes included, stay per-element
-// identical.
+// reassociate across a different lane partition, within the documented
+// tolerances (see util/simd_dispatch.h); the lane-wise kernels, the
+// SmoothedPhi batch and its tails included, stay per-element identical.
 
 #include "util/simd.h"
 #include "util/simd_dispatch.h"

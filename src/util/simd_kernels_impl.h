@@ -5,15 +5,15 @@
 // the kernel translation units (util/simd_kernels_{base,avx2,avx512}.cc) so
 // each compiles this one source at its own ISA. Everything here lives in
 // the ISA-keyed inline namespace (distinct symbols per TU; see the ODR note
-// in util/simd.h), and the only functions reached outside it are either
-// extern libm calls or the baseline-compiled scalar spill
-// (simd_dispatch_internal::SmoothedPhiScalarSpill) -- this TU must never
-// instantiate scalar inline code that other TUs also emit.
+// in util/simd.h), and the only functions reached outside it are extern
+// libm calls -- this TU must never instantiate scalar inline code that
+// other TUs also emit.
 //
 // Every kernel computes the same per-element operation sequence at every
 // ISA (the tables differ in lane count and encoding only), so dispatch
 // changes WHICH ISA runs them, not WHAT they compute: at equal lane count
-// the results are bit-identical.
+// the results are bit-identical, and the lane-wise Catoni kernels are
+// bit-identical at every lane count.
 
 #include <cmath>
 #include <cstddef>
@@ -35,6 +35,22 @@ using simd::VecD;
 using simd::VecI;
 
 constexpr std::size_t kW = static_cast<std::size_t>(simd::kLanes);
+
+// Block tails run as one more lane group: the first `count` (< kW)
+// elements of p, the other lanes set to `pad`. The kernels below are
+// lane-wise, so a tail element gets the same bits as in a full group at
+// any lane width.
+inline VecD LoadTail(const double* p, std::size_t count, double pad) {
+  double buf[kW];
+  for (std::size_t i = 0; i < kW; ++i) buf[i] = i < count ? p[i] : pad;
+  return simd::LoadU(buf);
+}
+
+inline void StoreTail(double* p, std::size_t count, VecD v) {
+  double buf[kW];
+  simd::StoreU(buf, v);
+  for (std::size_t i = 0; i < count; ++i) p[i] = buf[i];
+}
 
 /// Vectorized SmoothedPhiClosedForm: the scalar T1..T5 operation sequence of
 /// CatoniCorrection evaluated in lanes, with ExpPd / HalfErfcFromExp in
@@ -90,12 +106,13 @@ inline VecD PhiLanes(VecD a) {
 /// Lanes of the exact-split branch: SmoothedPhiBySplit's decomposition --
 /// the saturated tails as +/- kPhiBound times normal tail masses, the cubic
 /// middle as a Gauss-Legendre sum over the unsaturated z-interval clipped
-/// to +/-40 -- with ExpPd / HalfErfcFromExp in place of libm and ONE
-/// 16-point panel in place of the scalar eight. One panel is enough: a
-/// split lane has max(|a|^3/6, |a| b^2/2) > kCancellationLimit, so a
-/// middle inside the clip needs b > (|a| - sqrt2)/40 >= 4.5 (|a| > 181.7)
-/// or b > 104 (|a| b^2 > 2e6), i.e. a half-width sqrt2/b <= 0.32, over
-/// which the degree-31 rule integrates cubic * Gaussian to rounding.
+/// to +/-40 and integrated by one 16-point panel -- with ExpPd /
+/// HalfErfcFromExp in place of libm. One panel is enough: a
+/// split lane has max(|a|^3/6, |a| b^2/2) > kCancellationLimit or
+/// b > kClosedFormMaxB, so a middle inside the clip needs
+/// b > (|a| - sqrt2)/40 >= 4.5 (|a| > 181.7) or b > 104 (|a| b^2 > 2e6),
+/// i.e. a half-width sqrt2/b <= 0.32, over which the degree-31 rule
+/// integrates cubic * Gaussian to rounding.
 /// Requires finite a and finite b >= kTinyB; the caller masks.
 inline VecD SplitLanes(VecD a, VecD b) {
   using catoni_internal::kGaussLegendre16Nodes;
@@ -142,92 +159,90 @@ inline VecD SplitLanes(VecD a, VecD b) {
   return simd::Clamp(tails + middle, -phi_bound, phi_bound);
 }
 
-void SmoothedPhiBatchKernel(const double* a, const double* b, double* out,
-                            std::size_t n) {
+/// One lane group of the SmoothedPhi batch: out = SmoothedPhi(a, b) per
+/// lane, each lane's value a function of its own (a, b) alone. Lanes with a
+/// non-finite a or b, or with b < 0, give 0, as scalar SmoothedPhi does.
+inline VecD SmoothedPhiLanes(VecD va, VecD vb) {
   using catoni_internal::kCancellationLimit;
+  using catoni_internal::kClosedFormMaxB;
   using catoni_internal::kTinyB;
   const VecD zero = simd::Set1(0.0);
   const VecD one = simd::Set1(1.0);
   const VecD max_finite = simd::Set1(__DBL_MAX__);
+  // Branch classification with exactly the scalar ClosedFormApplies
+  // arithmetic (including the division by 6), so vector and scalar can
+  // never pick different branches for the same element. An invalid input
+  // is never hot: NaN fails every comparison, a negative or infinite b
+  // fails the range check on b, and an infinite a makes the cancellation
+  // magnitude inf.
+  const VecD abs_a = simd::Abs(va);
+  const VecD cancellation =
+      simd::Max(abs_a * abs_a * abs_a / simd::Set1(6.0),
+                simd::Set1(0.5) * abs_a * vb * vb);
+  const VecI hot = (vb >= simd::Set1(kTinyB)) &
+                   (vb <= simd::Set1(kClosedFormMaxB)) &
+                   (cancellation <= simd::Set1(kCancellationLimit));
+  if (simd::AllTrue(hot)) [[likely]] return ClosedFormLanes(va, vb);
+  // A group with a cold lane evaluates each branch its lanes need and
+  // blends per lane, every branch fed safe inputs in the lanes it does not
+  // own. Invalid lanes belong to no branch and keep the 0 they start with.
+  const VecI valid =
+      (abs_a <= max_finite) & (vb >= zero) & (vb <= max_finite);
+  const VecI tiny = valid & (vb < simd::Set1(kTinyB));
+  const VecI split = valid & ~(hot | tiny);
+  VecD value = zero;
+  if (!simd::NoneTrue(hot)) {
+    value = simd::Select(hot,
+                         ClosedFormLanes(simd::Select(hot, va, zero),
+                                         simd::Select(hot, vb, one)),
+                         value);
+  }
+  if (!simd::NoneTrue(tiny)) {
+    value = simd::Select(tiny, PhiLanes(va), value);
+  }
+  if (!simd::NoneTrue(split)) {
+    value = simd::Select(split,
+                         SplitLanes(simd::Select(split, va, zero),
+                                    simd::Select(split, vb, one)),
+                         value);
+  }
+  return value;
+}
+
+void SmoothedPhiBatchKernel(const double* a, const double* b, double* out,
+                            std::size_t n) {
   std::size_t j = 0;
   for (; j + kW <= n; j += kW) {
-    const VecD va = simd::LoadU(a + j);
-    const VecD vb = simd::LoadU(b + j);
-    // Branch classification with exactly the scalar ClosedFormApplies
-    // arithmetic (including the division by 6), so vector and scalar can
-    // never pick different branches for the same element.
-    const VecD abs_a = simd::Abs(va);
-    const VecD cancellation =
-        simd::Max(abs_a * abs_a * abs_a / simd::Set1(6.0),
-                  simd::Set1(0.5) * abs_a * vb * vb);
-    const VecI hot = (vb >= simd::Set1(kTinyB)) &
-                     (cancellation <= simd::Set1(kCancellationLimit));
-    if (simd::AllTrue(hot)) [[likely]] {
-      simd::StoreU(out + j, ClosedFormLanes(va, vb));
-      continue;
-    }
-    // A group with a cold lane (tiny-b or exact-split) evaluates each
-    // branch its lanes need and blends per lane, every branch fed safe
-    // inputs in the lanes it does not own; each lane's value depends only on
-    // its own (a, b). Non-finite a or b (and b < 0, which the scalar path
-    // rejects) divert the group to the baseline-compiled scalar spill.
-    const VecI finite =
-        (abs_a <= max_finite) & (vb >= zero) & (vb <= max_finite);
-    if (!simd::AllTrue(finite)) [[unlikely]] {
-      simd_dispatch_internal::SmoothedPhiScalarSpill(a + j, b + j, out + j,
-                                                     kW);
-      continue;
-    }
-    const VecI tiny = vb < simd::Set1(kTinyB);
-    const VecI split = ~(hot | tiny);
-    VecD value = zero;
-    if (!simd::NoneTrue(hot)) {
-      value = simd::Select(hot,
-                           ClosedFormLanes(simd::Select(hot, va, zero),
-                                           simd::Select(hot, vb, one)),
-                           value);
-    }
-    if (!simd::NoneTrue(tiny)) {
-      value = simd::Select(tiny, PhiLanes(va), value);
-    }
-    if (!simd::NoneTrue(split)) {
-      value = simd::Select(split,
-                           SplitLanes(simd::Select(split, va, zero),
-                                      simd::Select(split, vb, one)),
-                           value);
-    }
-    simd::StoreU(out + j, value);
+    simd::StoreU(out + j,
+                 SmoothedPhiLanes(simd::LoadU(a + j), simd::LoadU(b + j)));
   }
   if (j < n) {
-    simd_dispatch_internal::SmoothedPhiScalarSpill(a + j, b + j, out + j,
-                                                   n - j);
+    // The block tail runs as one more group, padded with warm inputs
+    // (a = 0, b = 1).
+    StoreTail(out + j, n - j,
+              SmoothedPhiLanes(LoadTail(a + j, n - j, 0.0),
+                               LoadTail(b + j, n - j, 1.0)));
   }
 }
 
 void SmoothedPhiTransformKernel(const double* xs, std::size_t n, double scale,
                                 double sqrt_beta, double* phi) {
-  // One stack block of the robust-mean kernels (kSimdBlock in
-  // robust/robust_mean.cc); the table contract caps n at 256.
-  constexpr std::size_t kBlock = 256;
-  double a_buf[kBlock];
-  double b_buf[kBlock];
-  if (n > kBlock) n = kBlock;
   const VecD v_scale = simd::Set1(scale);
   const VecD v_sqrt_beta = simd::Set1(sqrt_beta);
-  std::size_t j = 0;
   // Elementwise derivation (division, abs, division): bit-identical to the
   // scalar `a = x/scale; b = |a|/sqrt_beta` at any lane width.
+  const auto lanes = [&](VecD x) {
+    const VecD a = x / v_scale;
+    return SmoothedPhiLanes(a, simd::Abs(a) / v_sqrt_beta);
+  };
+  std::size_t j = 0;
   for (; j + kW <= n; j += kW) {
-    const VecD a = simd::LoadU(xs + j) / v_scale;
-    simd::StoreU(a_buf + j, a);
-    simd::StoreU(b_buf + j, simd::Abs(a) / v_sqrt_beta);
+    simd::StoreU(phi + j, lanes(simd::LoadU(xs + j)));
   }
-  for (; j < n; ++j) {
-    const double a = xs[j] / scale;
-    a_buf[j] = a;
-    b_buf[j] = __builtin_fabs(a) / sqrt_beta;
+  if (j < n) {
+    // Padded with x = scale (a = 1), a warm lane for any practical beta.
+    StoreTail(phi + j, n - j, lanes(LoadTail(xs + j, n - j, scale)));
   }
-  SmoothedPhiBatchKernel(a_buf, b_buf, phi, n);
 }
 
 // Lane-widened reductions: two accumulator vectors to break the add
@@ -275,16 +290,16 @@ double DistanceL2Kernel(const double* a, const double* b, std::size_t n) {
   return std::sqrt(acc);
 }
 
+inline VecD GumbelLanes(VecD u) { return -simd::LogPd(-simd::LogPd(u)); }
+
 void GumbelFromUniformKernel(const double* u, double* noise, std::size_t n) {
   std::size_t j = 0;
   for (; j + kW <= n; j += kW) {
-    const VecD v = simd::LoadU(u + j);
-    simd::StoreU(noise + j, -simd::LogPd(-simd::LogPd(v)));
+    simd::StoreU(noise + j, GumbelLanes(simd::LoadU(u + j)));
   }
-  // std::log resolves to the extern libm call; no scalar inline code is
-  // instantiated here (elementwise per-lane LogPd matches it within the
-  // documented ULP bound regardless of lane width).
-  for (; j < n; ++j) noise[j] = -std::log(-std::log(u[j]));
+  if (j < n) {
+    StoreTail(noise + j, n - j, GumbelLanes(LoadTail(u + j, n - j, 0.5)));
+  }
 }
 
 const SimdKernelTable kTable = {

@@ -218,12 +218,15 @@ TEST(AccountantTest, ZcdpComposeWithoutConversionDeltaFallsBackToBasic) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden bit-identity pin. The checksums below were produced by the
-// PRE-accountant code at these exact seeds; the default
-// (accounting = advanced) path must keep reproducing them. The tolerance is
-// relative ~1e-12 (loose enough for libm variation across toolchains, tight
-// enough that any accounting change -- which moves noise scales by percents
-// -- fails loudly). On the reference toolchain the match is exact.
+// Golden bit-identity pin. The checksums below were first produced by the
+// pre-accountant code at these exact seeds, and the default
+// (accounting = advanced) path must keep reproducing them. alg5's was
+// re-derived once, when the scalar Catoni split moved to the correct
+// 16-point Gauss-Legendre weights and one panel (-1.42e-8 on 94.56). The
+// tolerance is relative ~1e-12 (loose enough for libm variation across
+// toolchains, tight enough that any accounting change -- which moves noise
+// scales by percents -- fails loudly). On the reference toolchain the match
+// is exact.
 // ---------------------------------------------------------------------------
 
 double GoldenChecksum(const Vector& w) {
@@ -241,7 +244,7 @@ struct GoldenCase {
   double total_delta;     // ledger TotalDelta
 };
 
-TEST(AccountantGoldenTest, DefaultAccountingFitsAreBitIdenticalToPrePr) {
+TEST(AccountantGoldenTest, DefaultAccountingFitsMatchGoldenChecksums) {
   // The checksums are a property of the SCALAR reference path: force the
   // process-wide SIMD toggle off for the duration (equivalent to running
   // under HTDP_SIMD=off), so the lane-widened kernels cannot reassociate
@@ -253,7 +256,7 @@ TEST(AccountantGoldenTest, DefaultAccountingFitsAreBitIdenticalToPrePr) {
        9.9999999999999974e-06},
       {"alg3_sparse_linreg", 19.562356080708117, 1.0, 1.0000000000000001e-05},
       {"alg4_peeling", 46.536562440045756, 1.0, 1.0000000000000001e-05},
-      {"alg5_sparse_opt", 94.555265380999103, 1.0, 1.0000000000000001e-05},
+      {"alg5_sparse_opt", 94.555265366763138, 1.0, 1.0000000000000001e-05},
       {"baseline_robust_gd", 0.59354943958512374, 1.0,
        1.0000000000000001e-05},
   };

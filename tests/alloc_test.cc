@@ -135,17 +135,15 @@ TEST(ZeroAllocationTest, SimdBatchKernelsAllocateNothing) {
     b[j] = std::abs(a[j]);
     scores[j] = rng.Uniform(-1.0, 1.0);
   }
-  // Built with the toggle on, so the estimator takes the SIMD path even
-  // when the process runs under HTDP_SIMD=off.
-  const RobustMeanEstimator estimator = [] {
-    const ScopedSimdOverride simd(true);
-    return RobustMeanEstimator(2.0, 1.0);
-  }();
+  // The toggle is on for the whole test, so the batch and the estimator
+  // take the SIMD path even when the process runs under HTDP_SIMD=off.
+  const ScopedSimdOverride simd(true);
+  const RobustMeanEstimator estimator(2.0, 1.0);
   const ExponentialMechanism mechanism(0.1, 1.0);
 
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
   for (int round = 0; round < 3; ++round) {
-    SmoothedPhiBatch(a.data(), b.data(), out.data(), n, /*use_simd=*/true);
+    SmoothedPhiBatch(a.data(), b.data(), out.data(), n);
     estimator.AccumulateContributions(a.data(), n, acc.data());
     benchmark_sink = benchmark_sink + out[0] + acc[0];
     benchmark_sink =

@@ -1,5 +1,6 @@
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -187,9 +188,9 @@ TEST(RobustGradientTest, SensitivityBoundHoldsOnNeighboringDatasets) {
 
   // Neighbours that replace row 17: every coordinate at one magnitude
   // (0, warm, and deep in the exact-split region: 150 already crosses the
-  // cancellation limit, 1e150 makes squared-loss gradients ~1e300), plus
-  // one whose gradient row is cold in every third coordinate only, so lane
-  // groups mix split and warm lanes.
+  // cancellation limit, 1e150 makes squared-loss gradients ~1e300), one
+  // whose gradient row is cold in every third coordinate only, so lane
+  // groups mix split and warm lanes, and one whose gradient overflows.
   std::vector<Dataset> neighbors;
   for (double magnitude : {0.0, 1e3, 1e12, 150.0, 1e6, 1e150}) {
     Dataset neighbor = data;
@@ -205,6 +206,15 @@ TEST(RobustGradientTest, SensitivityBoundHoldsOnNeighboringDatasets) {
   }
   partial.y[17] = 0.0;
   neighbors.push_back(std::move(partial));
+  // A finite row whose GLM scale x.w - y overflows to inf: its gradient
+  // row is inf where x is 1e308 and inf * 0 = NaN where x is 0, so those
+  // lanes carry non-finite Catoni inputs.
+  Dataset overflow = data;
+  for (std::size_t j = 0; j < config.d; ++j) {
+    overflow.x(17, j) = j % 2 == 0 ? 1e308 : 0.0;
+  }
+  overflow.y[17] = -std::numeric_limits<double>::max();
+  neighbors.push_back(std::move(overflow));
 
   // The scalar reference, then every dispatch table this machine can run.
   std::vector<const char*> modes = {"scalar"};

@@ -318,6 +318,30 @@ TEST(NetLoopback, UnknownSolverAndUnknownJobAreTypedErrors) {
   EXPECT_EQ(poll.status().code(), StatusCode::kInvalidProblem);
 }
 
+TEST(NetLoopback, NonFiniteSubmitIsATypedErrorAndTheDaemonKeepsServing) {
+  TestServer server;
+  auto client = server.Connect();
+
+  net::SubmitRequest poisoned = TestSubmit(12);
+  poisoned.problem.data.x(42, 3) = std::numeric_limits<double>::quiet_NaN();
+  auto job = client->Submit(poisoned);
+  ASSERT_TRUE(job.ok()) << job.status().message();
+  auto failed = client->WaitResult(job.value());
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInvalidProblem);
+  EXPECT_NE(failed.status().message().find("x[row 42, column 3]"),
+            std::string::npos)
+      << failed.status().message();
+
+  // The daemon is still up, and its next fit is the local one bit for bit.
+  const net::SubmitRequest request = TestSubmit(13);
+  auto next = client->Submit(request);
+  ASSERT_TRUE(next.ok()) << next.status().message();
+  auto remote = client->WaitResult(next.value());
+  ASSERT_TRUE(remote.ok()) << remote.status().message();
+  EXPECT_EQ(remote.value().w, LocalFit(request).w);
+}
+
 TEST(NetLoopback, OversizedSubmitIsRefusedBeforeSendingAndTheClientStaysUp) {
   TestServer server;
   // 200 x 8 doubles plus labels is ~14 KB, over this client's 4 KB frames.

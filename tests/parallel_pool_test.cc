@@ -168,9 +168,9 @@ TEST(ParallelPoolTest, PooledRobustGradientMatchesSerialCoordinateSums) {
 // Whole-row reference: per row, one ScaledSumKernel and one
 // AccumulateContributions call over all d coordinates, in row order, then
 // 1/m. Estimate splits the row into 8-aligned coordinate blocks; under
-// every kernel table each block must see the same lane groups, cold spills
-// and tail as the whole row, so the two agree bit for bit. Also counts the
-// cold (non-closed-form) elements the rows contain.
+// every kernel table the Catoni lanes are independent of their neighbours
+// and of where a block or tail starts, so the two agree bit for bit. Also
+// counts the cold (non-closed-form) elements the rows contain.
 Vector WholeRowRobustGradient(const RobustGradientEstimator& estimator,
                               const Loss& loss, const DatasetView& view,
                               const Vector& w, std::size_t* cold) {
@@ -218,7 +218,7 @@ TEST(ParallelPoolTest, BlockedEstimateEqualsWholeRowKernelsUnderEveryTable) {
               std::size_t cold = 0;
               const Vector reference = WholeRowRobustGradient(
                   estimator, loss, FullView(data), w, &cold);
-              ASSERT_GT(cold, 0u) << "data must reach the scalar spill path";
+              ASSERT_GT(cold, 0u) << "data must reach the cold lanes";
               Vector blocked;
               estimator.Estimate(loss, FullView(data), w, blocked);
               ASSERT_EQ(blocked.size(), d);

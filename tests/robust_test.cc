@@ -1,5 +1,8 @@
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <numbers>
 #include <vector>
 
@@ -305,6 +308,7 @@ TEST(RobustMeanTest, SmoothedPhiBatchPropertySweepAgainstScalar) {
   // SmoothedPhiBatchTolerance, all within +/-PhiBound().
   const std::vector<const char*> isas = AvailableSimdIsas();
   if (isas.empty()) GTEST_SKIP() << "SIMD layer not compiled";
+  const ScopedSimdOverride simd_on(true);
   std::vector<double> a_grid = {0.0};
   for (double mag = 1e-9; mag < 3e3; mag *= 4.0) {
     a_grid.push_back(mag);
@@ -336,8 +340,7 @@ TEST(RobustMeanTest, SmoothedPhiBatchPropertySweepAgainstScalar) {
           a_buf[j] = a;
           b_buf[j] = b;
         }
-        SmoothedPhiBatch(a_buf.data(), b_buf.data(), out.data(), kGroup,
-                         /*use_simd=*/true);
+        SmoothedPhiBatch(a_buf.data(), b_buf.data(), out.data(), kGroup);
         for (std::size_t j = 0; j < kGroup; ++j) {
           ASSERT_NO_FATAL_FAILURE(
               ExpectBatchElementMatchesScalar(out[j], a, b, isa));
@@ -358,6 +361,7 @@ TEST(RobustMeanTest, SmoothedPhiBatchMixedGroupsBlendPerLane) {
   // one branch's result into a neighbouring lane fails here.
   const std::vector<const char*> isas = AvailableSimdIsas();
   if (isas.empty()) GTEST_SKIP() << "SIMD layer not compiled";
+  const ScopedSimdOverride simd_on(true);
   const double cold_points[][2] = {
       {1.0, 0.0},    {-3.0, 1e-13}, {0.5, 5e-13},  {1e3, 1e3},
       {-200.0, 5.0}, {150.0, 116.0}, {-1e9, 1e9}, {40.0, 400.0},
@@ -378,8 +382,7 @@ TEST(RobustMeanTest, SmoothedPhiBatchMixedGroupsBlendPerLane) {
         }
         a_buf[lane] = cold[0];
         b_buf[lane] = cold[1];
-        SmoothedPhiBatch(a_buf.data(), b_buf.data(), out.data(), kGroup,
-                         /*use_simd=*/true);
+        SmoothedPhiBatch(a_buf.data(), b_buf.data(), out.data(), kGroup);
         for (std::size_t j = 0; j < kGroup; ++j) {
           ASSERT_NO_FATAL_FAILURE(ExpectBatchElementMatchesScalar(
               out[j], a_buf[j], b_buf[j], isa));
@@ -391,13 +394,11 @@ TEST(RobustMeanTest, SmoothedPhiBatchMixedGroupsBlendPerLane) {
 
 TEST(RobustMeanTest, SmoothedPhiBatchSplitLanesMatchReferenceQuadrature) {
   // Exact-split points whose unsaturated interval carries real mass: the
-  // vector split lanes must match the fine reference quadrature far inside
-  // SmoothedPhiBatchTolerance (which, past the cancellation limit, is
-  // >= 5.7e-8). The scalar SmoothedPhiBySplit is pinned only to that
-  // tolerance, so this is the test that holds the vector split to the
-  // true value.
-  const std::vector<const char*> isas = AvailableSimdIsas();
-  if (isas.empty()) GTEST_SKIP() << "SIMD layer not compiled";
+  // scalar SmoothedPhi and the vector split lanes of every table must match
+  // the fine reference quadrature far inside SmoothedPhiBatchTolerance
+  // (which, past the cancellation limit, is >= 5.7e-8). This is the test
+  // that holds both split evaluations to the true value.
+  const ScopedSimdOverride simd_on(true);
   const double points[][2] = {{115.225, 147.133}, {149.4, 115.8},
                               {300.0, 100.0},     {-1e3, 1e3},
                               {50.0, 400.0},      {-2e4, 1e4}};
@@ -410,21 +411,107 @@ TEST(RobustMeanTest, SmoothedPhiBatchSplitLanesMatchReferenceQuadrature) {
     const double b = point[1];
     ASSERT_FALSE(IsTinyB(b) || IsClosedForm(a, b));
     const double reference = SmoothedPhiByQuadrature(a, b);
-    for (const char* isa : isas) {
+    ASSERT_NEAR(SmoothedPhi(a, b), reference, 1e-12)
+        << "scalar a=" << a << " b=" << b;
+    for (const char* isa : AvailableSimdIsas()) {
       const ScopedSimdIsaOverride pin(isa);
       ASSERT_TRUE(pin.ok()) << isa;
       for (std::size_t j = 0; j < kGroup; ++j) {
         a_buf[j] = a;
         b_buf[j] = b;
       }
-      SmoothedPhiBatch(a_buf.data(), b_buf.data(), out.data(), kGroup,
-                       /*use_simd=*/true);
+      SmoothedPhiBatch(a_buf.data(), b_buf.data(), out.data(), kGroup);
       for (std::size_t j = 0; j < kGroup; ++j) {
         ASSERT_NEAR(out[j], reference, 1e-12)
             << isa << " a=" << a << " b=" << b;
       }
     }
   }
+}
+
+// Every path a SmoothedPhiBatch call can take: the scalar loop (SIMD off)
+// and each dispatch table this machine can run.
+template <typename Body>
+void ForEachBatchPath(Body&& body) {
+  {
+    const ScopedSimdOverride simd_off(false);
+    body("scalar");
+  }
+  const ScopedSimdOverride simd_on(true);
+  for (const char* isa : AvailableSimdIsas()) {
+    const ScopedSimdIsaOverride pin(isa);
+    ASSERT_TRUE(pin.ok()) << isa;
+    body(isa);
+  }
+}
+
+TEST(RobustMeanTest, SmoothedPhiBatchNonFiniteLanesGiveZero) {
+  // NaN and +/-inf in a or b, and b < 0, have no smoothed value: scalar
+  // SmoothedPhi and every batch path give 0 for them, so no input can push
+  // a term past PhiBound(). Each bad lane sits at every position of a full
+  // group and of a block tail among warm lanes, which keep their own values.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double bad_points[][2] = {{nan, 1.0},  {inf, 1.0}, {-inf, 1.0},
+                                  {1.0, nan},  {1.0, inf}, {1.0, -inf},
+                                  {nan, nan},  {inf, inf}, {0.0, inf},
+                                  {-inf, nan}, {2.0, -1.0}, {1e300, -1e-300}};
+  for (const auto& bad : bad_points) {
+    ASSERT_EQ(SmoothedPhi(bad[0], bad[1]), 0.0)
+        << "a=" << bad[0] << " b=" << bad[1];
+  }
+  constexpr std::size_t kLength = 19;  // one or two groups plus a tail
+  Vector a_buf(kLength);
+  Vector b_buf(kLength);
+  Vector out(kLength);
+  ForEachBatchPath([&](const char* path) {
+    for (const auto& bad : bad_points) {
+      for (std::size_t lane = 0; lane < kLength; ++lane) {
+        for (std::size_t j = 0; j < kLength; ++j) {
+          a_buf[j] = -1.5 + 0.2 * static_cast<double>(j);
+          b_buf[j] = 0.3 + 0.05 * static_cast<double>(j);
+        }
+        a_buf[lane] = bad[0];
+        b_buf[lane] = bad[1];
+        SmoothedPhiBatch(a_buf.data(), b_buf.data(), out.data(), kLength);
+        ASSERT_EQ(out[lane], 0.0) << path << " lane " << lane
+                                  << " a=" << bad[0] << " b=" << bad[1];
+        for (std::size_t j = 0; j < kLength; ++j) {
+          if (j == lane) continue;
+          ASSERT_NEAR(out[j], SmoothedPhi(a_buf[j], b_buf[j]),
+                      SmoothedPhiBatchTolerance(a_buf[j], b_buf[j]))
+              << path << " lane " << j << " next to a bad lane " << lane;
+        }
+      }
+    }
+  });
+}
+
+TEST(RobustMeanTest, SmoothedPhiBatchRandomBitPatternsStayWithinPhiBound) {
+  // Inputs drawn as raw 64-bit patterns reach every class of double --
+  // NaNs, infinities, subnormals, 1e308 and both signs of b -- at random
+  // lane and tail positions. Whatever the path, every output is within
+  // +/-PhiBound(), the bound the robust gradient's sensitivity rests on.
+  Rng rng(2027);
+  const std::size_t n = 4099;
+  Vector a(n);
+  Vector b(n);
+  Vector out(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::uint64_t a_bits = rng.Next();
+    const std::uint64_t b_bits = rng.Next();
+    std::memcpy(&a[j], &a_bits, sizeof(double));
+    std::memcpy(&b[j], &b_bits, sizeof(double));
+  }
+  ForEachBatchPath([&](const char* path) {
+    SmoothedPhiBatch(a.data(), b.data(), out.data(), n);
+    for (std::size_t j = 0; j < n; ++j) {
+      ASSERT_LE(std::abs(out[j]), PhiBound())
+          << path << " a=" << a[j] << " b=" << b[j];
+      ASSERT_LE(std::abs(SmoothedPhi(a[j], b[j])), PhiBound())
+          << "scalar a=" << a[j] << " b=" << b[j];
+    }
+  });
 }
 
 TEST(RobustMeanTest, SimdAccumulateAgreesWithScalarWithinTolerance) {

@@ -6,10 +6,11 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <cstdlib>
 #include <limits>
 #include <numbers>
-#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -262,6 +263,103 @@ TEST(SimdDispatchTest, BaselineAlwaysAvailableAndPinnable) {
   EXPECT_EQ(ActiveSimdKernels(), before);  // failed pin changes nothing
 }
 
+std::uint64_t Bits(double x) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+TEST(SimdDispatchTest, LaneWiseKernelsBitIdenticalAcrossTablesAtEveryLength) {
+  // The Catoni kernels and the Gumbel transform are lane-wise, block tails
+  // included (a tail runs as one padded group), so every table this machine
+  // can run must return the baseline table's full-length bits for every
+  // prefix length: no lane width, tail length or neighbouring lane may move
+  // an element. The Catoni inputs mix warm, tiny-b, exact-split and invalid
+  // (non-finite a or b, b < 0) lanes at random positions, so the tails of
+  // the 520 lengths hold every class.
+  Rng rng(4242);
+  constexpr std::size_t kMaxN = 520;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> a(kMaxN);
+  std::vector<double> b(kMaxN);
+  std::vector<double> xs(kMaxN);
+  std::vector<double> u(kMaxN);
+  for (std::size_t i = 0; i < kMaxN; ++i) {
+    u[i] = rng.UniformOpen();
+    const double sign = rng.UniformUnit() < 0.5 ? -1.0 : 1.0;
+    const double split_mag = 130.0 * std::pow(1e9 / 130.0, rng.UniformUnit());
+    const double pick = rng.UniformUnit();
+    if (pick < 0.25) {  // exact split
+      a[i] = sign * split_mag;
+      b[i] = split_mag;
+      xs[i] = sign * 3.0 * split_mag;
+    } else if (pick < 0.4) {  // tiny b
+      a[i] = rng.Uniform(-3.0, 3.0);
+      b[i] = rng.UniformUnit() < 0.5 ? 0.0 : 1e-13;
+      xs[i] = sign * (rng.UniformUnit() < 0.5 ? 0.0 : 1e-13);
+    } else if (pick < 0.5) {  // invalid
+      const double bad[][2] = {{nan, 1.0}, {inf, 1.0}, {-inf, 1.0},
+                               {1.0, nan}, {1.0, inf}, {1.0, -1.0}};
+      const auto& pair = bad[rng.UniformInt(6)];
+      a[i] = pair[0];
+      b[i] = pair[1];
+      xs[i] = pair[0] == 1.0 ? nan : pair[0];
+    } else {  // warm
+      a[i] = rng.Uniform(-30.0, 30.0);
+      b[i] = std::abs(a[i]) / 2.0 + 1e-3;
+      xs[i] = rng.Uniform(-40.0, 40.0);
+    }
+  }
+  const auto batch = [&](const SimdKernelTable& table, std::size_t n) {
+    std::vector<double> out(n);
+    table.smoothed_phi_batch(a.data(), b.data(), out.data(), n);
+    return out;
+  };
+  const auto transform = [&](const SimdKernelTable& table, std::size_t n) {
+    std::vector<double> out(n);
+    table.smoothed_phi_transform(xs.data(), n, 2.0, 1.5, out.data());
+    return out;
+  };
+  const auto gumbel = [&](const SimdKernelTable& table, std::size_t n) {
+    std::vector<double> out(n);
+    table.gumbel_from_uniform(u.data(), out.data(), n);
+    return out;
+  };
+  const SimdKernelTable* base = simd_dispatch_internal::BaseTable();
+  ASSERT_NE(base, nullptr);
+  const std::vector<double> want_batch = batch(*base, kMaxN);
+  const std::vector<double> want_transform = transform(*base, kMaxN);
+  const std::vector<double> want_gumbel = gumbel(*base, kMaxN);
+  std::vector<const SimdKernelTable*> tables = {base};
+  if (SimdIsaAvailable("avx2")) {
+    tables.push_back(simd_dispatch_internal::Avx2Table());
+  }
+  if (SimdIsaAvailable("avx512f")) {
+    tables.push_back(simd_dispatch_internal::Avx512Table());
+  }
+  for (const SimdKernelTable* table : tables) {
+    ASSERT_NE(table, nullptr);
+    for (std::size_t n = 0; n < kMaxN; ++n) {
+      const std::vector<double> got_batch = batch(*table, n);
+      const std::vector<double> got_transform = transform(*table, n);
+      const std::vector<double> got_gumbel = gumbel(*table, n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(Bits(got_batch[i]), Bits(want_batch[i]))
+            << table->isa << " smoothed_phi_batch n=" << n << " [" << i
+            << "] got " << got_batch[i] << " want " << want_batch[i];
+        ASSERT_EQ(Bits(got_transform[i]), Bits(want_transform[i]))
+            << table->isa << " smoothed_phi_transform n=" << n << " [" << i
+            << "] got " << got_transform[i] << " want "
+            << want_transform[i];
+        ASSERT_EQ(Bits(got_gumbel[i]), Bits(want_gumbel[i]))
+            << table->isa << " gumbel_from_uniform n=" << n << " [" << i
+            << "]";
+      }
+    }
+  }
+}
+
 #if defined(__x86_64__)
 
 TEST(SimdDispatchTest, ProbePicksWidestIsaTheCpuSupports) {
@@ -281,79 +379,24 @@ TEST(SimdDispatchTest, ProbePicksWidestIsaTheCpuSupports) {
   EXPECT_GE(caps.lanes, 4);
 }
 
-/// Runs every kernel in `table` against the baseline table on shared heavy-
-/// tailed inputs; `check(kernel_name, index, got, want)` judges each value.
+/// Runs the reductions in `table` against the baseline table (the lane-wise
+/// kernels are pinned by LaneWiseKernelsBitIdenticalAcrossTablesAtEveryLength);
+/// `check(kernel_name, got, want)` judges each value.
 template <typename Check>
 void CompareTables(const SimdKernelTable& table, Check&& check) {
   Rng rng(4242);
-  const std::size_t n = 515;  // odd tail + multiple 256-blocks
+  const std::size_t n = 515;  // odd tail
   std::vector<double> a(n);
   std::vector<double> b(n);
-  std::vector<double> xs(n);
-  std::vector<double> u(n);
   for (std::size_t i = 0; i < n; ++i) {
     a[i] = rng.Uniform(-30.0, 30.0);
     b[i] = std::abs(a[i]) / 2.0 + 1e-3;
-    xs[i] = rng.Uniform(-40.0, 40.0);
-    u[i] = rng.UniformOpen();
-  }
-  // Cold Catoni inputs at random positions, so most lane groups mix
-  // branches: exact-split lanes with |a| log-uniform in [130, 1e9] (b = |a|
-  // and, for the transform, scale 2 / sqrt_beta 1.5), and tiny-b lanes.
-  std::vector<double> cold_a(n);
-  std::vector<double> cold_b(n);
-  std::vector<double> cold_xs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double sign = rng.UniformUnit() < 0.5 ? -1.0 : 1.0;
-    const double split_mag = 130.0 * std::pow(1e9 / 130.0, rng.UniformUnit());
-    const double pick = rng.UniformUnit();
-    if (pick < 0.3) {
-      cold_a[i] = sign * split_mag;
-      cold_b[i] = split_mag;
-      cold_xs[i] = sign * 3.0 * split_mag;
-    } else if (pick < 0.45) {
-      cold_a[i] = rng.Uniform(-3.0, 3.0);
-      cold_b[i] = rng.UniformUnit() < 0.5 ? 0.0 : 1e-13;
-      cold_xs[i] = sign * (rng.UniformUnit() < 0.5 ? 0.0 : 1e-13);
-    } else {
-      cold_a[i] = rng.Uniform(-30.0, 30.0);
-      cold_b[i] = std::abs(cold_a[i]) / 2.0 + 1e-3;
-      cold_xs[i] = rng.Uniform(-40.0, 40.0);
-    }
   }
   const SimdKernelTable* base = simd_dispatch_internal::BaseTable();
   ASSERT_NE(base, nullptr);
-
-  std::vector<double> want(n);
-  std::vector<double> got(n);
-  base->smoothed_phi_batch(a.data(), b.data(), want.data(), n);
-  table.smoothed_phi_batch(a.data(), b.data(), got.data(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    check("smoothed_phi_batch", i, got[i], want[i]);
-  }
-  base->smoothed_phi_batch(cold_a.data(), cold_b.data(), want.data(), n);
-  table.smoothed_phi_batch(cold_a.data(), cold_b.data(), got.data(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    check("smoothed_phi_batch", i, got[i], want[i]);
-  }
-  base->smoothed_phi_transform(xs.data(), 256, 2.0, 1.5, want.data());
-  table.smoothed_phi_transform(xs.data(), 256, 2.0, 1.5, got.data());
-  for (std::size_t i = 0; i < 256; ++i) {
-    check("smoothed_phi_transform", i, got[i], want[i]);
-  }
-  base->smoothed_phi_transform(cold_xs.data(), 256, 2.0, 1.5, want.data());
-  table.smoothed_phi_transform(cold_xs.data(), 256, 2.0, 1.5, got.data());
-  for (std::size_t i = 0; i < 256; ++i) {
-    check("smoothed_phi_transform", i, got[i], want[i]);
-  }
-  base->gumbel_from_uniform(u.data(), want.data(), n);
-  table.gumbel_from_uniform(u.data(), got.data(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    check("gumbel_from_uniform", i, got[i], want[i]);
-  }
-  check("dot", 0, table.dot(a.data(), b.data(), n),
+  check("dot", table.dot(a.data(), b.data(), n),
         base->dot(a.data(), b.data(), n));
-  check("distance_l2", 0, table.distance_l2(a.data(), b.data(), n),
+  check("distance_l2", table.distance_l2(a.data(), b.data(), n),
         base->distance_l2(a.data(), b.data(), n));
 }
 
@@ -367,9 +410,8 @@ TEST(SimdDispatchTest, Avx2TableBitIdenticalToBaseline) {
   // Same lane count, no FMA (-ffp-contract=off): every kernel must produce
   // the same bits as the baseline table -- the documented contract that
   // lets AVX2 machines share golden checksums with SSE2 ones.
-  CompareTables(*avx2, [](const char* kernel, std::size_t i, double got,
-                          double want) {
-    ASSERT_EQ(got, want) << kernel << "[" << i << "]";
+  CompareTables(*avx2, [](const char* kernel, double got, double want) {
+    ASSERT_EQ(got, want) << kernel;
   });
 }
 
@@ -380,23 +422,9 @@ TEST(SimdDispatchTest, Avx512TableWithinDocumentedTolerances) {
   const SimdKernelTable* avx512 = simd_dispatch_internal::Avx512Table();
   ASSERT_NE(avx512, nullptr);
   EXPECT_EQ(avx512->lanes, 8);
-  // 8 lanes regroup the reductions and the scalar-spilled tail;
-  // elementwise kernels stay per-element identical, reductions within
-  // reassociation rounding, SmoothedPhi within its documented bound
-  // (SmoothedPhiBatchTolerance is vs scalar; vs another vector lane width
-  // the gap can only be smaller, but reuse the same pinned bound).
-  CompareTables(*avx512, [](const char* kernel, std::size_t i, double got,
-                            double want) {
-    if (std::string(kernel) == "smoothed_phi_batch" ||
-        std::string(kernel) == "smoothed_phi_transform") {
-      ASSERT_NEAR(got, want, 2.0 * PhiBound() * 1e-12 + 1e-13)
-          << kernel << "[" << i << "]";
-    } else if (std::string(kernel) == "gumbel_from_uniform") {
-      ASSERT_EQ(got, want) << kernel << "[" << i << "]";  // elementwise
-    } else {
-      ASSERT_NEAR(got, want, 1e-12 * (std::abs(want) + 1.0))
-          << kernel << "[" << i << "]";
-    }
+  // 8 lanes regroup the reductions: within reassociation rounding.
+  CompareTables(*avx512, [](const char* kernel, double got, double want) {
+    ASSERT_NEAR(got, want, 1e-12 * (std::abs(want) + 1.0)) << kernel;
   });
 }
 

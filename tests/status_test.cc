@@ -4,6 +4,7 @@
 // acceptance bar: no user-supplied configuration may abort the process
 // through TryFit -- every case below returns a typed Status instead.
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -241,6 +242,77 @@ TEST(TryFitStatusTest, NoUserErrorAborts) {
       const auto fit = solver->TryFit(problem, good_spec, rng);
       ASSERT_FALSE(fit.ok());
       EXPECT_EQ(fit.status().code(), StatusCode::kShapeMismatch);
+    }
+  }
+}
+
+TEST(TryFitStatusTest, NonFiniteValuesAreInvalidProblem) {
+  // One NaN or infinity in a feature, a label or w0 is refused with
+  // kInvalidProblem naming where it sits, for every solver, instead of
+  // reaching the robust gradient or the peeling sort. Rows past the prefix
+  // are not read by the fit, so a bad value there is accepted.
+  const Dataset data = SmallLinearData(400, 8, 17);
+  const SquaredLoss loss;
+  const L1Ball ball(8, 1.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(), inf,
+                               -inf};
+  for (const std::string& name : SolverRegistry::Global().Names()) {
+    SCOPED_TRACE(name);
+    const Solver* solver = *SolverRegistry::Global().Find(name);
+    Problem good;
+    good.loss = &loss;
+    good.data = &data;
+    good.target_sparsity = 2;
+    if (solver->requires_constraint()) good.constraint = &ball;
+    SolverSpec spec;
+    spec.budget = solver->supports_pure_dp()
+                      ? PrivacyBudget::Pure(1.0)
+                      : PrivacyBudget::Approx(1.0, 1e-5);
+    spec.tau = 4.0;
+    spec.step = 0.02;
+    const auto expect_invalid = [&](const Problem& problem,
+                                    const std::string& where) {
+      Rng rng(5);
+      const auto fit = solver->TryFit(problem, spec, rng);
+      ASSERT_FALSE(fit.ok()) << where;
+      EXPECT_EQ(fit.status().code(), StatusCode::kInvalidProblem) << where;
+      EXPECT_NE(fit.status().message().find(where), std::string::npos)
+          << fit.status().message();
+    };
+    for (const double bad : bad_values) {
+      SCOPED_TRACE(bad);
+      {
+        Dataset broken = data;
+        broken.x(123, 5) = bad;
+        Problem problem = good;
+        problem.data = &broken;
+        expect_invalid(problem, "x[row 123, column 5]");
+      }
+      {
+        Dataset broken = data;
+        broken.y[77] = bad;
+        Problem problem = good;
+        problem.data = &broken;
+        expect_invalid(problem, "y[row 77]");
+      }
+      {
+        Problem problem = good;
+        problem.w0 = Vector(8, 0.0);
+        problem.w0[6] = bad;
+        expect_invalid(problem, "w0[column 6]");
+      }
+      {
+        Dataset tail_broken = data;
+        tail_broken.x(399, 0) = bad;
+        tail_broken.y[399] = bad;
+        Problem problem = good;
+        problem.data = &tail_broken;
+        problem.prefix = 399;
+        Rng rng(5);
+        const auto fit = solver->TryFit(problem, spec, rng);
+        EXPECT_TRUE(fit.ok()) << fit.status().ToString();
+      }
     }
   }
 }
